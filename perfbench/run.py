@@ -4,7 +4,10 @@
 
 Each operation is one or two ``ellimatch.cli.main(argv)`` calls on point
 files written during set-up; the run cycles through a fixed set of them,
-and each run of one is checked after the timed call.  With ``--trace 0`` the
+and each run of one is checked after the timed call.  Between operations
+the run also times a fixed reference kernel of the benchmark's own, and the
+end-to-end metrics give operation times in units of it (see
+``reference_kernel``).  With ``--trace 0`` the
 last line of stdout is a JSON object with the end-to-end metrics; with
 ``--trace 1`` every operation also runs traced, the object holds the
 per-layer metrics instead, and the spans go to
@@ -36,11 +39,61 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
 
-# Set-up is repeated this many times and its median reported, so a single
-# slow import or file write does not decide setup_s.
-SETUP_REPEATS = 5
+# Set-up runs once before measuring and, in an untraced run, this many
+# times more, spread evenly over the run and each between two kernel runs;
+# setup_s comes from the median of those.  Set-ups made back to back would
+# all fall in one of the host's speed phases.
+SETUP_REPEATS = 10
 # The tail is the highest percentile with at least this many samples beyond.
 TAIL_BEYOND = 10
+# Vertices of the reference kernel's matching: 2^14 DP states, 13 to 27 ms
+# (5th to 95th percentile) on the machine in README.md.
+REF_N = 14
+# setup_s is set-up time in kernel runs times this, the kernel's time in
+# the host's fast phase (5th percentile of 1858 runs on the machine in
+# README.md), so that it reads as seconds in that phase.
+REF_SECONDS = 0.013
+_REF_WEIGHTS = [[random.Random(f"ref/{i}/{j}").random() for j in range(REF_N)] for i in range(REF_N)]
+
+
+def reference_kernel() -> float:
+    """Time one max-weight perfect matching of a fixed complete graph on
+    REF_N vertices by a DP over subsets, and return the seconds it took.
+
+    The host's speed swings by up to 1.8x in phases of seconds (README.md,
+    "Noise"), too often for a run to average them out.  This kernel is pure
+    Python, like the program, and fills a table of tuples, as the program's
+    exact DP does, so it slows down in the same phases by about the same
+    factor.  Each operation is timed between two runs of it, and its time
+    divided by theirs holds steady where either alone does not.  It is the
+    benchmark's own code, so a change to the program never moves it.
+    """
+    t0 = time.perf_counter()
+    d = _REF_WEIGHTS
+    full = (1 << REF_N) - 1
+    neg = (float("-inf"), 0)
+    value = [neg] * (full + 1)
+    value[full] = (0.0, 0)
+    for mask in range(full - 1, -1, -1):
+        if mask.bit_count() & 1:
+            continue
+        rem = ~mask & full
+        bi = rem & -rem
+        di = d[bi.bit_length() - 1]
+        best = neg
+        jbits = rem ^ bi
+        while jbits:
+            bj = jbits & -jbits
+            dij = di[bj.bit_length() - 1]
+            rest = value[mask | bi | bj]
+            v = (dij + rest[0], rest[1] + 1)
+            if v > best:
+                best = v
+            jbits ^= bj
+        value[mask] = best
+    if value[0][1] != REF_N // 2:
+        raise RuntimeError("reference kernel matched the wrong number of pairs")
+    return time.perf_counter() - t0
 
 
 def load_program() -> SimpleNamespace:
@@ -91,7 +144,9 @@ class Bench:
     instances: list[workloads.Instance] = field(default_factory=list)
     setup_times: list[float] = field(default_factory=list)
 
-    def set_up(self) -> None:
+    def set_up(self) -> float:
+        """Import the program, write the inputs and warm up; returns the
+        seconds this took."""
         t0 = time.perf_counter()
         self.lib = load_program()
         self.instances = self.workload.inputs(random.Random(self.seed))
@@ -104,6 +159,7 @@ class Bench:
             (self.tmp / inst.filename).write_text(inst.csv, encoding="utf-8")
         run_calls(self.lib, self.workload.argvs(warmup, 0, self.tmp / warmup.filename, self.tmp))
         self.setup_times.append(time.perf_counter() - t0)
+        return self.setup_times[-1]
 
     def argvs(self, op: int) -> list[list[str]]:
         inst = self.instances[op]
@@ -116,20 +172,30 @@ class Bench:
             return f"output check raised {type(e).__name__}: {e}"
 
     def measure(self, seconds: float, tracer: Tracer | None = None) -> tuple["Timing", "Timing"]:
-        """Cycle through the operations until each has run and their own
+        """Cycle through the operations until each has run and the timed
         time reaches ``seconds``; checks run between operations, untimed.
 
+        Without a tracer, the reference kernel runs before the first
+        operation and after each one, so each operation is timed between
+        two runs of it, and set-up runs again, followed by another kernel
+        run, each time another 1/SETUP_REPEATS of ``seconds`` has passed.
         With a tracer, every execution also runs traced, before or after
-        the untraced one in turn, so drift in the host's speed falls on both
-        alike; returns the untraced and the traced timings.
+        the untraced one in turn, so drift in the host's speed falls on
+        both alike; returns the untraced and the traced timings.
         """
         plain, traced = Timing(), Timing()
+        if not tracer:
+            plain.refs.append(reference_kernel())
         i = 0
         while i < len(self.instances) or plain.busy < seconds:
             op = i % len(self.instances)
             runs = [(plain, None), (traced, tracer)] if tracer else [(plain, None)]
             for timing, t in runs[:: -1 if i % 2 else 1]:
                 self.run_op(op, timing, t)
+            if not tracer:
+                plain.add_ref(op, reference_kernel())
+                if len(plain.setups) < min(SETUP_REPEATS, 1 + plain.busy * SETUP_REPEATS / seconds):
+                    plain.add_setup(self.set_up(), reference_kernel())
             i += 1
         return plain, traced
 
@@ -151,35 +217,65 @@ class Bench:
 @dataclass
 class Timing:
     walls: list[float] = field(default_factory=list)  # every execution
-    best: list[float] = field(default_factory=list)  # fastest run of each operation
+    runs: list[list[float]] = field(default_factory=list)  # executions of each operation
+    refs: list[float] = field(default_factory=list)  # reference kernel runs
+    # Executions of each operation in units of the two kernel runs around it.
+    rel: list[list[float]] = field(default_factory=list)
+    setups: list[float] = field(default_factory=list)  # set-ups, the same way
     failures: list[str] = field(default_factory=list)
 
     def add(self, op: int, dt: float, err: str | None, key: str) -> None:
         self.walls.append(dt)
-        if op == len(self.best):
-            self.best.append(dt)
-        else:
-            self.best[op] = min(self.best[op], dt)
+        if op == len(self.runs):
+            self.runs.append([])
+        self.runs[op].append(dt)
         if err:
             self.failures.append(f"op {op} on {key}: {err}")
 
+    def add_ref(self, op: int, ref: float) -> None:
+        """Record a kernel run made right after the latest execution of
+        ``op``, and that execution in units of the kernel runs around it."""
+        if op == len(self.rel):
+            self.rel.append([])
+        self.rel[op].append(self.runs[op][-1] / ((self.refs[-1] + ref) / 2))
+        self.refs.append(ref)
+
+    def add_setup(self, dt: float, ref: float) -> None:
+        """Record a set-up of ``dt`` seconds made right after the latest
+        kernel run, and the kernel run ``ref`` made right after it."""
+        self.setups.append(dt / ((self.refs[-1] + ref) / 2))
+        self.refs.append(ref)
+
     @property
     def busy(self) -> float:
-        return sum(self.walls)
+        return sum(self.walls) + sum(self.refs)
+
+    @property
+    def op_times(self) -> list[float]:
+        """Each operation's median time over its executions, in seconds."""
+        return [statistics.median(r) for r in self.runs]
+
+    @property
+    def op_refs(self) -> list[float]:
+        """Each operation's median time over its executions, in kernel runs;
+        a median, so an execution during which the host's phase changed
+        counts for little."""
+        return [statistics.median(r) for r in self.rel]
 
     @property
     def ops_per_s(self) -> float:
-        return len(self.best) / sum(self.best)
+        return len(self.runs) / sum(self.op_times)
 
-    def tail(self) -> tuple[float, float]:
-        """(percentile, seconds) of the highest percentile that leaves
-        TAIL_BEYOND operations beyond it.  With too few operations for that
-        percentile to lie above the median, the maximum."""
-        ordered = sorted(self.best)
-        n = len(ordered)
-        if n <= 2 * TAIL_BEYOND:
-            return 100.0, ordered[-1]
-        return 100.0 * (n - TAIL_BEYOND) / n, ordered[n - TAIL_BEYOND - 1]
+
+def tail(values: list[float]) -> tuple[float, float]:
+    """(percentile, value) of the highest percentile that leaves TAIL_BEYOND
+    values beyond it.  With too few values for that percentile to lie above
+    the median, the maximum."""
+    ordered = sorted(values)
+    n = len(ordered)
+    if n <= 2 * TAIL_BEYOND:
+        return 100.0, ordered[-1]
+    return 100.0 * (n - TAIL_BEYOND) / n, ordered[n - TAIL_BEYOND - 1]
 
 
 def metric(value: float, unit: str) -> dict:
@@ -187,17 +283,26 @@ def metric(value: float, unit: str) -> dict:
 
 
 def end_to_end(bench: Bench, timing: Timing) -> dict:
-    pct, tail = timing.tail()
-    n, runs = len(timing.best), len(timing.walls)
+    """The result gives operation times in runs of the reference kernel
+    (unit ``ref``) and set-up time in them times REF_SECONDS; the same
+    figures in host time, which swing with the host's speed, are printed
+    above it."""
+    ms = [t * 1e3 for t in timing.op_times]
+    refs = timing.op_refs
+    pct, tail_ms = tail(ms)
+    n, runs = len(ms), len(timing.walls)
     print(f"{bench.workload.name} seed {bench.seed}: {n} ops run {runs} times, {len(timing.failures)} runs failed")
     print(f"  fail_frac {len(timing.failures) / runs} ratio (failed / attempted)")
-    print(f"  op_ms_tail is p{pct:.1f} of {n} operations")
+    print(f"  ops_per_s {timing.ops_per_s} 1/s, op_ms_p50 {statistics.median(ms)} ms, "
+          f"op_ms_tail {tail_ms} ms; tails are p{pct:.1f} of {n} operations")
+    print(f"  reference kernel: {len(timing.refs)} runs, median {statistics.median(timing.refs) * 1e3} ms")
+    print(f"  set-up: {len(bench.setup_times)} runs, median {statistics.median(bench.setup_times)} s")
     return {
-        "ops_per_s": metric(timing.ops_per_s, "1/s"),
-        "op_ms_p50": metric(statistics.median(timing.best) * 1e3, "ms"),
-        "op_ms_tail": metric(tail * 1e3, "ms"),
+        "ops_per_ref": metric(n / sum(refs), "1/ref"),
+        "op_ref_p50": metric(statistics.median(refs), "ref"),
+        "op_ref_tail": metric(tail(refs)[1], "ref"),
         "peak_rss_mb": metric(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
-        "setup_s": metric(statistics.median(bench.setup_times), "s"),
+        "setup_s": metric(statistics.median(timing.setups) * REF_SECONDS, "s"),
     }
 
 
@@ -236,8 +341,7 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, in
     tmp = WORK / f"run-{workload}-{seed}-{time.time_ns()}"
     bench = Bench(workloads.WORKLOADS[workload], seed, tmp)
     try:
-        for _ in range(SETUP_REPEATS):
-            bench.set_up()
+        bench.set_up()
         if not trace:
             timing, _ = bench.measure(seconds)
             metrics = end_to_end(bench, timing)

@@ -3,7 +3,8 @@
     python3 -m pytest -q perfbench/selftest.py
 
 They smoke-run every workload at its shortest length, check that tampered
-outputs count as failures, and check the traced run's self times.
+outputs count as failures, check how executions are put in units of the
+reference kernel, and check the traced run's self times.
 """
 
 from __future__ import annotations
@@ -103,6 +104,17 @@ def test_tampered_runs_count_into_fail_frac(tmp_path, capsys):
     assert len(timing.failures) == len(timing.walls) > 0
     run.end_to_end(bench, timing)
     assert f"fail_frac {1.0} ratio" in capsys.readouterr().out
+
+
+def test_each_execution_is_divided_by_the_kernel_runs_around_it():
+    timing = run.Timing(refs=[0.02])
+    for op, dt, ref in [(0, 0.3, 0.04), (1, 0.1, 0.02), (0, 0.5, 0.08)]:
+        timing.add(op, dt, None, "key")
+        timing.add_ref(op, ref)
+    assert timing.rel == [[pytest.approx(10.0), pytest.approx(10.0)], [pytest.approx(10.0 / 3.0)]]
+    assert timing.op_refs == [pytest.approx(10.0), pytest.approx(10.0 / 3.0)]
+    timing.add_setup(0.3, 0.02)
+    assert timing.setups == [pytest.approx(6.0)]
 
 
 @pytest.mark.parametrize("name", ["certify-n12", "descend-n20"])

@@ -33,14 +33,14 @@ CERTIFY_BANK = 100
 EXACT_BANK = 16
 # Distinct operations of one run, each its own instance.  A run cycles
 # through them until its time is used, so each runs several times, and its
-# time is the fastest of its runs: the host's speed swings by up to 1.8x in
-# phases of up to 20 s, and the fastest of runs spread over the whole run is
-# the figure those phases disturb least.  The counts make one cycle about
-# 3 s in a fast phase, so each operation runs 4 to 9 times in 20 s.
+# time is the median of its runs.  In 25 s a certify-n12 or exact-dp
+# operation runs 5 to 8 times.  descend-n20 and twoopt-n200 operations vary
+# more from instance to instance, so those runs take more instances, each
+# run 2 or 3 times, and the instances one seed draws weigh less.
 CERTIFY_OPS = 1 + 8 * len(GENERATORS)
 EXACT_OPS = len(EXACT_SIZES)
-DESCEND_OPS = 60
-TWOOPT_OPS = 40
+DESCEND_OPS = 120
+TWOOPT_OPS = 100
 
 REFERENCE_FILE = Path(__file__).resolve().parent / "reference.json"
 
