@@ -220,7 +220,9 @@ def _run_checks(
         verdicts["theorem"] = verdict_dict(vd)
     if "helly" in names:
         assert m is not None
-        verdicts["helly"] = verdict_dict(check_helly_triples(s, m, tol=tol))
+        vd = check_helly_triples(s, m, tol=tol)
+        solver_trouble |= not vd.details["converged"]
+        verdicts["helly"] = verdict_dict(vd)
     if "suri" in names:
         verdicts["suri"] = verdict_dict(check_suri(s, tol=tol))
     if "disks" in names:

@@ -1,24 +1,31 @@
-"""Minimizer for pointwise maxima of smooth convex pieces on the plane.
+"""Minimizer for pointwise maxima of distance-sum pieces on the plane.
 
-Two phases.  Phase 1 is a diminishing-step subgradient descent (step D/sqrt(k)
-for instance diameter D) that tracks the best iterate and bails out early on a
-plateau or a certified optimum.  Phase 2 polishes by alternating Newton steps
-on the stationarity system with minimum-norm-subgradient line searches and
-Nelder-Mead shrinks, until the convex-combination certificate residual drops
-below ``eps_cert`` or the shrinking simplex collapses, in which case the
-result comes back flagged.
+Every piece is a tuple ``(a, b, s, beta)`` standing for
+``f(x) = (|x - a| + |x - b|) / s + beta``, with a closed-form gradient and
+Hessian: a distance-sum ratio is ``(a, b, |ab|, 0)`` and a disk slack
+``|x - c| - r`` is ``(c, c, 2, -r)``.
 
-The certificate is the classical optimality condition for maxima of convex
-functions: at a minimizer, the origin lies in the convex hull of the active
-pieces' gradients.  ``min_norm_point`` gives the distance to that hull, which
-doubles as a residual and a descent direction.
+One method: damped Newton on the log-sum-exp smoothing
+``phi_tau(x) = max f + tau * log sum_i exp((f_i - max f) / tau)``, which
+overestimates ``max f`` by at most ``tau * log(#pieces)`` (Nesterov 2005;
+Polak, Royset and Womersley 2003).  ``tau`` starts at 0.1 of the value scale
+and is cut tenfold per stage down to 1e-14.  Each step is an Armijo
+backtracking line search along the Newton direction, or along the steepest
+descent direction where the smoothed Hessian is not positive definite.  The
+foci, where a piece has a kink, are handled exactly: a focus is stationary
+when the ball of subgradients it adds absorbs the gradient, and a step cut
+short next to a focus tries the focus itself.
+
+The result is certified by the classical optimality condition for maxima of
+convex functions: at a minimizer, the origin lies in the convex hull of the
+active pieces' gradients.  ``min_norm_point`` gives the distance to that
+hull.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .geom import Point
@@ -29,15 +36,37 @@ EPS_CERT = 1e-7
 # Relative activity tolerance: pieces within ACT_REL * max(1, |f|) of the max.
 ACT_REL = 1e-6
 
-Piece = tuple[Callable[[Point], float], Callable[[Point], Point]]
+# (a, b, s, beta): f(x) = (|x - a| + |x - b|) / s + beta.
+Piece = tuple[Point, Point, float, float]
 
-# Activity-tolerance ladder used to pick descent directions; widening the
-# active set avoids zigzagging along nonsmooth valleys.
-_DIRECTION_DELTAS = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
+# Reaching a proven lower bound of the max within this much certifies it.
+_FLOOR_TOL = 1e-9
+
+# Smoothing parameter of the first stage, relative to max(1, |f(x0)|), and
+# the number of stages, each cutting it tenfold.  The last, 1e-14, keeps the
+# smoothing bias tau * log(p_i / p_j) between the active pieces' values
+# below 1e-12 relative at a three-piece vertex.
+_TAU_START = 0.1
+_STAGES = 14
+
+# Relative rounding level of piece values.
+_ROUNDING = 1e-15
+
+_NEWTON_STEPS = 50  # per smoothing stage
+_HALVINGS = 50  # per line search
+_ARMIJO = 1e-4
+_LEAP = 3.0
+_NEGLIGIBLE = 1e-30  # softmax weight below which a piece is skipped
 
 
 @dataclass(frozen=True)
 class MinimaxResult:
+    """Minimizer of the max of the pieces.
+
+    ``iterations`` counts full passes over the piece list (each evaluation
+    of every piece at one point).
+    """
+
     x: Point
     value: float
     active: tuple[int, ...]
@@ -45,6 +74,32 @@ class MinimaxResult:
     residual: float
     iterations: int
     converged: bool
+
+
+def _piece_value(p: Piece, x: Point) -> float:
+    a, b, s, beta = p
+    return (math.hypot(x[0] - a[0], x[1] - a[1]) + math.hypot(x[0] - b[0], x[1] - b[1])) / s + beta
+
+
+def _derivatives(p: Piece, x: Point) -> tuple[Point, tuple[float, float, float], float]:
+    """Gradient and Hessian (xx, xy, yy) of a piece at x, and the radius of
+    the ball of subgradients its foci at x add.  At a focus the other term
+    alone is a valid subgradient."""
+    a, b, s, _ = p
+    gx = gy = hxx = hxy = hyy = ball = 0.0
+    for c in (a, b):
+        dx, dy = x[0] - c[0], x[1] - c[1]
+        d = math.hypot(dx, dy)
+        if d > 1e-15:
+            ux, uy = dx / d, dy / d
+            gx += ux
+            gy += uy
+            hxx += (1.0 - ux * ux) / d
+            hxy -= ux * uy / d
+            hyy += (1.0 - uy * uy) / d
+        else:
+            ball += 1.0
+    return (gx / s, gy / s), (hxx / s, hxy / s, hyy / s), ball / s
 
 
 def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], float]:
@@ -118,166 +173,58 @@ def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], 
 
 
 def _certificate(
-    pieces: Sequence[Piece], x: Point, act_rel: float
-) -> tuple[list[float], float, list[int], tuple[float, ...], float]:
+    pieces: Sequence[Piece], x: Point, act_rel: float = ACT_REL
+) -> tuple[float, list[int], tuple[float, ...], float]:
     """Evaluate all pieces at x and compute the min-norm certificate over the
-    gradients of the active ones.  Returns (values, max, active, coeffs over
-    active, residual)."""
-    vals = [v(x) for v, _ in pieces]
+    gradients of the active ones, those within ``act_rel * max(1, |f|)`` of
+    the max.  Returns (max, active, coeffs over active, residual)."""
+    vals = [_piece_value(p, x) for p in pieces]
     f = max(vals)
     tol = act_rel * max(1.0, abs(f))
     active = [i for i, v in enumerate(vals) if v >= f - tol]
-    grads = [pieces[i][1](x) for i in active]
+    grads = [_derivatives(pieces[i], x)[0] for i in active]
     _, coeffs, residual = min_norm_point(grads)
-    return vals, f, active, coeffs, residual
+    return f, active, coeffs, residual
 
 
-def _solve2(j00: float, j01: float, j10: float, j11: float, r0: float, r1: float):
-    det = j00 * j11 - j01 * j10
-    if abs(det) < 1e-300:
-        return None
-    return ((j11 * r0 - j01 * r1) / det, (j00 * r1 - j10 * r0) / det)
+def _direction(
+    pieces: Sequence[Piece], weights: Sequence[float], x: Point, tau: float, scale: float
+) -> tuple[float, float, float] | None:
+    """Descent step (sx, sy) for phi_tau at x and the directional derivative
+    along it, or None where x is a focus at which phi_tau is stationary.
 
-
-def _newton_polish(
-    pieces: Sequence[Piece],
-    x: Point,
-    f: float,
-    active: Sequence[int],
-    scale: float,
-) -> tuple[Point, int] | None:
-    """Newton refinement of the stationarity system for a trial support.
-
-    Function-value-based refinement bottoms out at sqrt(ulp) position
-    accuracy, which is not enough for the gradient certificate when the
-    witness sits near an edge endpoint (huge curvature).  Newton on the
-    equal-value / aligned-gradient equations works on gradient values
-    instead and reaches machine precision.  Returns the first candidate that
-    stays close in value, or None.
+    The Newton step of the smoothed Hessian
+    ``sum p_i H_i + (sum p_i g_i g_i^T - grad grad^T) / tau`` is taken where
+    that Hessian is positive definite and the step descends, otherwise the
+    steepest descent step.  Pieces whose weight vanishes against the top one
+    are skipped.
     """
-    if not 2 <= len(active) <= 6:
+    total = sum(weights)
+    terms = [
+        (w / total, *_derivatives(p, x)) for p, w in zip(pieces, weights) if w > _NEGLIGIBLE
+    ]
+    gx = sum(q * g[0] for q, g, _, _ in terms)
+    gy = sum(q * g[1] for q, g, _, _ in terms)
+    ball = sum(q * r for q, _, _, r in terms)
+    if math.hypot(gx, gy) <= ball:
         return None
-    combos: list[tuple[int, ...]] = []
-    if len(active) >= 3:
-        combos.extend(itertools.combinations(active, 3))
-    combos.extend(itertools.combinations(active, 2))
-    fd = 1e-7 * scale
-    evals = 0
-
-    for combo in combos:
-        y = x
-        ok = False
-        for _ in range(30):
-            if len(combo) == 3:
-                i, j, k = combo
-                vi, vj, vk = pieces[i][0](y), pieces[j][0](y), pieces[k][0](y)
-                gi, gj, gk = pieces[i][1](y), pieces[j][1](y), pieces[k][1](y)
-                evals += 3
-                r0, r1 = vi - vk, vj - vk
-                step = _solve2(
-                    gi[0] - gk[0], gi[1] - gk[1], gj[0] - gk[0], gj[1] - gk[1], r0, r1
-                )
-            else:
-                i, j = combo
-                vi, vj = pieces[i][0](y), pieces[j][0](y)
-                gi, gj = pieces[i][1](y), pieces[j][1](y)
-                evals += 2
-                r0 = vi - vj
-                r1 = gi[0] * gj[1] - gi[1] * gj[0]
-
-                def cross_at(p: Point) -> float:
-                    a = pieces[i][1](p)
-                    b = pieces[j][1](p)
-                    return a[0] * b[1] - a[1] * b[0]
-
-                cxp = cross_at((y[0] + fd, y[1]))
-                cxm = cross_at((y[0] - fd, y[1]))
-                cyp = cross_at((y[0], y[1] + fd))
-                cym = cross_at((y[0], y[1] - fd))
-                evals += 8
-                step = _solve2(
-                    gi[0] - gj[0],
-                    gi[1] - gj[1],
-                    (cxp - cxm) / (2.0 * fd),
-                    (cyp - cym) / (2.0 * fd),
-                    r0,
-                    r1,
-                )
-            if step is None:
-                break
-            sn = math.hypot(step[0], step[1])
-            if sn > 0.1 * scale:  # keep Newton local
-                step = (step[0] * 0.1 * scale / sn, step[1] * 0.1 * scale / sn)
-                sn = 0.1 * scale
-            y = (y[0] - step[0], y[1] - step[1])
-            if sn < 1e-13 * scale:
-                ok = True
-                break
-        if not ok:
-            continue
-        fy = max(v(y) for v, _ in pieces)
-        evals += len(pieces)
-        if fy <= f + 1e-12 * max(1.0, abs(f)):
-            return y, evals
-    return None
-
-
-def _nelder_mead(
-    fn: Callable[[Point], float],
-    x0: Point,
-    size: float,
-    scale: float,
-    *,
-    max_iter: int = 300,
-) -> tuple[Point, float, float, int]:
-    """One Nelder-Mead run on a 2-simplex seeded around x0.
-
-    Returns (best point, best value, final simplex diameter, evaluations).
-    """
-    pts = [x0, (x0[0] + size, x0[1]), (x0[0], x0[1] + size)]
-    vals = [fn(p) for p in pts]
-    evals = 3
-
-    def diam() -> float:
-        return max(
-            math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1])
-            for i in range(3)
-            for j in range(i + 1, 3)
-        )
-
-    for _ in range(max_iter):
-        order = sorted(range(3), key=lambda i: vals[i])
-        b, mid, w = order
-        if diam() < 1e-15 * scale or vals[w] - vals[b] < 1e-17 * max(1.0, abs(vals[b])):
-            break
-        cx = (pts[b][0] + pts[mid][0]) / 2.0
-        cy = (pts[b][1] + pts[mid][1]) / 2.0
-        xr = (2.0 * cx - pts[w][0], 2.0 * cy - pts[w][1])
-        fr = fn(xr)
-        evals += 1
-        if fr < vals[b]:
-            xe = (3.0 * cx - 2.0 * pts[w][0], 3.0 * cy - 2.0 * pts[w][1])
-            fe = fn(xe)
-            evals += 1
-            if fe < fr:
-                pts[w], vals[w] = xe, fe
-            else:
-                pts[w], vals[w] = xr, fr
-        elif fr < vals[mid]:
-            pts[w], vals[w] = xr, fr
-        else:
-            xc = ((cx + pts[w][0]) / 2.0, (cy + pts[w][1]) / 2.0)
-            fc = fn(xc)
-            evals += 1
-            if fc < vals[w]:
-                pts[w], vals[w] = xc, fc
-            else:
-                for i in (mid, w):
-                    pts[i] = ((pts[i][0] + pts[b][0]) / 2.0, (pts[i][1] + pts[b][1]) / 2.0)
-                    vals[i] = fn(pts[i])
-                    evals += 1
-    best = min(range(3), key=lambda i: vals[i])
-    return pts[best], vals[best], diam(), evals
+    hxx = hxy = hyy = 0.0
+    for q, g, h, _ in terms:
+        dx, dy = g[0] - gx, g[1] - gy
+        hxx += q * (h[0] + dx * dx / tau)
+        hxy += q * (h[1] + dx * dy / tau)
+        hyy += q * (h[2] + dy * dy / tau)
+    det = hxx * hyy - hxy * hxy
+    sx, sy = -gx, -gy
+    if hxx > 0.0 and det > 0.0:
+        nx = -(hyy * gx - hxy * gy) / det
+        ny = -(hxx * gy - hxy * gx) / det
+        if gx * nx + gy * ny + ball * math.hypot(nx, ny) < 0.0:
+            sx, sy = nx, ny
+    sn = math.hypot(sx, sy)
+    if sn > scale:  # keep the step local
+        sx, sy, sn = sx * scale / sn, sy * scale / sn, scale
+    return sx, sy, gx * sx + gy * sy + ball * sn
 
 
 def minimize_max(
@@ -285,153 +232,88 @@ def minimize_max(
     x0: Point,
     diameter: float,
     *,
-    subgrad_iters: int = 5000,
-    eps_cert: float = EPS_CERT,
-    act_rel: float = ACT_REL,
-    polish_rounds: int = 80,
     value_floor: float | None = None,
-    floor_tol: float = 1e-9,
 ) -> MinimaxResult:
-    """Minimize max_i f_i over the plane for smooth convex pieces f_i.
+    """Minimize max_i f_i over the plane.
 
     ``value_floor`` is an optional proven global lower bound of the max (the
-    ratio functions never drop below 1).  Reaching it within ``floor_tol``
-    certifies optimality directly, which covers minima pinned at piece
-    singularities where no gradient combination can cancel.
+    ratio functions never drop below 1).  Reaching it stops the search, and
+    ending within 1e-9 of it certifies optimality, which covers minima
+    pinned at piece singularities where no gradient combination can cancel.
     """
     if not pieces:
         raise ValueError("minimize_max needs at least one piece")
     scale = max(diameter, 1e-12)
 
-    def fmax(x: Point) -> float:
-        return max(v(x) for v, _ in pieces)
-
-    def certified(f: float, residual: float) -> bool:
-        if residual <= eps_cert:
-            return True
-        return value_floor is not None and f <= value_floor + floor_tol
-
-    iterations = 0
-
-    def _finish(x: Point) -> MinimaxResult:
-        """Assemble the result at x, sharpening a certified point with one
-        Newton pass so downstream containment tests see full precision."""
+    def smoothed(x: Point, tau: float) -> tuple[float, float, list[float]]:
+        """(phi_tau, max f, unnormalized softmax weights) at x."""
         nonlocal iterations
-        _, f, active, coeffs, residual = _certificate(pieces, x, act_rel)
-        refined = _newton_polish(pieces, x, f, active, scale)
-        if refined is not None:
-            y, ev = refined
-            iterations += ev
-            _, fy, act_y, coeffs_y, res_y = _certificate(pieces, y, act_rel)
-            if res_y <= residual and fy <= f + 1e-12 * max(1.0, abs(f)):
-                x, f, active, coeffs, residual = y, fy, act_y, coeffs_y, res_y
-        return MinimaxResult(
-            x, f, tuple(active), tuple(coeffs), residual, iterations, certified(f, residual)
-        )
+        iterations += 1
+        vals = [_piece_value(p, x) for p in pieces]
+        top = max(vals)
+        weights = [math.exp((v - top) / tau) for v in vals]
+        return top + tau * math.log(sum(weights)), top, weights
+
+    def at_floor(f: float, tol: float) -> bool:
+        return value_floor is not None and f <= value_floor + tol
 
     x = x0
-    best_x = x0
-    best_f = fmax(x0)
-
-    # ---- phase 1: subgradient descent with diminishing steps
-    stall = 0
-    for k in range(1, subgrad_iters + 1):
-        iterations += 1
-        vals = [v(x) for v, _ in pieces]
-        f = max(vals)
-        if f < best_f - 1e-13 * max(1.0, abs(best_f)):
-            best_x, best_f = x, f
-            stall = 0
-        else:
-            stall += 1
-        g = pieces[vals.index(f)][1](x)
-        gn = math.hypot(g[0], g[1])
-        if gn <= eps_cert:
-            best_x, best_f = x, f
+    f = max(_piece_value(p, x) for p in pieces)
+    iterations = 1
+    unit = max(1.0, abs(f))
+    for stage in range(_STAGES):
+        if at_floor(f, _ROUNDING * unit):
             break
-        step = scale / math.sqrt(k)
-        x = (x[0] - step * g[0] / gn, x[1] - step * g[1] / gn)
-        if stall >= 300:
-            break
-        if k % 100 == 0:
-            _, f_b, _, _, residual = _certificate(pieces, best_x, act_rel)
-            if certified(f_b, residual):
-                return _finish(best_x)
-
-    # ---- phase 2: certificate-driven polish
-    x = best_x
-    f = best_f
-    step_hint = 0.05 * scale
-    nm_size = 0.05 * scale
-
-    def min_norm_step(x: Point, f: float, vals: list[float]) -> tuple[Point, float] | None:
-        """One line-search step along the negative minimum-norm subgradient,
-        widening the active set until a usable direction appears."""
-        nonlocal step_hint, iterations
-        for delta in _DIRECTION_DELTAS:
-            tol = delta * max(1.0, abs(f))
-            idxs = [i for i, v in enumerate(vals) if v >= f - tol]
-            grads = [pieces[i][1](x) for i in idxs]
-            p, _, pr = min_norm_point(grads)
-            if pr <= eps_cert:
-                # The widened hull already cancels; only position refinement
-                # can tighten the true active set further.
-                return None
-            dvec = (-p[0] / pr, -p[1] / pr)
-            t = step_hint
-            while t > 1e-17 * scale:
-                x2 = (x[0] + t * dvec[0], x[1] + t * dvec[1])
-                f2 = fmax(x2)
-                iterations += 1
-                if f2 < f - 0.1 * t * pr:
-                    step_hint = min(2.0 * t, 0.25 * scale)
-                    return x2, f2
+        tau = _TAU_START * unit * 0.1**stage
+        phi, f, weights = smoothed(x, tau)
+        for _ in range(_NEWTON_STEPS):
+            direction = _direction(pieces, weights, x, tau, scale)
+            if direction is None:
+                break
+            sx, sy, slope = direction
+            # Below the rounding level of phi, values cannot judge a step:
+            # there the full Newton step, computed from gradients, is taken.
+            rounding = -slope <= _ROUNDING * unit
+            # After the previous stage phi_tau is within a few tau of its
+            # minimum, so a step promising far more starts cut back.
+            t = t0 = min(1.0, _LEAP * tau / -slope)
+            for _ in range(_HALVINGS):
+                y = (x[0] + t * sx, x[1] + t * sy)
+                phi_y, f_y, w_y = smoothed(y, tau)
+                if rounding or phi_y <= phi + _ARMIJO * t * slope:
+                    break
                 t *= 0.5
-        return None
-
-    for _ in range(polish_rounds):
-        vals, f, active, coeffs, residual = _certificate(pieces, x, act_rel)
-        if certified(f, residual):
-            return _finish(x)
-        refined = _newton_polish(pieces, x, f, active, scale)
-        if refined is not None:
-            y, ev = refined
-            iterations += ev
-            _, fy, act_y, coeffs_y, res_y = _certificate(pieces, y, act_rel)
-            if res_y <= eps_cert:
-                return _finish(y)
-            if fy < f:
-                x, f = y, fy
-                vals = [v(x) for v, _ in pieces]
-        progressed = False
-        # Descend along minimum-norm subgradients while that keeps working;
-        # this is what converges in kinked valleys where Nelder-Mead crawls.
-        for _ in range(60):
-            stepped = min_norm_step(x, f, vals)
-            if stepped is None:
+            else:
+                break  # no descent left at this tau
+            if t < t0:
+                # A step cut short often runs into a focus, a kink the Newton
+                # model cannot see; the focus itself may be the better point.
+                gap, c = min(
+                    (math.hypot(c[0] - y[0], c[1] - y[1]), c)
+                    for p, w in zip(pieces, weights)
+                    if w > _NEGLIGIBLE
+                    for c in p[:2]
+                )
+                if gap < t * math.hypot(sx, sy):
+                    phi_c, f_c, w_c = smoothed(c, tau)
+                    if phi_c <= phi_y:
+                        y, phi_y, f_y, w_y = c, phi_c, f_c, w_c
+            moved = math.hypot(y[0] - x[0], y[1] - x[1])
+            x, phi, f, weights = y, phi_y, f_y, w_y
+            if at_floor(f, _ROUNDING * unit):
                 break
-            x, f = stepped
-            progressed = True
-            vals, f, active, coeffs, residual = _certificate(pieces, x, act_rel)
-            if certified(f, residual):
-                return _finish(x)
-        # Nelder-Mead shrink handles the smooth flats the subgradient steps
-        # cannot certify through.
-        x3, f3, sdiam, ev = _nelder_mead(fmax, x, nm_size, scale)
-        iterations += ev
-        if f3 < f - 1e-16 * max(1.0, abs(f)):
-            x, f = x3, f3
-            progressed = True
-            # Restart slightly above the collapsed simplex size so the next
-            # run can still move, shrinking toward the optimum overall.
-            nm_size = max(4.0 * sdiam, 1e-11 * scale)
-        if f < best_f:
-            best_x, best_f = x, f
-        if not progressed:
-            nm_size *= 0.01
-            if nm_size < 1e-13 * scale:
+            # Middle stages only seed the next one; the last runs to rounding.
+            if (moved <= 1e-14 * scale) if stage == _STAGES - 1 else (-slope <= 0.1 * tau):
                 break
 
-    if best_f < f:
-        x = best_x
-    return _finish(x)
+    f, active, coeffs, residual = _certificate(pieces, x)
+    iterations += 1
+    return MinimaxResult(
+        x,
+        f,
+        tuple(active),
+        tuple(coeffs),
+        residual,
+        iterations,
+        residual <= EPS_CERT or at_floor(f, _FLOOR_TOL),
+    )

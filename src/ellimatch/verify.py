@@ -16,13 +16,8 @@ from typing import Any
 from .config import theorem_tol
 from .geom import EPS_GEO, RATIO_BOUND, Point, DegenerateEdgeError, dist
 from .matching import EXACT_CAP, Matching, PointSet, exact_max_sum, validate_pairs
-from .minimax import minimize_max
-from .witness import (
-    _normalize,
-    minimize_h,
-    minimize_h_over_edges,
-    steiner_star,
-)
+from .minimax import Piece
+from .witness import minimize_h, minimize_h_over_edges, solve_in_frame, steiner_star
 
 
 @dataclass(frozen=True)
@@ -50,10 +45,11 @@ def check_fingerhut(
     validate_pairs(s, m.pairs)
     slacks = []
     max_len = 0.0
+    zero = EPS_GEO * s.diameter()
     for i, j in m.pairs:
         a, b = s[i], s[j]
         d = dist(a, b)
-        if d <= EPS_GEO * max(s.diameter(), 1.0):
+        if d <= zero:
             raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
         max_len = max(max_len, d)
         slacks.append(RATIO_BOUND * d - (dist(a, o) + dist(b, o)))
@@ -117,8 +113,10 @@ def check_helly_triples(
     rows = []
     worst = -math.inf
     discordant = []
+    converged = global_w.converged
     for combo in itertools.combinations(range(n_edges), r):
         sub = minimize_h_over_edges(s, [m.pairs[e] for e in combo])
+        converged &= sub.converged
         triple_ok = sub.lambda_star <= threshold
         worst = max(worst, sub.lambda_star)
         rows.append({"edges": list(combo), "lambda": sub.lambda_star, "ok": triple_ok})
@@ -141,6 +139,7 @@ def check_helly_triples(
             "worst_triple_lambda": worst,
             "triples": rows,
             "discordant": discordant,
+            "converged": converged,
         },
     )
 
@@ -173,46 +172,16 @@ def check_tverberg_disks(s: PointSet, m: Matching) -> Verdict:
     edges: minimize the worst disk slack max_i (|x - c_i| - r_i), which is
     convex, with the same minimax machinery as the witness solver."""
     validate_pairs(s, m.pairs)
-    used = sorted({k for p in m.pairs for k in p})
-    scaled, offset, scale = _normalize([s[k] for k in used])
-    npts = dict(zip(used, scaled))
 
-    disks = []
-    for i, j in m.pairs:
-        a, b = npts[i], npts[j]
-        d = dist(a, b)
-        if d <= EPS_GEO:
-            raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
-        disks.append((((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0), d / 2.0))
+    def disk_slack(a: Point, b: Point, d: float) -> Piece:
+        c = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+        return (c, c, 2.0, -d / 2.0)
 
-    pieces = []
-    for center, radius in disks:
-        def val(x: Point, c=center, r=radius) -> float:
-            return math.hypot(x[0] - c[0], x[1] - c[1]) - r
-
-        def grad(x: Point, c=center) -> Point:
-            d = math.hypot(x[0] - c[0], x[1] - c[1])
-            if d <= 1e-15:
-                return (0.0, 0.0)
-            return ((x[0] - c[0]) / d, (x[1] - c[1]) / d)
-
-        pieces.append((val, grad))
-
-    x0 = (
-        sum(c[0] for c, _ in disks) / len(disks),
-        sum(c[1] for c, _ in disks) / len(disks),
-    )
-    diameter = max(
-        (dist(scaled[i], scaled[j]) for i in range(len(scaled)) for j in range(i + 1, len(scaled))),
-        default=1.0,
-    )
-    res = minimize_max(pieces, x0, diameter, subgrad_iters=2000)
-    margin = -res.value * scale
-    point = (offset[0] + scale * res.x[0], offset[1] + scale * res.x[1])
+    res, point, _, scale = solve_in_frame(s, m.pairs, disk_slack)
     return Verdict(
         name="disks",
         passed=res.value <= EPS_GEO,
-        margin=margin,
+        margin=-res.value * scale,
         tolerance=EPS_GEO * scale,
         details={
             "point": [point[0], point[1]],

@@ -13,12 +13,12 @@ similarity-invariant, so nothing is lost and the unit-scale tolerances of
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .geom import EPS_GEO, Point, DegenerateEdgeError, bisector_point, dist, h_ratio, norm
 from .matching import Matching, PointSet, validate_pairs
-from .minimax import ACT_REL, EPS_CERT, Piece, min_norm_point, minimize_max
+from .minimax import ACT_REL, EPS_CERT, MinimaxResult, Piece, _certificate, minimize_max
 
 # Relative activity tolerance for the reported active set (times lambda*).
 EPS_ACT = ACT_REL
@@ -78,30 +78,52 @@ def _normalize(points: Sequence[Point]) -> tuple[list[Point], Point, float]:
     return [((p[0] - x0) / scale, (p[1] - y0) / scale) for p in points], (x0, y0), scale
 
 
-def _edge_pieces(pts: Sequence[Point], pairs: Sequence[IndexPair]) -> list[Piece]:
-    pieces: list[Piece] = []
+def _ratio_piece(a: Point, b: Point, d: float) -> Piece:
+    return (a, b, d, 0.0)
+
+
+def _frame_pieces(
+    s: PointSet, pairs: Sequence[IndexPair], piece: Callable[[Point, Point, float], Piece]
+) -> tuple[list[Piece], dict[int, Point], Point, float]:
+    """Unit-square frame of the edges' endpoints and ``piece(a, b, |ab|)``
+    for each edge in it: (pieces, frame points, offset, scale)."""
+    used = sorted({k for p in pairs for k in p})
+    scaled, offset, scale = _normalize([s[k] for k in used])
+    npts = dict(zip(used, scaled))
+    pieces = []
     for i, j in pairs:
-        a, b = pts[i], pts[j]
-        d = dist(a, b)
+        d = dist(npts[i], npts[j])
         if d <= EPS_GEO:
             raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
+        pieces.append(piece(npts[i], npts[j], d))
+    return pieces, npts, offset, scale
 
-        def val(x: Point, a=a, b=b, d=d) -> float:
-            return (math.hypot(x[0] - a[0], x[1] - a[1]) + math.hypot(x[0] - b[0], x[1] - b[1])) / d
 
-        def grad(x: Point, a=a, b=b, d=d) -> Point:
-            da = math.hypot(x[0] - a[0], x[1] - a[1])
-            db = math.hypot(x[0] - b[0], x[1] - b[1])
-            # At a focus the smooth part alone is a valid subgradient.
-            gx = (x[0] - a[0]) / da if da > 1e-15 else 0.0
-            gy = (x[1] - a[1]) / da if da > 1e-15 else 0.0
-            if db > 1e-15:
-                gx += (x[0] - b[0]) / db
-                gy += (x[1] - b[1]) / db
-            return (gx / d, gy / d)
-
-        pieces.append((val, grad))
-    return pieces
+def solve_in_frame(
+    s: PointSet,
+    pairs: Sequence[IndexPair],
+    piece: Callable[[Point, Point, float], Piece],
+    *,
+    value_floor: float | None = None,
+) -> tuple[MinimaxResult, Point, dict[int, Point], float]:
+    """Minimize the max over edges ab of ``piece(a, b, |ab|)`` in the
+    unit-square frame of the edges' endpoints, from the mean of the edge
+    midpoints.  Returns (result in the frame, its point in input
+    coordinates, frame points, frame scale)."""
+    if not pairs:
+        raise ValueError("no edges to minimize over")
+    pieces, npts, offset, scale = _frame_pieces(s, pairs, piece)
+    x0 = (
+        sum(npts[i][0] + npts[j][0] for i, j in pairs) / (2.0 * len(pairs)),
+        sum(npts[i][1] + npts[j][1] for i, j in pairs) / (2.0 * len(pairs)),
+    )
+    pts = list(npts.values())
+    diameter = max(
+        (dist(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))),
+        default=1.0,
+    )
+    res = minimize_max(pieces, x0, diameter, value_floor=value_floor)
+    return res, (offset[0] + scale * res.x[0], offset[1] + scale * res.x[1]), npts, scale
 
 
 def h_max(s: PointSet, pairs: Sequence[IndexPair], x: Point) -> float:
@@ -109,42 +131,19 @@ def h_max(s: PointSet, pairs: Sequence[IndexPair], x: Point) -> float:
     return max(h_ratio(s[i], s[j], x) for i, j in pairs)
 
 
-def minimize_h(s: PointSet, m: Matching, *, subgrad_iters: int = 5000) -> WitnessResult:
+def minimize_h(s: PointSet, m: Matching) -> WitnessResult:
     """Global minimizer of the edgewise max distance-sum ratio of a matching."""
     validate_pairs(s, m.pairs)
-    return minimize_h_over_edges(s, m.pairs, subgrad_iters=subgrad_iters)
+    return minimize_h_over_edges(s, m.pairs)
 
 
-def minimize_h_over_edges(
-    s: PointSet, pairs: Sequence[IndexPair], *, subgrad_iters: int = 5000
-) -> WitnessResult:
+def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessResult:
     """Like :func:`minimize_h` but for an arbitrary edge list (used by the
     triple-restricted intersection checks)."""
-    if not pairs:
-        raise ValueError("no edges to minimize over")
-    used = sorted({k for p in pairs for k in p})
-    coords = [s[k] for k in used]
-    scaled, offset, scale = _normalize(coords)
-    npts = dict(zip(used, scaled))
-
-    pieces = _edge_pieces(npts, pairs)
-    mids = [
-        ((npts[i][0] + npts[j][0]) / 2.0, (npts[i][1] + npts[j][1]) / 2.0) for i, j in pairs
-    ]
-    x0 = (
-        sum(p[0] for p in mids) / len(mids),
-        sum(p[1] for p in mids) / len(mids),
-    )
-    diameter = max(
-        (dist(scaled[i], scaled[j]) for i in range(len(scaled)) for j in range(i + 1, len(scaled))),
-        default=1.0,
-    )
     # The ratio never drops below 1, so 1 is a proven floor; hitting it
     # certifies optimality even when the witness sits on a duplicated point
     # where the gradient hull cannot cancel.
-    res = minimize_max(
-        pieces, x0, diameter, subgrad_iters=subgrad_iters, value_floor=1.0
-    )
+    res, o_star, npts, _ = solve_in_frame(s, pairs, _ratio_piece, value_floor=1.0)
 
     lam = res.value
     residual = res.residual
@@ -159,7 +158,6 @@ def minimize_h_over_edges(
             support, _ = _support_in_frame(npts, pairs, res.active, res.x)
         except (SupportError, DegenerateEdgeError):
             support = None
-    o_star = (offset[0] + scale * res.x[0], offset[1] + scale * res.x[1])
     return WitnessResult(
         o_star=o_star,
         lambda_star=lam,
@@ -275,17 +273,9 @@ def optimality_certificate(
     residual tolerance is meaningful.
     """
     validate_pairs(s, m.pairs)
-    used = sorted({k for p in m.pairs for k in p})
-    scaled, offset, scale = _normalize([s[k] for k in used])
-    npts = dict(zip(used, scaled))
+    pieces, _, offset, scale = _frame_pieces(s, m.pairs, _ratio_piece)
     on = ((o[0] - offset[0]) / scale, (o[1] - offset[1]) / scale)
-
-    pieces = _edge_pieces(npts, m.pairs)
-    vals = [v(on) for v, _ in pieces]
-    lam = max(vals)
-    active = [e for e, v in enumerate(vals) if v >= lam * (1.0 - act_tol)]
-    grads = [pieces[e][1](on) for e in active]
-    _, coeffs, residual = min_norm_point(grads)
+    lam, active, coeffs, residual = _certificate(pieces, on, act_tol)
     return CertificateResult(
         ok=residual <= eps_cert,
         residual=residual,

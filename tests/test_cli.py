@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -122,6 +123,20 @@ class TestVerifyAndDescend:
             "1.0",
         )
         assert code == 0  # absurd tolerance turns the failure into a pass
+
+    def test_helly_non_convergence_exits_three(self, tmp_path, capsys, monkeypatch):
+        from ellimatch import verify
+
+        solve = verify.minimize_h_over_edges
+        monkeypatch.setattr(
+            verify,
+            "minimize_h_over_edges",
+            lambda s, pairs: dataclasses.replace(solve(s, pairs), converged=False),
+        )
+        pts = self.write_square(tmp_path)
+        code, out = run(capsys, "verify", "--points", str(pts), "--helly")
+        assert code == 3
+        assert json.loads(out)["verdicts"]["helly"]["details"]["converged"] is False
 
     def test_descend_from_sides(self, tmp_path, capsys):
         pts = self.write_square(tmp_path)

@@ -61,6 +61,20 @@ class TestCheckFingerhut:
         v = check_fingerhut(SQUARE, square_sides(), (0.5, 0.5))
         assert v.passed == (v.margin >= -v.tolerance)
 
+    def test_tiny_scale_edges_are_not_degenerate(self):
+        # The zero-edge floor is relative to the diameter, so a valid
+        # instance scaled by a power of two keeps its verdict and its margin
+        # scales exactly.
+        s = generate(InstanceSpec("uniform-square", 10, 3))
+        m = exact_max_sum(s)
+        w = minimize_h(s, m)
+        k = 2.0**-40
+        tiny = PointSet.of([(k * x, k * y) for x, y in s])
+        o = (k * w.o_star[0], k * w.o_star[1])
+        v = check_fingerhut(tiny, Matching.from_pairs(tiny, m.pairs), o)
+        assert v.passed
+        assert v.margin == k * check_fingerhut(s, m, w.o_star).margin
+
 
 class TestVerdictInvariant:
     def test_holds_for_every_check(self):
@@ -127,6 +141,10 @@ class TestCheckHellyTriples:
         m = Matching.from_pairs(s, [(0, 1)])
         v = check_helly_triples(s, m)
         assert v.passed
+
+    def test_converged_reported(self):
+        s = generate(InstanceSpec("uniform-square", 8, 0))
+        assert check_helly_triples(s, exact_max_sum(s)).details["converged"] is True
 
     def test_pair_matching_degenerates_to_pairs(self):
         s = SQUARE

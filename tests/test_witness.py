@@ -79,6 +79,14 @@ class TestMinimizeH:
         assert w.o_star == pytest.approx((0.5, 0.5), abs=1e-6)
         assert ox == pytest.approx((0.5, 0.5), abs=1e-4)
 
+    def test_exact_matching_against_grid_oracle(self):
+        s = generate(InstanceSpec("uniform-square", 12, 0))
+        m = exact_max_sum(s)
+        w = minimize_h(s, m)
+        _, ov = grid_minimize(s, m.pairs, 0.0, 1.0)
+        assert w.converged
+        assert w.lambda_star <= ov + 1e-9
+
     def test_no_edge_beats_lambda_star(self):
         for seed in range(15):
             s = generate(InstanceSpec("uniform-square", 8, seed))
