@@ -224,7 +224,9 @@ def _run_checks(
         solver_trouble |= not vd.details["converged"]
         verdicts["helly"] = verdict_dict(vd)
     if "suri" in names:
-        verdicts["suri"] = verdict_dict(check_suri(s, tol=tol))
+        vd = check_suri(s, tol=tol)
+        solver_trouble |= not vd.details["converged"]
+        verdicts["suri"] = verdict_dict(vd)
     if "disks" in names:
         assert m is not None
         vd = check_tverberg_disks(s, m)

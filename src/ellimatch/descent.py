@@ -10,10 +10,10 @@ at a matching whose ratio is within tolerance of the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .config import theorem_tol
-from .geom import EPS_GEO, RATIO_BOUND, Point, dist, norm
+from .geom import EPS_GEO, RATIO_BOUND, Frame, Point, dist, norm
 from .matching import (
     Matching,
     PointSet,
@@ -72,7 +72,6 @@ class BicoloredGraph:
     point_ids: tuple[int, ...]
     blue_edges: tuple[tuple[int, int], ...]
     red_edges: tuple[tuple[int, int], ...]
-    origin_excluded: bool = True
 
     def __post_init__(self) -> None:
         n = len(self.vertices)
@@ -180,7 +179,6 @@ def build_graph(
         point_ids=tuple(ids),
         blue_edges=tuple(blue),
         red_edges=tuple(red),
-        origin_excluded=True,
     )
 
 
@@ -272,8 +270,8 @@ class DescentResult:
 
 
 def _has_zero_edge(s: PointSet, m: Matching) -> bool:
-    scale = max(s.diameter(), 1.0)
-    return any(dist(s[i], s[j]) <= EPS_GEO * scale for i, j in m.pairs)
+    """Whether an edge of m is degenerate; s is in its unit frame."""
+    return any(dist(s[i], s[j]) <= EPS_GEO for i, j in m.pairs)
 
 
 def h_slack(s: PointSet, m: Matching, e: int, o: Point, lam: float) -> float:
@@ -324,31 +322,42 @@ def descend(
     """Improve a matching by alternating-cycle swaps until its minimax ratio
     is within tolerance of 2/sqrt(3).
 
-    Every accepted swap strictly increases cost, so the loop terminates.  All
-    failure modes come back as flagged statuses, never exceptions.
+    Witnesses, supports and graphs are computed in the unit frame of s, so
+    the outcome does not change under similarity; costs, the trace and the
+    returned witness point are in input coordinates.  Every accepted swap
+    strictly increases cost, so the loop terminates.  All failure modes come
+    back as flagged statuses, never exceptions.
     """
     validate_pairs(s, init.pairs)
     tol = theorem_tol(tol)
+    frame = Frame.of(s.points)
+    fs = PointSet(tuple(frame.to(p) for p in s))
     m = init
-    if _has_zero_edge(s, m):
+    if _has_zero_edge(fs, m):
         m = local_search(s, m)
-        if _has_zero_edge(s, m):
+        if _has_zero_edge(fs, m):
             return DescentResult(m, None, (), "degenerate_edges")
 
     trace: list[DescentStep] = []
     witness: WitnessResult | None = None
+
+    def result(status: str, w: WitnessResult | None) -> DescentResult:
+        if w is not None:
+            w = replace(w, o_star=frame.back(w.o_star))
+        return DescentResult(m, w, tuple(trace), status)
+
     for _ in range(max_steps):
-        witness = minimize_h(s, m)
+        witness = minimize_h(fs, m)
         if not witness.converged:
-            return DescentResult(m, witness, tuple(trace), "solver_failure")
+            return result("solver_failure", witness)
         if witness.lambda_star <= RATIO_BOUND + tol:
-            return DescentResult(m, witness, tuple(trace), "ok")
-        cycle = _find_improving_cycle(s, m, witness)
+            return result("ok", witness)
+        cycle = _find_improving_cycle(fs, m, witness)
         if cycle is None:
-            return DescentResult(m, witness, tuple(trace), "cycle_not_found")
+            return result("cycle_not_found", witness)
         try:
             m = apply_cycle(m, cycle, s)
         except ImprovementError:
-            return DescentResult(m, witness, tuple(trace), "improvement_violation")
+            return result("improvement_violation", witness)
         trace.append(DescentStep(witness.lambda_star, m.cost, len(cycle.vertices)))
-    return DescentResult(m, witness, tuple(trace), "step_limit")
+    return result("step_limit", witness)

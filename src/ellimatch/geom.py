@@ -1,14 +1,15 @@
 """Planar primitives for distance-sum ratio analysis.
 
 Points are plain ``(x, y)`` tuples and every function is pure.  Absolute
-tolerances (``EPS_GEO``) are meant for unit-scale data; the solvers in
-:mod:`ellimatch.witness` normalize instances into the unit square before
-relying on them.
+tolerances (``EPS_GEO``) are meant for unit-scale data: every solver maps its
+points into the unit-square :class:`Frame` before relying on them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 Point = tuple[float, float]
 
@@ -20,6 +21,31 @@ EPS_GEO = 1e-9
 RATIO_BOUND = 2.0 / math.sqrt(3.0)
 
 _TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Similarity map ``to(p) = (p - offset) / scale`` onto the unit square,
+    inverted by ``back``.  The distance-sum ratios do not change under it.
+    The frame of an already framed set is the identity."""
+
+    offset: Point
+    scale: float
+
+    @classmethod
+    def of(cls, points: Sequence[Point]) -> "Frame":
+        """Bounding box corner at the origin and its longer side 1."""
+        xs = [p[0] for p in points]
+        ys = [p[1] for p in points]
+        x0, y0 = min(xs), min(ys)
+        scale = max(max(xs) - x0, max(ys) - y0)
+        return cls((x0, y0), scale if scale > 0.0 else 1.0)
+
+    def to(self, p: Point) -> Point:
+        return ((p[0] - self.offset[0]) / self.scale, (p[1] - self.offset[1]) / self.scale)
+
+    def back(self, q: Point) -> Point:
+        return (self.offset[0] + self.scale * q[0], self.offset[1] + self.scale * q[1])
 
 
 class DegenerateEdgeError(ValueError):

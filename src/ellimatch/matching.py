@@ -50,13 +50,6 @@ class PointSet:
     def __iter__(self):
         return iter(self.points)
 
-    def diameter(self) -> float:
-        pts = self.points
-        return max(
-            (dist(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))),
-            default=0.0,
-        )
-
 
 def canonical_pairs(pairs: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
     """Sorted-pair, sorted-list canonical form used for deterministic output
@@ -106,8 +99,9 @@ def cost(m: Matching, s: PointSet) -> float:
 
 
 def improvement_threshold(current_cost: float) -> float:
-    """Minimum accepted cost increase; guards against float swap cycling."""
-    return 1e-12 * (1.0 + current_cost)
+    """Minimum accepted cost increase, relative to the cost so that it holds
+    at every scale; guards against float swap cycling."""
+    return 1e-12 * current_cost
 
 
 def _require_even(s: PointSet) -> None:

@@ -3,7 +3,10 @@
 Every piece is a tuple ``(a, b, s, beta)`` standing for
 ``f(x) = (|x - a| + |x - b|) / s + beta``, with a closed-form gradient and
 Hessian: a distance-sum ratio is ``(a, b, |ab|, 0)`` and a disk slack
-``|x - c| - r`` is ``(c, c, 2, -r)``.
+``|x - c| - r`` is ``(c, c, 2, -r)``.  Pieces are given in the unit-square
+:class:`~ellimatch.geom.Frame` of their points, so lengths are at unit scale
+and the minimizer takes no ``diameter`` argument: steps are capped at 1 and
+the last stage stops on moves below 1e-14.
 
 One method: damped Newton on the log-sum-exp smoothing
 ``phi_tau(x) = max f + tau * log sum_i exp((f_i - max f) / tau)``, which
@@ -19,13 +22,14 @@ short next to a focus tries the focus itself.
 The result is certified by the classical optimality condition for maxima of
 convex functions: at a minimizer, the origin lies in the convex hull of the
 active pieces' gradients.  ``min_norm_point`` gives the distance to that
-hull.
+hull, searching the candidates of ``hull_candidates``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 from .geom import Point
@@ -102,74 +106,57 @@ def _derivatives(p: Piece, x: Point) -> tuple[Point, tuple[float, float, float],
     return (gx / s, gy / s), (hxx / s, hxy / s, hyy / s), ball / s
 
 
+def hull_candidates(
+    vectors: Sequence[Point], eps: float
+) -> Iterator[tuple[tuple[int, ...], tuple[float, ...], Point]]:
+    """Candidates for the point nearest the origin in the convex hull of 2-D
+    vectors, as (indices, convex coefficients, point): first the nearest
+    point of every segment (t clamped to [0, 1]), then the clamped
+    combination of every triangle whose barycentric coordinates of the
+    origin are all >= -eps, each in lexicographic order of the indices."""
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        vi, vj = vectors[i], vectors[j]
+        dx, dy = vj[0] - vi[0], vj[1] - vi[1]
+        dd = dx * dx + dy * dy
+        t = 0.0 if dd == 0.0 else min(1.0, max(0.0, -(vi[0] * dx + vi[1] * dy) / dd))
+        # At t = 1 the endpoint itself, which vi + dx may miss by rounding.
+        yield (i, j), (1.0 - t, t), vj if t == 1.0 else (vi[0] + t * dx, vi[1] + t * dy)
+    for i, j, k in itertools.combinations(range(len(vectors)), 3):
+        vi, vj, vk = vectors[i], vectors[j], vectors[k]
+        den = (vj[0] - vi[0]) * (vk[1] - vi[1]) - (vj[1] - vi[1]) * (vk[0] - vi[0])
+        if abs(den) < 1e-30:
+            continue
+        # Barycentric coordinates of the origin.
+        alpha = (vj[0] * vk[1] - vj[1] * vk[0]) / den
+        beta = (vk[0] * vi[1] - vk[1] * vi[0]) / den
+        gamma = (vi[0] * vj[1] - vi[1] * vj[0]) / den
+        if alpha < -eps or beta < -eps or gamma < -eps:
+            continue
+        alpha, beta, gamma = max(alpha, 0.0), max(beta, 0.0), max(gamma, 0.0)
+        ssum = alpha + beta + gamma
+        alpha, beta, gamma = alpha / ssum, beta / ssum, gamma / ssum
+        px = alpha * vi[0] + beta * vj[0] + gamma * vk[0]
+        py = alpha * vi[1] + beta * vj[1] + gamma * vk[1]
+        yield (i, j, k), (alpha, beta, gamma), (px, py)
+
+
 def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], float]:
     """Closest point to the origin in the convex hull of 2-D vectors.
 
     Exhausts supports of size 1, 2 and 3 (sufficient in the plane) and
     returns (point, convex coefficients over the inputs, norm of the point).
     """
-    m = len(vectors)
-    if m == 0:
+    if not vectors:
         raise ValueError("min_norm_point needs at least one vector")
-    best_r = math.inf
-    best_p: Point = (0.0, 0.0)
-    best_coeffs = [0.0] * m
-
-    def consider(p: Point, coeffs: list[float]) -> None:
-        nonlocal best_r, best_p, best_coeffs
-        r = math.hypot(p[0], p[1])
-        if r < best_r:
-            best_r = r
-            best_p = p
-            best_coeffs = coeffs
-
-    for i in range(m):
-        c = [0.0] * m
-        c[i] = 1.0
-        consider(vectors[i], c)
-
-    for i in range(m):
-        vi = vectors[i]
-        for j in range(i + 1, m):
-            vj = vectors[j]
-            dx = vj[0] - vi[0]
-            dy = vj[1] - vi[1]
-            dd = dx * dx + dy * dy
-            if dd == 0.0:
-                continue
-            t = -(vi[0] * dx + vi[1] * dy) / dd
-            if t <= 0.0 or t >= 1.0:
-                continue  # endpoint optima are covered by the singletons
-            c = [0.0] * m
-            c[i] = 1.0 - t
-            c[j] = t
-            consider((vi[0] + t * dx, vi[1] + t * dy), c)
-
-    for i in range(m):
-        vi = vectors[i]
-        for j in range(i + 1, m):
-            vj = vectors[j]
-            for k in range(j + 1, m):
-                vk = vectors[k]
-                den = (vj[0] - vi[0]) * (vk[1] - vi[1]) - (vj[1] - vi[1]) * (vk[0] - vi[0])
-                if abs(den) < 1e-30:
-                    continue
-                # Barycentric coordinates of the origin.
-                alpha = (vj[0] * vk[1] - vj[1] * vk[0]) / den
-                beta = (vk[0] * vi[1] - vk[1] * vi[0]) / den
-                gamma = (vi[0] * vj[1] - vi[1] * vj[0]) / den
-                if alpha < -1e-12 or beta < -1e-12 or gamma < -1e-12:
-                    continue
-                alpha, beta, gamma = max(alpha, 0.0), max(beta, 0.0), max(gamma, 0.0)
-                ssum = alpha + beta + gamma
-                alpha, beta, gamma = alpha / ssum, beta / ssum, gamma / ssum
-                c = [0.0] * m
-                c[i], c[j], c[k] = alpha, beta, gamma
-                px = alpha * vi[0] + beta * vj[0] + gamma * vk[0]
-                py = alpha * vi[1] + beta * vj[1] + gamma * vk[1]
-                consider((px, py), c)
-
-    return best_p, tuple(best_coeffs), best_r
+    singletons = (((i,), (1.0,), v) for i, v in enumerate(vectors))
+    indices, weights, p = min(
+        itertools.chain(singletons, hull_candidates(vectors, 1e-12)),
+        key=lambda c: math.hypot(c[2][0], c[2][1]),
+    )
+    coeffs = [0.0] * len(vectors)
+    for i, w in zip(indices, weights):
+        coeffs[i] = w
+    return p, tuple(coeffs), math.hypot(p[0], p[1])
 
 
 def _certificate(
@@ -188,7 +175,7 @@ def _certificate(
 
 
 def _direction(
-    pieces: Sequence[Piece], weights: Sequence[float], x: Point, tau: float, scale: float
+    pieces: Sequence[Piece], weights: Sequence[float], x: Point, tau: float
 ) -> tuple[float, float, float] | None:
     """Descent step (sx, sy) for phi_tau at x and the directional derivative
     along it, or None where x is a focus at which phi_tau is stationary.
@@ -222,15 +209,14 @@ def _direction(
         if gx * nx + gy * ny + ball * math.hypot(nx, ny) < 0.0:
             sx, sy = nx, ny
     sn = math.hypot(sx, sy)
-    if sn > scale:  # keep the step local
-        sx, sy, sn = sx * scale / sn, sy * scale / sn, scale
+    if sn > 1.0:  # keep the step within the unit frame
+        sx, sy, sn = sx / sn, sy / sn, 1.0
     return sx, sy, gx * sx + gy * sy + ball * sn
 
 
 def minimize_max(
     pieces: Sequence[Piece],
     x0: Point,
-    diameter: float,
     *,
     value_floor: float | None = None,
 ) -> MinimaxResult:
@@ -243,7 +229,6 @@ def minimize_max(
     """
     if not pieces:
         raise ValueError("minimize_max needs at least one piece")
-    scale = max(diameter, 1e-12)
 
     def smoothed(x: Point, tau: float) -> tuple[float, float, list[float]]:
         """(phi_tau, max f, unnormalized softmax weights) at x."""
@@ -267,7 +252,7 @@ def minimize_max(
         tau = _TAU_START * unit * 0.1**stage
         phi, f, weights = smoothed(x, tau)
         for _ in range(_NEWTON_STEPS):
-            direction = _direction(pieces, weights, x, tau, scale)
+            direction = _direction(pieces, weights, x, tau)
             if direction is None:
                 break
             sx, sy, slope = direction
@@ -303,7 +288,7 @@ def minimize_max(
             if at_floor(f, _ROUNDING * unit):
                 break
             # Middle stages only seed the next one; the last runs to rounding.
-            if (moved <= 1e-14 * scale) if stage == _STAGES - 1 else (-slope <= 0.1 * tau):
+            if (moved <= 1e-14) if stage == _STAGES - 1 else (-slope <= 0.1 * tau):
                 break
 
     f, active, coeffs, residual = _certificate(pieces, x)

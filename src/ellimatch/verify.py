@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .config import theorem_tol
-from .geom import EPS_GEO, RATIO_BOUND, Point, DegenerateEdgeError, dist
+from .geom import EPS_GEO, RATIO_BOUND, Frame, Point, DegenerateEdgeError, dist
 from .matching import EXACT_CAP, Matching, PointSet, exact_max_sum, validate_pairs
 from .minimax import Piece
 from .witness import minimize_h, minimize_h_over_edges, solve_in_frame, steiner_star
@@ -39,13 +39,13 @@ def check_fingerhut(
     satisfy |a-o| + |b-o| <= (2/sqrt(3)) |a-b|.
 
     Margin is the smallest absolute slack over the edges; the tolerance is
-    scaled by the longest edge so the verdict is scale-robust.
+    relative to the longest edge so the verdict is scale-free.
     """
     tol = theorem_tol(tol)
     validate_pairs(s, m.pairs)
     slacks = []
     max_len = 0.0
-    zero = EPS_GEO * s.diameter()
+    zero = EPS_GEO * Frame.of(s.points).scale
     for i, j in m.pairs:
         a, b = s[i], s[j]
         d = dist(a, b)
@@ -54,7 +54,7 @@ def check_fingerhut(
         max_len = max(max_len, d)
         slacks.append(RATIO_BOUND * d - (dist(a, o) + dist(b, o)))
     margin = min(slacks)
-    tolerance = tol * max(1.0, max_len)
+    tolerance = tol * max_len
     return Verdict(
         name="fingerhut",
         passed=margin >= -tolerance,
@@ -148,12 +148,13 @@ def check_suri(
     s: PointSet, *, tol: float | None = None, cap: int = EXACT_CAP
 ) -> Verdict:
     """Steiner-star bound: the geometric-median objective t(S) must not
-    exceed (2/sqrt(3)) times the max-sum matching cost."""
+    exceed (2/sqrt(3)) times the max-sum matching cost; the tolerance is
+    relative to that cost."""
     tol = theorem_tol(tol)
     m = exact_max_sum(s, cap=cap)
-    center, t = steiner_star(s)
+    center, t, converged = steiner_star(s)
     margin = RATIO_BOUND * m.cost - t
-    tolerance = tol * max(1.0, m.cost)
+    tolerance = tol * m.cost
     return Verdict(
         name="suri",
         passed=margin >= -tolerance,
@@ -163,6 +164,7 @@ def check_suri(
             "steiner_total": t,
             "matching_cost": m.cost,
             "center": [center[0], center[1]],
+            "converged": converged,
         },
     )
 
@@ -177,15 +179,16 @@ def check_tverberg_disks(s: PointSet, m: Matching) -> Verdict:
         c = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
         return (c, c, 2.0, -d / 2.0)
 
-    res, point, _, scale = solve_in_frame(s, m.pairs, disk_slack)
+    res, frame, _ = solve_in_frame(s, m.pairs, disk_slack)
+    point = frame.back(res.x)
     return Verdict(
         name="disks",
         passed=res.value <= EPS_GEO,
-        margin=-res.value * scale,
-        tolerance=EPS_GEO * scale,
+        margin=-res.value * frame.scale,
+        tolerance=EPS_GEO * frame.scale,
         details={
             "point": [point[0], point[1]],
-            "worst_slack": res.value * scale,
+            "worst_slack": res.value * frame.scale,
             "converged": res.converged,
         },
     )

@@ -5,9 +5,10 @@ the active edges and a 2- or 3-edge support whose bisector points surround
 the witness, certifies optimality through the gradient convex hull, and
 computes the Steiner-star (geometric median) objective.
 
-All solvers normalize the instance into the unit square first; the ratios are
-similarity-invariant, so nothing is lost and the unit-scale tolerances of
-:mod:`ellimatch.geom` apply.  Outputs are mapped back to input coordinates.
+All solvers map the instance into its unit-square :class:`~ellimatch.geom.Frame`
+first; the ratios are similarity-invariant, so nothing is lost and the
+unit-scale tolerances of :mod:`ellimatch.geom` apply.  Outputs are mapped back
+to input coordinates.
 """
 
 from __future__ import annotations
@@ -16,9 +17,17 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .geom import EPS_GEO, Point, DegenerateEdgeError, bisector_point, dist, h_ratio, norm
+from .geom import EPS_GEO, Frame, Point, DegenerateEdgeError, bisector_point, dist, h_ratio, norm
 from .matching import Matching, PointSet, validate_pairs
-from .minimax import ACT_REL, EPS_CERT, MinimaxResult, Piece, _certificate, minimize_max
+from .minimax import (
+    ACT_REL,
+    EPS_CERT,
+    MinimaxResult,
+    Piece,
+    _certificate,
+    hull_candidates,
+    minimize_max,
+)
 
 # Relative activity tolerance for the reported active set (times lambda*).
 EPS_ACT = ACT_REL
@@ -66,37 +75,25 @@ class CertificateResult:
     coefficients: tuple[tuple[int, float], ...]
 
 
-def _normalize(points: Sequence[Point]) -> tuple[list[Point], Point, float]:
-    """Similarity transform onto the unit square: returns (scaled points,
-    offset, scale) with original = offset + scale * scaled."""
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x0, y0 = min(xs), min(ys)
-    scale = max(max(xs) - x0, max(ys) - y0)
-    if scale <= 0.0:
-        scale = 1.0
-    return [((p[0] - x0) / scale, (p[1] - y0) / scale) for p in points], (x0, y0), scale
-
-
 def _ratio_piece(a: Point, b: Point, d: float) -> Piece:
     return (a, b, d, 0.0)
 
 
 def _frame_pieces(
     s: PointSet, pairs: Sequence[IndexPair], piece: Callable[[Point, Point, float], Piece]
-) -> tuple[list[Piece], dict[int, Point], Point, float]:
+) -> tuple[list[Piece], dict[int, Point], Frame]:
     """Unit-square frame of the edges' endpoints and ``piece(a, b, |ab|)``
-    for each edge in it: (pieces, frame points, offset, scale)."""
+    for each edge in it: (pieces, frame points, frame)."""
     used = sorted({k for p in pairs for k in p})
-    scaled, offset, scale = _normalize([s[k] for k in used])
-    npts = dict(zip(used, scaled))
+    frame = Frame.of([s[k] for k in used])
+    npts = {k: frame.to(s[k]) for k in used}
     pieces = []
     for i, j in pairs:
         d = dist(npts[i], npts[j])
         if d <= EPS_GEO:
             raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
         pieces.append(piece(npts[i], npts[j], d))
-    return pieces, npts, offset, scale
+    return pieces, npts, frame
 
 
 def solve_in_frame(
@@ -105,25 +102,18 @@ def solve_in_frame(
     piece: Callable[[Point, Point, float], Piece],
     *,
     value_floor: float | None = None,
-) -> tuple[MinimaxResult, Point, dict[int, Point], float]:
+) -> tuple[MinimaxResult, Frame, dict[int, Point]]:
     """Minimize the max over edges ab of ``piece(a, b, |ab|)`` in the
     unit-square frame of the edges' endpoints, from the mean of the edge
-    midpoints.  Returns (result in the frame, its point in input
-    coordinates, frame points, frame scale)."""
+    midpoints.  Returns (result in the frame, the frame, frame points)."""
     if not pairs:
         raise ValueError("no edges to minimize over")
-    pieces, npts, offset, scale = _frame_pieces(s, pairs, piece)
+    pieces, npts, frame = _frame_pieces(s, pairs, piece)
     x0 = (
         sum(npts[i][0] + npts[j][0] for i, j in pairs) / (2.0 * len(pairs)),
         sum(npts[i][1] + npts[j][1] for i, j in pairs) / (2.0 * len(pairs)),
     )
-    pts = list(npts.values())
-    diameter = max(
-        (dist(pts[i], pts[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))),
-        default=1.0,
-    )
-    res = minimize_max(pieces, x0, diameter, value_floor=value_floor)
-    return res, (offset[0] + scale * res.x[0], offset[1] + scale * res.x[1]), npts, scale
+    return minimize_max(pieces, x0, value_floor=value_floor), frame, npts
 
 
 def h_max(s: PointSet, pairs: Sequence[IndexPair], x: Point) -> float:
@@ -143,7 +133,7 @@ def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessRes
     # The ratio never drops below 1, so 1 is a proven floor; hitting it
     # certifies optimality even when the witness sits on a duplicated point
     # where the gradient hull cannot cancel.
-    res, o_star, npts, _ = solve_in_frame(s, pairs, _ratio_piece, value_floor=1.0)
+    res, frame, npts = solve_in_frame(s, pairs, _ratio_piece, value_floor=1.0)
 
     lam = res.value
     residual = res.residual
@@ -159,7 +149,7 @@ def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessRes
         except (SupportError, DegenerateEdgeError):
             support = None
     return WitnessResult(
-        o_star=o_star,
+        o_star=frame.back(res.x),
         lambda_star=lam,
         active=res.active,
         support=support,
@@ -200,41 +190,9 @@ def _support_in_frame(
     if unit <= 0.0:
         unit = 1.0
     ls = [(l[0] / unit, l[1] / unit) for l in ls]
-
-    k = len(active)
-    for a in range(k):
-        la = ls[a]
-        for b in range(a + 1, k):
-            lb = ls[b]
-            dx, dy = lb[0] - la[0], lb[1] - la[1]
-            dd = dx * dx + dy * dy
-            t = 0.0 if dd == 0.0 else min(1.0, max(0.0, -(la[0] * dx + la[1] * dy) / dd))
-            px, py = la[0] + t * dx, la[1] + t * dy
-            if math.hypot(px, py) <= tol:
-                return (active[a], active[b]), (1.0 - t, t)
-
-    for a in range(k):
-        la = ls[a]
-        for b in range(a + 1, k):
-            lb = ls[b]
-            for c in range(b + 1, k):
-                lc = ls[c]
-                den = (lb[0] - la[0]) * (lc[1] - la[1]) - (lb[1] - la[1]) * (lc[0] - la[0])
-                if abs(den) < 1e-30:
-                    continue
-                alpha = (lb[0] * lc[1] - lb[1] * lc[0]) / den
-                beta = (lc[0] * la[1] - lc[1] * la[0]) / den
-                gamma = (la[0] * lb[1] - la[1] * lb[0]) / den
-                if alpha < -1e-9 or beta < -1e-9 or gamma < -1e-9:
-                    continue
-                alpha, beta, gamma = max(alpha, 0.0), max(beta, 0.0), max(gamma, 0.0)
-                ssum = alpha + beta + gamma
-                alpha, beta, gamma = alpha / ssum, beta / ssum, gamma / ssum
-                rx = alpha * la[0] + beta * lb[0] + gamma * lc[0]
-                ry = alpha * la[1] + beta * lb[1] + gamma * lc[1]
-                if math.hypot(rx, ry) <= tol:
-                    return (active[a], active[b], active[c]), (alpha, beta, gamma)
-
+    for idx, coeffs, p in hull_candidates(ls, 1e-9):
+        if math.hypot(p[0], p[1]) <= tol:
+            return tuple(active[a] for a in idx), coeffs
     raise SupportError(
         f"no 2- or 3-edge support among {len(active)} active edges contains the witness"
     )
@@ -273,9 +231,8 @@ def optimality_certificate(
     residual tolerance is meaningful.
     """
     validate_pairs(s, m.pairs)
-    pieces, _, offset, scale = _frame_pieces(s, m.pairs, _ratio_piece)
-    on = ((o[0] - offset[0]) / scale, (o[1] - offset[1]) / scale)
-    lam, active, coeffs, residual = _certificate(pieces, on, act_tol)
+    pieces, _, frame = _frame_pieces(s, m.pairs, _ratio_piece)
+    lam, active, coeffs, residual = _certificate(pieces, frame.to(o), act_tol)
     return CertificateResult(
         ok=residual <= eps_cert,
         residual=residual,
@@ -284,20 +241,40 @@ def optimality_certificate(
     )
 
 
+def _vertex_optimal(pts: Sequence[Point], c: Point) -> bool:
+    """Whether the data point c is a geometric median of pts: the pull of
+    the points elsewhere (the sum of unit vectors towards them) must not
+    exceed the number of points at c (Vardi and Zhang 2000)."""
+    at = 0
+    rx = ry = 0.0
+    for p in pts:
+        d = math.hypot(p[0] - c[0], p[1] - c[1])
+        if d <= 1e-13:
+            at += 1
+        else:
+            rx += (p[0] - c[0]) / d
+            ry += (p[1] - c[1]) / d
+    return math.hypot(rx, ry) <= at + 1e-12
+
+
 def steiner_star(
     s: PointSet, *, grad_tol: float = 1e-6, max_iters: int = 50000
-) -> tuple[Point, float]:
-    """Geometric-median center and its total-distance objective.
+) -> tuple[Point, float, bool]:
+    """Geometric-median center, its total-distance objective, and whether a
+    certificate ended the iteration.
 
-    Weiszfeld iteration from the centroid.  When an iterate lands on an input
-    point, the vertex optimality test applies: the pull of the remaining
-    points must not exceed the multiplicity of the vertex, otherwise the
-    iterate steps along the pull direction.  The sum of unit vectors is
+    Weiszfeld iteration from the centroid.  Towards a data point that is
+    itself the median, Weiszfeld crawls at a rate close to 1, so every step
+    tests the data point nearest the iterate for vertex optimality and stops
+    there when it passes.  An iterate that lands on any other data point
+    steps along the pull of the remaining points.  The sum of unit vectors is
     scale-free, so ``grad_tol`` certifies the center in any frame.
     """
-    pts, offset, scale = _normalize(s.points)
+    frame = Frame.of(s.points)
+    pts = [frame.to(p) for p in s]
     n = len(pts)
     y = (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
+    converged = False
     for _ in range(max_iters):
         at = 0
         rx = ry = 0.0
@@ -312,14 +289,17 @@ def steiner_star(
             winv += 1.0 / d
             wx += p[0] / d
             wy += p[1] / d
+        near = min(pts, key=lambda p: dist(p, y))
+        if _vertex_optimal(pts, near):
+            y, converged = near, True
+            break
         rn = math.hypot(rx, ry)
         if at:
-            if rn <= at + 1e-12:
-                break  # vertex-optimal
             step = (rn - at) / winv
             y = (y[0] + step * rx / rn, y[1] + step * ry / rn)
         else:
             if rn <= grad_tol:
+                converged = True
                 break  # subgradient certificate
             y2 = (wx / winv, wy / winv)
             if dist(y, y2) <= 1e-16 * (1.0 + norm(y)):
@@ -327,5 +307,4 @@ def steiner_star(
                 break
             y = y2
     total = sum(math.hypot(y[0] - p[0], y[1] - p[1]) for p in pts)
-    center = (offset[0] + scale * y[0], offset[1] + scale * y[1])
-    return center, scale * total
+    return frame.back(y), frame.scale * total, converged

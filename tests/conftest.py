@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import math
 
+from hypothesis import settings
+
 from ellimatch import Matching, PointSet
+
+# Fixed example sequences and no example database: runs are reproducible and
+# leave no .hypothesis/ directory behind.
+settings.register_profile("ellimatch", derandomize=True, database=None)
+settings.load_profile("ellimatch")
 
 SQRT3 = math.sqrt(3.0)
 

@@ -183,7 +183,7 @@ def test_criterion_9_steiner_star_bound():
     for seed in range(100):
         s = generate(InstanceSpec("uniform-square", SIZES[seed % 5], seed + 400))
         m = exact_max_sum(s)
-        _, t = steiner_star(s)
+        _, t, _ = steiner_star(s)
         scale = max(1.0, m.cost)
         assert t <= RATIO_BOUND * m.cost + 1e-6 * scale, (seed, t, m.cost)
     v = check_suri(DOUBLED_TRIANGLE)

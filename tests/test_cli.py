@@ -138,6 +138,16 @@ class TestVerifyAndDescend:
         assert code == 3
         assert json.loads(out)["verdicts"]["helly"]["details"]["converged"] is False
 
+    def test_suri_non_convergence_exits_three(self, tmp_path, capsys, monkeypatch):
+        from ellimatch import verify
+
+        star = verify.steiner_star
+        monkeypatch.setattr(verify, "steiner_star", lambda s: (*star(s)[:2], False))
+        pts = self.write_square(tmp_path)
+        code, out = run(capsys, "verify", "--points", str(pts), "--suri")
+        assert code == 3
+        assert json.loads(out)["verdicts"]["suri"]["details"]["converged"] is False
+
     def test_descend_from_sides(self, tmp_path, capsys):
         pts = self.write_square(tmp_path)
         mfile = tmp_path / "m.json"

@@ -23,7 +23,7 @@ from ellimatch import (
     in_ellipse,
     in_lens,
 )
-from ellimatch.geom import norm
+from ellimatch.geom import Frame, norm
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coord, coord)
@@ -31,6 +31,22 @@ points = st.tuples(coord, coord)
 
 def vectors_apart(min_norm=1e-3):
     return points.filter(lambda p: norm(p) > min_norm)
+
+
+class TestFrame:
+    @given(st.lists(points, min_size=1, max_size=8))
+    def test_maps_into_unit_square_and_back(self, pts):
+        f = Frame.of(pts)
+        framed = [f.to(p) for p in pts]
+        assert all(0.0 <= c <= 1.0 for q in framed for c in q)
+        for p, q in zip(pts, framed):
+            assert f.back(q) == pytest.approx(p, abs=1e-12)
+        # The frame of a framed set is the identity, so solvers may frame
+        # their input again without changing a bit.
+        assert Frame.of(framed) == Frame((0.0, 0.0), 1.0)
+
+    def test_coincident_points_keep_unit_scale(self):
+        assert Frame.of([(2.0, 3.0)] * 3) == Frame((2.0, 3.0), 1.0)
 
 
 class TestDist:

@@ -75,6 +75,19 @@ class TestCheckFingerhut:
         assert v.passed
         assert v.margin == k * check_fingerhut(s, m, w.o_star).margin
 
+    def test_tolerance_scales_with_longest_edge(self):
+        # A point far outside the ellipses fails at every scale: the
+        # tolerance is relative to the longest edge, with no absolute floor.
+        s = generate(InstanceSpec("uniform-square", 10, 3))
+        m = exact_max_sum(s)
+        k = 2.0**-40
+        tiny = PointSet.of([(k * x, k * y) for x, y in s])
+        v = check_fingerhut(s, m, (5.0, 5.0))
+        vt = check_fingerhut(tiny, Matching.from_pairs(tiny, m.pairs), (5.0 * k, 5.0 * k))
+        assert not v.passed
+        assert not vt.passed
+        assert vt.tolerance == k * v.tolerance
+
 
 class TestVerdictInvariant:
     def test_holds_for_every_check(self):

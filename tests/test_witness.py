@@ -218,17 +218,17 @@ class TestOptimalityCertificate:
 class TestSteinerStar:
     def test_equilateral_triangle(self):
         s = PointSet.of(TRIANGLE)
-        center, t = steiner_star(s)
+        center, t, _ = steiner_star(s)
         assert t == pytest.approx(math.sqrt(3), abs=1e-7)
         assert dist(center, TRIANGLE_CENTROID) <= 1e-6
 
     def test_two_points(self):
         s = PointSet.of([(0, 0), (3, 4)])
-        _, t = steiner_star(s)
+        _, t, _ = steiner_star(s)
         assert t == pytest.approx(5.0, abs=1e-9)
 
     def test_unit_square(self):
-        center, t = steiner_star(SQUARE)
+        center, t, _ = steiner_star(SQUARE)
         assert center == pytest.approx((0.5, 0.5), abs=1e-7)
         assert t == pytest.approx(2 * math.sqrt(2), abs=1e-7)
 
@@ -237,7 +237,7 @@ class TestSteinerStar:
         for trial in range(10):
             n = 7 + trial  # odd counts included: the star needs no matching
             s = PointSet.of([(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)])
-            _, t = steiner_star(s)
+            _, t, _ = steiner_star(s)
 
             def objective(y):
                 return sum(dist(y, p) for p in s)
@@ -251,6 +251,20 @@ class TestSteinerStar:
     def test_vertex_optimal_cluster(self):
         # heavy multiplicity pins the median to the repeated point
         s = PointSet.of([(0, 0)] * 5 + [(1, 0), (0, 1), (-1, -1)])
-        center, t = steiner_star(s)
+        center, t, _ = steiner_star(s)
         assert dist(center, (0, 0)) <= 1e-9
         assert t == pytest.approx(1 + 1 + math.sqrt(2), abs=1e-9)
+
+    def test_vertex_optimal_point_ends_the_iteration(self):
+        # The pull of the other points on point 0 is 0.99965 <= 1, so point 0
+        # is the median; plain Weiszfeld crawls towards it for 50,000 steps.
+        s = generate(InstanceSpec("clustered", 4, 42))
+        center, t, converged = steiner_star(s)
+        assert converged
+        assert center == s[0]
+        assert t == pytest.approx(sum(dist(s[0], p) for p in s), rel=1e-15)
+
+    def test_iteration_limit_reported(self):
+        s = PointSet.of([(0, 0), (3, 1), (1, 4), (5, 5)])
+        assert steiner_star(s)[2]
+        assert not steiner_star(s, max_iters=1)[2]
