@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from .geom import Point, dist
 
 # Size caps (number of points) for the exact solvers.
-EXACT_CAP = 20
+EXACT_CAP = 24
 BRUTE_CAP = 12
 
 
@@ -114,11 +114,15 @@ def exact_max_sum(s: PointSet, *, cap: int = EXACT_CAP) -> Matching:
     subsets.
 
     State: the set of already-matched indices; the lowest unmatched index is
-    always paired next, against every other unmatched one.  O(2^n * n) time
-    and O(2^n) memory.  Exact cost ties are broken toward the fewest
-    zero-length edges (duplicated points can tie a degenerate pairing with a
-    proper one, and downstream witness math needs proper edges), then toward
-    the lexicographically smallest canonical pair list.
+    always paired next, against every other unmatched one.  So after k pairs
+    a state holds indices 0..k-1 and k higher ones, and only F(n+1) states
+    (Fibonacci) are reachable from the empty one: 10,946 at n = 20 and
+    75,025 at n = 24.  They are visited by memoized recursion of depth n/2,
+    each scanning at most n - 1 partners.  Exact cost ties are broken
+    toward the fewest zero-length edges (duplicated points can tie a
+    degenerate pairing with a proper one, and downstream witness math needs
+    proper edges), then toward the lexicographically smallest canonical pair
+    list.
     """
     _require_even(s)
     n = len(s)
@@ -130,11 +134,9 @@ def exact_max_sum(s: PointSet, *, cap: int = EXACT_CAP) -> Matching:
     neg = (float("-inf"), 0)
     # value[mask] = (best total, -zero-edge count) over the points NOT in
     # mask; tuples compare cost first, exactly.
-    value: list[tuple[float, int]] = [neg] * (full + 1)
-    value[full] = (0.0, 0)
-    for mask in range(full - 1, -1, -1):
-        if mask.bit_count() & 1:
-            continue
+    value: dict[int, tuple[float, int]] = {full: (0.0, 0)}
+
+    def solve(mask: int) -> tuple[float, int]:
         rem = ~mask & full
         bi = rem & -rem
         i = bi.bit_length() - 1
@@ -144,12 +146,20 @@ def exact_max_sum(s: PointSet, *, cap: int = EXACT_CAP) -> Matching:
         while jbits:
             bj = jbits & -jbits
             dij = di[bj.bit_length() - 1]
-            rest = value[mask | bi | bj]
+            child = mask | bi | bj
+            # value tuples are never empty, so `or` solves only on a miss
+            rest = value.get(child) or solve(child)
             v = (dij + rest[0], rest[1] - (dij == 0.0))
             if v > best:
                 best = v
             jbits ^= bj
         value[mask] = best
+        return best
+
+    solve(0)
+    # solve's closure holds solve itself; break that cycle so the table is
+    # freed on return, not at some later cyclic garbage collection
+    del solve
 
     pairs = []
     mask = 0
@@ -182,10 +192,12 @@ def brute_force_max_sum(s: PointSet, *, cap: int = BRUTE_CAP) -> Matching:
 
     Independent oracle for :func:`exact_max_sum`: same tie rule (fewest zero
     edges, then lex-least) and the same right-nested summation order when
-    scoring a pairing, so exact cost ties resolve identically in both solvers
-    even on degenerate inputs.  Enumeration pairs the lowest free index first
-    and scans partners in increasing order, making the first optimum found
-    the lex-least one.
+    scoring a pairing.  The two agree in cost to within an ulp, but not
+    always in pairs: the DP takes each subproblem's maximum after rounding,
+    so where pairings tie in exact arithmetic (collinear points, say),
+    rounding can favour a different one in each solver.  Enumeration pairs
+    the lowest free index first and scans partners in increasing order,
+    making the first optimum found the lex-least one.
     """
     _require_even(s)
     n = len(s)

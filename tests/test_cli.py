@@ -212,7 +212,7 @@ class TestSuite:
             "--count",
             "2",
             "--sizes",
-            "24",
+            "26",
             "--seed",
             "0",
             "--checks",
@@ -221,6 +221,26 @@ class TestSuite:
         assert code == 0
         data = json.loads(out)
         assert all("skipped" in rec for rec in data["instances"])
+
+    def test_sizes_up_to_the_cap_get_verdicts(self, capsys):
+        code, out = run(
+            capsys,
+            "suite",
+            "--count",
+            "2",
+            "--sizes",
+            "22,24",
+            "--seed",
+            "0",
+            "--checks",
+            "theorem",
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert [rec["count"] for rec in data["instances"]] == [22, 24]
+        for rec in data["instances"]:
+            assert "skipped" not in rec
+            assert rec["verdicts"]["theorem"]["passed"] is True
 
     def test_unknown_check_rejected(self, capsys):
         code, _ = run(capsys, "suite", "--checks", "nonsense")

@@ -6,8 +6,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import DOUBLED_TRIANGLE, SQUARE, random_perfect_matching, square_sides
+from conftest import DOUBLED_TRIANGLE, SQUARE, TRIANGLE, random_perfect_matching, square_sides
 from ellimatch import (
     InstanceSpec,
     Matching,
@@ -19,7 +20,65 @@ from ellimatch import (
     exact_max_sum,
     generate,
     local_search,
+    matching,
 )
+
+
+def _full_mask_dp(s: PointSet) -> Matching:
+    """Reference for exact_max_sum: the same recurrence, tie tuple and
+    reconstruction, filled bottom-up over all 2^n masks instead of only the
+    reachable ones."""
+    n = len(s)
+    pts = s.points
+    d = [[dist(pts[i], pts[j]) for j in range(n)] for i in range(n)]
+    full = (1 << n) - 1
+    neg = (float("-inf"), 0)
+    value = [neg] * (full + 1)
+    value[full] = (0.0, 0)
+    for mask in range(full - 1, -1, -1):
+        if mask.bit_count() & 1:
+            continue
+        rem = ~mask & full
+        bi = rem & -rem
+        i = bi.bit_length() - 1
+        best = neg
+        jbits = rem ^ bi
+        di = d[i]
+        while jbits:
+            bj = jbits & -jbits
+            dij = di[bj.bit_length() - 1]
+            rest = value[mask | bi | bj]
+            v = (dij + rest[0], rest[1] - (dij == 0.0))
+            if v > best:
+                best = v
+            jbits ^= bj
+        value[mask] = best
+    pairs = []
+    mask = 0
+    while mask != full:
+        rem = ~mask & full
+        bi = rem & -rem
+        i = bi.bit_length() - 1
+        target = value[mask]
+        jbits = rem ^ bi
+        di = d[i]
+        while jbits:
+            bj = jbits & -jbits
+            j = bj.bit_length() - 1
+            dij = di[j]
+            rest = value[mask | bi | bj]
+            if (dij + rest[0], rest[1] - (dij == 0.0)) == target:
+                pairs.append((i, j))
+                mask |= bi | bj
+                break
+            jbits ^= bj
+    return Matching.from_pairs(s, pairs)
+
+
+def _assert_same_as_full_mask_dp(s: PointSet) -> None:
+    got, want = exact_max_sum(s), _full_mask_dp(s)
+    assert got.pairs == want.pairs
+    assert got.cost == want.cost
 
 
 class TestPointSet:
@@ -103,6 +162,47 @@ class TestExactMaxSum:
         s = generate(InstanceSpec("uniform-square", 12, 0))
         with pytest.raises(SizeCapError):
             exact_max_sum(s, cap=10)
+
+    def test_default_cap_refuses_26_before_any_work(self, monkeypatch):
+        s = generate(InstanceSpec("uniform-square", 26, 0))
+
+        def no_work(p, q):
+            raise AssertionError("distance computed past the size cap")
+
+        monkeypatch.setattr(matching, "dist", no_work)
+        with pytest.raises(SizeCapError, match="cap of 24"):
+            exact_max_sum(s)
+
+    @pytest.mark.parametrize("generator", ["uniform-square", "gaussian", "clustered"])
+    def test_bit_identical_to_full_mask_dp(self, generator):
+        for n in range(2, 15, 2):
+            for seed in range(2):
+                _assert_same_as_full_mask_dp(generate(InstanceSpec(generator, n, seed)))
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(k, 0) for k in range(12)],
+            [(k // 2, (k // 2) % 3) for k in range(12)],
+            [p for p in TRIANGLE for _ in range(2)],
+            [p for p in SQUARE for _ in range(2)],
+            [(3.5, -1.25)] * 10,
+        ],
+        ids=["collinear", "duplicated", "doubled-triangle", "doubled-square", "coincident"],
+    )
+    def test_bit_identical_to_full_mask_dp_on_degenerate_sets(self, coords):
+        _assert_same_as_full_mask_dp(PointSet.of(coords))
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.lists(
+                st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=2 * k, max_size=2 * k
+            )
+        )
+    )
+    def test_bit_identical_to_full_mask_dp_on_grid_ties(self, coords):
+        # a 4x4 integer grid forces duplicated points and exact cost ties
+        _assert_same_as_full_mask_dp(PointSet.of(coords))
 
     def test_agrees_with_brute_force(self):
         for seed in range(50):
