@@ -202,33 +202,35 @@ def _run_checks(
     tol: float | None,
 ) -> tuple[dict[str, Any], Matching | None, bool, bool]:
     """Run the named checks; returns (verdict dicts, matching used, all
-    passed, any solver trouble)."""
+    passed, any solver trouble).  Theorem and suri judge the exact max-sum
+    matching, the others ``m`` (the exact one when None); each matching and
+    its witness are solved once."""
+    tol = theorem_tol(tol)  # rejected even when no named check reads it
     verdicts: dict[str, Any] = {}
-    all_pass = True
     solver_trouble = False
-    needs_matching = any(n in names for n in ("fingerhut", "helly", "disks"))
-    if needs_matching and m is None:
-        m = exact_max_sum(s)
+    exact = None
+    if m is None and any(n in names for n in ("fingerhut", "helly", "disks")):
+        m = exact = exact_max_sum(s)
+    elif "theorem" in names or "suri" in names:
+        exact = exact_max_sum(s)
+    w = minimize_h(s, m) if "fingerhut" in names or "helly" in names else None
     if "fingerhut" in names:
-        assert m is not None
-        w = minimize_h(s, m)
         solver_trouble |= not w.converged
         verdicts["fingerhut"] = verdict_dict(check_fingerhut(s, m, w.o_star, tol=tol))
     if "theorem" in names:
-        vd = check_theorem(s, tol=tol)
+        w_exact = w if w is not None and m is exact else minimize_h(s, exact)
+        vd = check_theorem(exact, w_exact, tol=tol)
         solver_trouble |= not vd.details["converged"]
         verdicts["theorem"] = verdict_dict(vd)
     if "helly" in names:
-        assert m is not None
-        vd = check_helly_triples(s, m, tol=tol)
+        vd = check_helly_triples(s, m, w, tol=tol)
         solver_trouble |= not vd.details["converged"]
         verdicts["helly"] = verdict_dict(vd)
     if "suri" in names:
-        vd = check_suri(s, tol=tol)
+        vd = check_suri(s, exact, tol=tol)
         solver_trouble |= not vd.details["converged"]
         verdicts["suri"] = verdict_dict(vd)
     if "disks" in names:
-        assert m is not None
         vd = check_tverberg_disks(s, m)
         solver_trouble |= not vd.details["converged"]
         verdicts["disks"] = verdict_dict(vd)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 # Slack accepted on the 2/sqrt(3) ratio bound in theorem-level checks.
@@ -12,13 +13,14 @@ ENV_THEOREM_TOL = "TVERBERG_TOL"
 
 def theorem_tol(override: float | None = None) -> float:
     """Resolve the theorem tolerance: explicit override, then the
-    TVERBERG_TOL environment variable, then the default."""
-    if override is not None:
-        return float(override)
-    env = os.environ.get(ENV_THEOREM_TOL)
-    if env is not None:
-        value = float(env)
-        if value <= 0.0:
-            raise ValueError(f"{ENV_THEOREM_TOL} must be positive, got {env}")
-        return value
-    return DEFAULT_THEOREM_TOL
+    TVERBERG_TOL environment variable, then the default.  Either source must
+    give a finite positive value."""
+    raw = override if override is not None else os.environ.get(ENV_THEOREM_TOL)
+    if raw is None:
+        return DEFAULT_THEOREM_TOL
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(
+            f"tolerance (--tol or {ENV_THEOREM_TOL}) must be finite and positive, got {raw}"
+        )
+    return value

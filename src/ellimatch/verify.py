@@ -2,8 +2,9 @@
 triple-restricted (Helly) consistency, the Steiner-star bound, and the
 edge-diameter disk intersection check.
 
-Every verdict reports a signed margin (positive = satisfied) so tightness can
-be analyzed, not just pass/fail.
+The checks judge the matching and witness they are handed and solve neither;
+the caller picks the matching.  Every verdict reports a signed margin
+(positive = satisfied) so tightness can be analyzed, not just pass/fail.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Any
 
 from .config import theorem_tol
 from .geom import EPS_GEO, RATIO_BOUND, Frame, Point, DegenerateEdgeError, dist
-from .matching import EXACT_CAP, Matching, PointSet, exact_max_sum, validate_pairs
+from .matching import Matching, PointSet, validate_pairs
 from .minimax import Piece
-from .witness import minimize_h, minimize_h_over_edges, solve_in_frame, steiner_star
+from .witness import WitnessResult, minimize_h_over_edges, solve_in_frame, steiner_star
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,10 @@ def check_fingerhut(
     )
 
 
-def check_theorem(
-    s: PointSet, *, tol: float | None = None, cap: int = EXACT_CAP
-) -> Verdict:
-    """Max-sum matching minimax bound: solve exactly, minimize the ratio, and
-    require lambda* <= 2/sqrt(3) + tol."""
+def check_theorem(m: Matching, w: WitnessResult, *, tol: float | None = None) -> Verdict:
+    """Max-sum matching minimax bound: given the max-sum matching ``m`` and
+    its witness ``w``, require lambda* <= 2/sqrt(3) + tol."""
     tol = theorem_tol(tol)
-    m = exact_max_sum(s, cap=cap)
-    w = minimize_h(s, m)
     # lambda_star is a genuine function value, so the margin test is sound
     # even for a non-converged solve (it can only under-report the slack);
     # callers escalate non-convergence separately via details["converged"].
@@ -92,9 +89,10 @@ def check_theorem(
 
 
 def check_helly_triples(
-    s: PointSet, m: Matching, *, tol: float | None = None
+    s: PointSet, m: Matching, w: WitnessResult, *, tol: float | None = None
 ) -> Verdict:
-    """Consistency of triple-restricted minimax verdicts with the global one.
+    """Consistency of triple-restricted minimax verdicts with the global one,
+    ``w`` being the witness of all of ``m``.
 
     A common point of all ratio ellipses exists iff the restricted minimax
     value stays at or below 2/sqrt(3); by Helly's theorem in the plane, the
@@ -107,13 +105,12 @@ def check_helly_triples(
     r = min(3, n_edges)
     threshold = RATIO_BOUND + tol
 
-    global_w = minimize_h(s, m)
-    global_ok = global_w.lambda_star <= threshold
+    global_ok = w.lambda_star <= threshold
 
     rows = []
     worst = -math.inf
     discordant = []
-    converged = global_w.converged
+    converged = w.converged
     for combo in itertools.combinations(range(n_edges), r):
         sub = minimize_h_over_edges(s, [m.pairs[e] for e in combo])
         converged &= sub.converged
@@ -126,16 +123,16 @@ def check_helly_triples(
 
     consistent = all_ok == global_ok
     if consistent:
-        margin = min(abs(threshold - global_w.lambda_star), abs(threshold - worst))
+        margin = min(abs(threshold - w.lambda_star), abs(threshold - worst))
     else:
-        margin = -min(global_w.lambda_star - threshold, threshold - worst)
+        margin = -min(w.lambda_star - threshold, threshold - worst)
     return Verdict(
         name="helly",
         passed=consistent,
         margin=margin,
         tolerance=0.0,
         details={
-            "lambda_star": global_w.lambda_star,
+            "lambda_star": w.lambda_star,
             "worst_triple_lambda": worst,
             "triples": rows,
             "discordant": discordant,
@@ -144,14 +141,11 @@ def check_helly_triples(
     )
 
 
-def check_suri(
-    s: PointSet, *, tol: float | None = None, cap: int = EXACT_CAP
-) -> Verdict:
+def check_suri(s: PointSet, m: Matching, *, tol: float | None = None) -> Verdict:
     """Steiner-star bound: the geometric-median objective t(S) must not
-    exceed (2/sqrt(3)) times the max-sum matching cost; the tolerance is
-    relative to that cost."""
+    exceed (2/sqrt(3)) times the cost of the max-sum matching ``m``; the
+    tolerance is relative to that cost."""
     tol = theorem_tol(tol)
-    m = exact_max_sum(s, cap=cap)
     center, t, converged = steiner_star(s)
     margin = RATIO_BOUND * m.cost - t
     tolerance = tol * m.cost

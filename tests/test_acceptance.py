@@ -186,7 +186,7 @@ def test_criterion_9_steiner_star_bound():
         _, t, _ = steiner_star(s)
         scale = max(1.0, m.cost)
         assert t <= RATIO_BOUND * m.cost + 1e-6 * scale, (seed, t, m.cost)
-    v = check_suri(DOUBLED_TRIANGLE)
+    v = check_suri(DOUBLED_TRIANGLE, exact_max_sum(DOUBLED_TRIANGLE))
     assert abs(v.margin) <= 1e-7
     print(
         f"PASS criterion 9: star bound holds on 100 instances, "
@@ -199,7 +199,7 @@ def test_criterion_10_helly_triple_consistency():
     for seed in range(50):
         s = generate(InstanceSpec("uniform-square", SIZES[seed % 5], seed + 150))
         m = exact_max_sum(s)
-        v = check_helly_triples(s, m)
+        v = check_helly_triples(s, m, minimize_h(s, m))
         assert v.passed, (seed, v.details["discordant"])
         discordant += len(v.details["discordant"])
     assert discordant == 0

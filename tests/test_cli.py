@@ -5,9 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
+from ellimatch import exact_max_sum, minimize_h
 from ellimatch.cli import main
 
 
@@ -15,6 +17,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def count_calls(monkeypatch, *functions):
+    """Rebind each function, at every package module attribute that holds
+    it, to a wrapper that counts its calls; returns the counts by name."""
+    counts = {f.__name__: 0 for f in functions}
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "ellimatch"]
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            counts[f.__name__] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for f in functions:
+        wrapper = counted(f)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is f:
+                    monkeypatch.setattr(module, key, wrapper)
+    return counts
 
 
 class TestGenSolveWitness:
@@ -147,6 +171,67 @@ class TestVerifyAndDescend:
         code, out = run(capsys, "verify", "--points", str(pts), "--suri")
         assert code == 3
         assert json.loads(out)["verdicts"]["suri"]["details"]["converged"] is False
+
+    def test_shared_witness_non_convergence_exits_three(self, tmp_path, capsys, monkeypatch):
+        from ellimatch import cli
+
+        solve = cli.minimize_h
+        monkeypatch.setattr(
+            cli, "minimize_h", lambda s, m: dataclasses.replace(solve(s, m), converged=False)
+        )
+        pts = self.write_square(tmp_path)
+        code, out = run(capsys, "verify", "--points", str(pts), "--theorem")
+        assert code == 3
+        assert json.loads(out)["verdicts"]["theorem"]["details"]["converged"] is False
+        code, _ = run(capsys, "verify", "--points", str(pts), "--fingerhut")
+        assert code == 3
+
+    def test_theorem_and_suri_ignore_supplied_matching(self, tmp_path, capsys):
+        pts = self.write_square(tmp_path)
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps({"pairs": [[0, 1], [2, 3]], "cost": 2.0}))
+        _, out = run(capsys, "verify", "--points", str(pts))
+        code, out_sides = run(capsys, "verify", "--points", str(pts), "--matching", str(mfile))
+        exact, sides = json.loads(out)["verdicts"], json.loads(out_sides)["verdicts"]
+        assert code == 1
+        assert not sides["fingerhut"]["passed"]
+        assert sides["theorem"] == exact["theorem"]
+        assert sides["suri"] == exact["suri"]
+
+    def test_verify_solves_each_matching_once(self, tmp_path, capsys, monkeypatch):
+        pts = tmp_path / "p.csv"
+        assert main(["gen", "--n", "12", "--seed", "0", "--out", str(pts)]) == 0
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps({"pairs": [[k, k + 1] for k in range(0, 12, 2)]}))
+
+        counts = count_calls(monkeypatch, exact_max_sum, minimize_h)
+        run(capsys, "verify", "--points", str(pts))
+        assert counts == {"exact_max_sum": 1, "minimize_h": 1}
+
+        counts.update(dict.fromkeys(counts, 0))
+        run(capsys, "verify", "--points", str(pts), "--matching", str(mfile))
+        assert counts == {"exact_max_sum": 1, "minimize_h": 2}
+
+        code, out = run(capsys, "verify", "--points", str(pts), "--theorem")
+        assert code == 0
+        assert "matching" not in json.loads(out)
+
+    @pytest.mark.parametrize(
+        "extra, env",
+        [
+            (["--tol", "-1"], None),
+            (["--tol", "nan"], None),
+            ([], "nan"),
+            (["--disks", "--tol", "-1"], None),
+        ],
+        ids=["tol-1", "tol-nan", "env-nan", "disks-tol-1"],
+    )
+    def test_invalid_tolerance_is_input_error(self, tmp_path, capsys, monkeypatch, extra, env):
+        pts = tmp_path / "col.csv"
+        pts.write_text("0,0\n1,0\n2,0\n3,0\n")
+        if env is not None:
+            monkeypatch.setenv("TVERBERG_TOL", env)
+        assert main(["verify", "--points", str(pts), *extra]) == 2
 
     def test_descend_from_sides(self, tmp_path, capsys):
         pts = self.write_square(tmp_path)

@@ -59,9 +59,9 @@ def verify_outcome(s: PointSet) -> tuple[tuple, list[float]]:
         fingerhut = check_fingerhut(s, m, w.o_star)
     except DegenerateEdgeError:
         return (m.pairs, "degenerate"), []
-    theorem = check_theorem(s)
-    helly = check_helly_triples(s, m)
-    flags = [v.passed for v in (fingerhut, theorem, helly, check_suri(s), check_tverberg_disks(s, m))]
+    theorem = check_theorem(m, w)
+    helly = check_helly_triples(s, m, w)
+    flags = [v.passed for v in (fingerhut, theorem, helly, check_suri(s, m), check_tverberg_disks(s, m))]
     lambdas = [theorem.details["lambda_star"], helly.details["worst_triple_lambda"]]
     return (m.pairs, flags), lambdas
 

@@ -126,11 +126,12 @@ class TestReport:
         s = DOUBLED_TRIANGLE
         m = triangle_sides()
         w = minimize_h(s, m)
+        exact = exact_max_sum(s)
         return Report(
             instance=instance_dict(s, generator="doubled-polygon", seed=0),
             matching=matching_dict(m),
             witness=witness_dict(w),
-            verdicts={"theorem": verdict_dict(check_theorem(s))},
+            verdicts={"theorem": verdict_dict(check_theorem(exact, minimize_h(s, exact)))},
             trace=[{"lambda_star": w.lambda_star, "cost": m.cost, "cycle_length": 0}],
         )
 

@@ -18,7 +18,6 @@ from ellimatch import (
     InstanceSpec,
     Matching,
     PointSet,
-    SizeCapError,
     check_fingerhut,
     check_helly_triples,
     check_suri,
@@ -28,6 +27,19 @@ from ellimatch import (
     generate,
     minimize_h,
 )
+
+
+def theorem_verdict(s):
+    m = exact_max_sum(s)
+    return check_theorem(m, minimize_h(s, m))
+
+
+def helly_verdict(s, m):
+    return check_helly_triples(s, m, minimize_h(s, m))
+
+
+def suri_verdict(s):
+    return check_suri(s, exact_max_sum(s))
 
 
 class TestCheckFingerhut:
@@ -96,9 +108,9 @@ class TestVerdictInvariant:
         w = minimize_h(s, m)
         verdicts = [
             check_fingerhut(s, m, w.o_star),
-            check_theorem(s),
-            check_helly_triples(s, m),
-            check_suri(s),
+            check_theorem(m, w),
+            check_helly_triples(s, m, w),
+            check_suri(s, m),
             check_tverberg_disks(s, m),
         ]
         for v in verdicts:
@@ -108,23 +120,18 @@ class TestVerdictInvariant:
 class TestCheckTheorem:
     def test_random_instances_pass(self):
         for seed in range(10):
-            v = check_theorem(generate(InstanceSpec("uniform-square", 10, seed)))
+            v = theorem_verdict(generate(InstanceSpec("uniform-square", 10, seed)))
             assert v.passed
 
     def test_doubled_triangle_margin_zero(self):
-        v = check_theorem(DOUBLED_TRIANGLE)
+        v = theorem_verdict(DOUBLED_TRIANGLE)
         assert v.passed
         assert abs(v.margin) <= 1e-7
 
     def test_two_points(self):
-        v = check_theorem(PointSet.of([(0, 0), (1, 1)]))
+        v = theorem_verdict(PointSet.of([(0, 0), (1, 1)]))
         assert v.passed
         assert v.details["lambda_star"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_cap_enforced(self):
-        s = generate(InstanceSpec("uniform-square", 12, 0))
-        with pytest.raises(SizeCapError):
-            check_theorem(s, cap=10)
 
 
 class TestCheckHellyTriples:
@@ -132,7 +139,7 @@ class TestCheckHellyTriples:
         for seed in range(5):
             s = generate(InstanceSpec("uniform-square", 8, seed))
             m = exact_max_sum(s)
-            v = check_helly_triples(s, m)
+            v = helly_verdict(s, m)
             assert v.passed
             assert v.details["discordant"] == []
 
@@ -144,7 +151,7 @@ class TestCheckHellyTriples:
         s = PointSet.of(pts)
         pairs = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
         m = Matching.from_pairs(s, pairs)
-        v = check_helly_triples(s, m)
+        v = helly_verdict(s, m)
         assert v.passed  # discordance-free: both global and triples fail
         assert v.details["lambda_star"] > RATIO_BOUND
         assert v.details["worst_triple_lambda"] > RATIO_BOUND
@@ -152,41 +159,41 @@ class TestCheckHellyTriples:
     def test_single_edge_matching(self):
         s = PointSet.of([(0, 0), (1, 0)])
         m = Matching.from_pairs(s, [(0, 1)])
-        v = check_helly_triples(s, m)
+        v = helly_verdict(s, m)
         assert v.passed
 
     def test_converged_reported(self):
         s = generate(InstanceSpec("uniform-square", 8, 0))
-        assert check_helly_triples(s, exact_max_sum(s)).details["converged"] is True
+        assert helly_verdict(s, exact_max_sum(s)).details["converged"] is True
 
     def test_pair_matching_degenerates_to_pairs(self):
         s = SQUARE
         m = exact_max_sum(s)
-        v = check_helly_triples(s, m)
+        v = helly_verdict(s, m)
         assert v.passed
         assert all(len(row["edges"]) == 2 for row in v.details["triples"])
 
 
 class TestCheckSuri:
     def test_doubled_triangle_equality(self):
-        v = check_suri(DOUBLED_TRIANGLE)
+        v = suri_verdict(DOUBLED_TRIANGLE)
         assert v.passed
         assert abs(v.margin) <= 1e-7
         assert v.details["steiner_total"] == pytest.approx(2 * math.sqrt(3), abs=1e-7)
         assert v.details["matching_cost"] == pytest.approx(3.0, abs=1e-12)
 
     def test_unit_square(self):
-        v = check_suri(SQUARE)
+        v = suri_verdict(SQUARE)
         assert v.passed
         assert v.details["steiner_total"] == pytest.approx(2 * math.sqrt(2), abs=1e-7)
 
     def test_two_points(self):
-        v = check_suri(PointSet.of([(0, 0), (5, 0)]))
+        v = suri_verdict(PointSet.of([(0, 0), (5, 0)]))
         assert v.passed
 
     def test_random_instances(self):
         for seed in range(15):
-            v = check_suri(generate(InstanceSpec("clustered", 10, seed)))
+            v = suri_verdict(generate(InstanceSpec("clustered", 10, seed)))
             assert v.passed
 
 
