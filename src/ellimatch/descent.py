@@ -13,34 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .config import theorem_tol
-from .geom import EPS_GEO, RATIO_BOUND, Frame, Point, dist, norm
+from .geom import EPS_GEO, RATIO_BOUND, DegenerateEdgeError, Frame, Point, dist, norm
 from .matching import (
     Matching,
     PointSet,
-    SizeCapError,
     improvement_threshold,
     local_search,
     validate_pairs,
 )
-from .witness import (
-    EPS_ACT,
-    SupportError,
-    WitnessResult,
-    active_set,
-    caratheodory_support,
-    minimize_h,
-)
+from .witness import EPS_ACT, WitnessResult, minimize_h
 
 # Relative strict margin required of red edges: ratio must beat lambda by
 # more than EPS_RED_REL * lambda * scale.
 EPS_RED_REL = 1e-9
-
-# Exhaustive cycle search cap (vertices).
-CYCLE_SEARCH_CAP = 16
-
-# Activity-tolerance ladder for cycle search; widened when numerics hide the
-# cycle that must exist for lambda above the bound.
-_ACT_LADDER = (EPS_ACT, 1e-5, 1e-4, 1e-3)
 
 
 class VertexAtOriginError(ValueError):
@@ -121,13 +106,15 @@ def build_graph(
     edges: list[tuple[int, int]],
     o: Point,
     lam: float,
-    *,
-    blue_rtol: float = EPS_ACT,
-    red_rtol: float = EPS_RED_REL,
 ) -> BicoloredGraph:
     """Classify vertex pairs of the selected edges into blue (tight at lam)
     and red (strictly beating lam by the red margin); equality-up-to-margin
     pairs get no color.
+
+    Every tolerance is relative to the vertices' own scale: a zero-length
+    selected edge raises :class:`DegenerateEdgeError`, a vertex at the
+    witness :class:`VertexAtOriginError`, a selected edge that is not tight
+    :class:`GraphColorError`.
     """
     ids: list[int] = []
     for i, j in edges:
@@ -141,16 +128,17 @@ def build_graph(
         (dist(verts[i], verts[j]) for i in range(n) for j in range(i + 1, n)),
         default=0.0,
     )
-    if scale <= 0.0:
-        scale = max(max(norm(v) for v in verts), 1.0)
+    local = {pid: k for k, pid in enumerate(ids)}
+    for i, j in edges:
+        if dist(verts[local[i]], verts[local[j]]) <= EPS_GEO * scale:
+            raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
     for k, v in enumerate(verts):
         if norm(v) <= EPS_GEO * scale:
             raise VertexAtOriginError(
                 f"point {ids[k]} coincides with the witness; ratio should be 1"
             )
 
-    local = {pid: k for k, pid in enumerate(ids)}
-    blue_tol = blue_rtol * lam * scale
+    blue_tol = EPS_ACT * lam * scale
     blue = []
     for i, j in edges:
         u, v = verts[local[i]], verts[local[j]]
@@ -162,7 +150,7 @@ def build_graph(
         blue.append(tuple(sorted((local[i], local[j]))))
 
     blue_set = set(blue)
-    red_margin = red_rtol * lam * scale
+    red_margin = EPS_RED_REL * lam * scale
     red = []
     for a in range(n):
         for b in range(a + 1, n):
@@ -182,14 +170,10 @@ def build_graph(
     )
 
 
-def find_alternating_cycle(
-    g: BicoloredGraph, *, cap: int = CYCLE_SEARCH_CAP
-) -> AlternatingCycle | None:
+def find_alternating_cycle(g: BicoloredGraph) -> AlternatingCycle | None:
     """Exhaustive depth-first search for a simple cycle alternating blue and
     red edges, or None when no such cycle exists."""
     n = len(g.vertices)
-    if n > cap:
-        raise SizeCapError(f"{n} vertices exceeds the cycle-search cap of {cap}")
     partner: dict[int, int] = {}
     for a, b in g.blue_edges:
         partner[a] = b
@@ -262,7 +246,8 @@ class DescentResult:
     witness: WitnessResult | None
     trace: tuple[DescentStep, ...]
     status: str  # ok | cycle_not_found | solver_failure | degenerate_edges
-    #             | improvement_violation | step_limit
+    #             | improvement_violation | step_limit; cycle_not_found also
+    #             covers a witness above the bound with no support
 
     @property
     def ok(self) -> bool:
@@ -274,46 +259,19 @@ def _has_zero_edge(s: PointSet, m: Matching) -> bool:
     return any(dist(s[i], s[j]) <= EPS_GEO for i, j in m.pairs)
 
 
-def h_slack(s: PointSet, m: Matching, e: int, o: Point, lam: float) -> float:
-    """Signed tightness gap lambda - h_e(o) of edge e at o."""
-    i, j = m.pairs[e]
-    a, b = s[i], s[j]
-    return lam - (dist(a, o) + dist(b, o)) / dist(a, b)
-
-
 def _find_improving_cycle(
     s: PointSet, m: Matching, w: WitnessResult
 ) -> AlternatingCycle | None:
-    o, lam = w.o_star, w.lambda_star
-    for act_tol in _ACT_LADDER:
-        active = active_set(s, m, o, lam, tol=act_tol)
-        if len(active) < 2:
-            continue
-        candidates: list[tuple[int, ...]] = []
-        try:
-            support, _ = caratheodory_support(s, m, active, o)
-            candidates.append(support)
-        except (SupportError, ValueError):
-            pass
-        if len(active) > CYCLE_SEARCH_CAP // 2:
-            ranked = sorted(
-                active, key=lambda e: abs(h_slack(s, m, e, o, lam))
-            )[: CYCLE_SEARCH_CAP // 2]
-            capped = tuple(sorted(ranked))
-        else:
-            capped = active
-        if not candidates or candidates[0] != capped:
-            candidates.append(capped)
-        for edge_ids in candidates:
-            pairs = [m.pairs[e] for e in edge_ids]
-            try:
-                g = build_graph(s, pairs, o, lam, blue_rtol=act_tol)
-            except (VertexAtOriginError, GraphColorError, ValueError):
-                continue
-            cycle = find_alternating_cycle(g)
-            if cycle is not None:
-                return cycle
-    return None
+    """An alternating cycle in the graph on the witness's 2- or 3-edge
+    support, or None when the witness has no support, the graph cannot be
+    built, or it holds no cycle."""
+    if w.support is None:
+        return None
+    try:
+        g = build_graph(s, [m.pairs[e] for e in w.support], w.o_star, w.lambda_star)
+    except ValueError:  # the graph's own rejections subclass ValueError
+        return None
+    return find_alternating_cycle(g)
 
 
 def descend(
@@ -325,8 +283,11 @@ def descend(
     Witnesses, supports and graphs are computed in the unit frame of s, so
     the outcome does not change under similarity; costs, the trace and the
     returned witness point are in input coordinates.  Every accepted swap
-    strictly increases cost, so the loop terminates.  All failure modes come
-    back as flagged statuses, never exceptions.
+    strictly increases cost, so the loop terminates.  Each cycle is sought
+    only in the graph on the witness's reported 2- or 3-edge support; a
+    witness above the bound without a support stops the loop as
+    ``cycle_not_found``.  All failure modes come back as flagged statuses,
+    never exceptions.
     """
     validate_pairs(s, init.pairs)
     tol = theorem_tol(tol)
