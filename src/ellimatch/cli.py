@@ -297,7 +297,10 @@ def run_suite(
     tol: float | None = None,
 ) -> tuple[dict[str, Any], int]:
     """Generate -> solve -> check over seeded instances; the aggregate keeps
-    per-instance records ordered by index and the minimum margin seen."""
+    per-instance records ordered by index and the minimum margin seen.  A
+    ``count`` below 1 is an input error (ValueError)."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     specs = [
         InstanceSpec(generator, sizes[i % len(sizes)], seed + i) for i in range(count)
     ]

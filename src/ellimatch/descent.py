@@ -287,8 +287,11 @@ def descend(
     only in the graph on the witness's reported 2- or 3-edge support; a
     witness above the bound without a support stops the loop as
     ``cycle_not_found``.  All failure modes come back as flagged statuses,
-    never exceptions.
+    never exceptions; a ``max_steps`` below 1 is an input error
+    (ValueError).
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     validate_pairs(s, init.pairs)
     tol = theorem_tol(tol)
     frame = Frame.of(s.points)

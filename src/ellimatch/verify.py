@@ -1,16 +1,18 @@
 """Theorem-level verdicts: per-edge witness bound, max-matching minimax bound,
-triple-restricted (Helly) consistency, the Steiner-star bound, and the
-edge-diameter disk intersection check.
+Helly consistency on the witness's certificate edges, the Steiner-star bound,
+and the edge-diameter disk intersection check.
 
 The checks judge the matching and witness they are handed and solve neither;
-the caller picks the matching.  Every verdict reports a signed margin
-(positive = satisfied) so tightness can be analyzed, not just pass/fail.
+the caller picks the matching.  The Helly check needs no sweep over edge
+triples: Helly's theorem puts the global minimax value on some triple, the
+witness's certificate names it, and one solve of those edges bounds the
+global value from below while the witness's own value bounds it from above.
+Every verdict reports a signed margin (positive = satisfied) so tightness
+can be analyzed, not just pass/fail.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -91,52 +93,39 @@ def check_theorem(m: Matching, w: WitnessResult, *, tol: float | None = None) ->
 def check_helly_triples(
     s: PointSet, m: Matching, w: WitnessResult, *, tol: float | None = None
 ) -> Verdict:
-    """Consistency of triple-restricted minimax verdicts with the global one,
-    ``w`` being the witness of all of ``m``.
+    """Consistency of the support-restricted minimax verdict with the global
+    one, ``w`` being the witness of all of ``m``.
 
-    A common point of all ratio ellipses exists iff the restricted minimax
-    value stays at or below 2/sqrt(3); by Helly's theorem in the plane, the
-    all-triples verdict and the global verdict must agree.  Margin is the
-    distance of the decisive value to the threshold, negated on discordance.
+    A common point of all ratio ellipses exists iff the minimax value stays
+    at or below 2/sqrt(3).  By Helly's theorem in the plane the global value
+    equals the largest value over 3-edge subsets, and the subset that
+    carries the witness's optimality certificate attains it: the gradients
+    of its edges have 0 in their convex hull at o*, so o* also minimizes
+    their maximum.  lambda* = max_i f_i(o*) is a genuine value, an upper
+    bound on every subset's value; one solve of the certificate edges T
+    (at most 3, those with positive weight) gives lambda*(T), a lower bound
+    on the global value.  Both must fall on the same side of the threshold,
+    so one sub-solve decides what a sweep over all triples would.  Margin is
+    the distance of the nearer value to the threshold, negated on
+    discordance.
     """
     tol = theorem_tol(tol)
     validate_pairs(s, m.pairs)
-    n_edges = len(m.pairs)
-    r = min(3, n_edges)
     threshold = RATIO_BOUND + tol
-
-    global_ok = w.lambda_star <= threshold
-
-    rows = []
-    worst = -math.inf
-    discordant = []
-    converged = w.converged
-    for combo in itertools.combinations(range(n_edges), r):
-        sub = minimize_h_over_edges(s, [m.pairs[e] for e in combo])
-        converged &= sub.converged
-        triple_ok = sub.lambda_star <= threshold
-        worst = max(worst, sub.lambda_star)
-        rows.append({"edges": list(combo), "lambda": sub.lambda_star, "ok": triple_ok})
-        if triple_ok != global_ok:
-            discordant.append(list(combo))
-    all_ok = all(row["ok"] for row in rows)
-
-    consistent = all_ok == global_ok
-    if consistent:
-        margin = min(abs(threshold - w.lambda_star), abs(threshold - worst))
-    else:
-        margin = -min(w.lambda_star - threshold, threshold - worst)
+    support = [e for e, mu in w.certificate if mu > 0.0]
+    sub = minimize_h_over_edges(s, [m.pairs[e] for e in support])
+    consistent = (w.lambda_star <= threshold) == (sub.lambda_star <= threshold)
+    margin = min(abs(threshold - w.lambda_star), abs(threshold - sub.lambda_star))
     return Verdict(
         name="helly",
         passed=consistent,
-        margin=margin,
+        margin=margin if consistent else -margin,
         tolerance=0.0,
         details={
             "lambda_star": w.lambda_star,
-            "worst_triple_lambda": worst,
-            "triples": rows,
-            "discordant": discordant,
-            "converged": converged,
+            "support": support,
+            "support_lambda": sub.lambda_star,
+            "converged": w.converged and sub.converged,
         },
     )
 

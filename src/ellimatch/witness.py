@@ -129,7 +129,7 @@ def minimize_h(s: PointSet, m: Matching) -> WitnessResult:
 
 def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessResult:
     """Like :func:`minimize_h` but for an arbitrary edge list (used by the
-    triple-restricted intersection checks)."""
+    Helly check on the witness's certificate edges)."""
     # The ratio never drops below 1, so 1 is a proven floor; hitting it
     # certifies optimality even when the witness sits on a duplicated point
     # where the gradient hull cannot cancel.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 from hypothesis import settings
 
@@ -44,3 +45,25 @@ def random_perfect_matching(s: PointSet, rng) -> Matching:
     idx = list(range(len(s)))
     rng.shuffle(idx)
     return Matching.from_pairs(s, [(idx[k], idx[k + 1]) for k in range(0, len(idx), 2)])
+
+
+def count_calls(monkeypatch, *functions):
+    """Rebind each function, at every package module attribute that holds
+    it, to a wrapper that counts its calls; returns the counts by name."""
+    counts = {f.__name__: 0 for f in functions}
+    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "ellimatch"]
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            counts[f.__name__] += 1
+            return f(*args, **kwargs)
+
+        return wrapper
+
+    for f in functions:
+        wrapper = counted(f)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is f:
+                    monkeypatch.setattr(module, key, wrapper)
+    return counts

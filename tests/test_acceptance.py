@@ -195,15 +195,12 @@ def test_criterion_9_steiner_star_bound():
 
 
 def test_criterion_10_helly_triple_consistency():
-    discordant = 0
     for seed in range(50):
         s = generate(InstanceSpec("uniform-square", SIZES[seed % 5], seed + 150))
         m = exact_max_sum(s)
         v = check_helly_triples(s, m, minimize_h(s, m))
-        assert v.passed, (seed, v.details["discordant"])
-        discordant += len(v.details["discordant"])
-    assert discordant == 0
-    print("PASS criterion 10: triple verdicts agree with the global verdict on 50 instances")
+        assert v.passed, (seed, v.details["support"], v.details["support_lambda"])
+    print("PASS criterion 10: support-triple verdict agrees with the global verdict on 50 instances")
 
 
 def test_criterion_11_no_alternating_cycle_negative_control():

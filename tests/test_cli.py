@@ -5,10 +5,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import sys
 
 import pytest
 
+from conftest import count_calls
 from ellimatch import exact_max_sum, minimize_h
 from ellimatch.cli import main
 
@@ -17,28 +17,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
-
-
-def count_calls(monkeypatch, *functions):
-    """Rebind each function, at every package module attribute that holds
-    it, to a wrapper that counts its calls; returns the counts by name."""
-    counts = {f.__name__: 0 for f in functions}
-    modules = [m for k, m in sys.modules.items() if k.split(".")[0] == "ellimatch"]
-
-    def counted(f):
-        def wrapper(*args, **kwargs):
-            counts[f.__name__] += 1
-            return f(*args, **kwargs)
-
-        return wrapper
-
-    for f in functions:
-        wrapper = counted(f)
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is f:
-                    monkeypatch.setattr(module, key, wrapper)
-    return counts
 
 
 class TestGenSolveWitness:
@@ -162,6 +140,18 @@ class TestVerifyAndDescend:
         assert code == 3
         assert json.loads(out)["verdicts"]["helly"]["details"]["converged"] is False
 
+    def test_helly_converges_where_a_triple_sweep_stalled(self, tmp_path, capsys):
+        # Two triples outside the certificate stall unconverged near lambda
+        # 1.00002 here; they are not part of the Helly decision.
+        pts = tmp_path / "g.csv"
+        gen = ["gen", "--generator", "gaussian", "--n", "20", "--seed", "3", "--out", str(pts)]
+        assert main(gen) == 0
+        code, out = run(capsys, "verify", "--points", str(pts))
+        assert code == 0
+        helly = json.loads(out)["verdicts"]["helly"]
+        assert helly["passed"] is True
+        assert helly["details"]["converged"] is True
+
     def test_suri_non_convergence_exits_three(self, tmp_path, capsys, monkeypatch):
         from ellimatch import verify
 
@@ -232,6 +222,17 @@ class TestVerifyAndDescend:
         if env is not None:
             monkeypatch.setenv("TVERBERG_TOL", env)
         assert main(["verify", "--points", str(pts), *extra]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["suite", "--count", "-3"], ["descend", "--init-seed", "0", "--max-steps", "-1"]],
+        ids=["suite-count-3", "descend-max-steps-1"],
+    )
+    def test_out_of_range_count_is_input_error(self, tmp_path, capsys, argv):
+        pts = self.write_square(tmp_path)
+        if argv[0] == "descend":
+            argv = [*argv, "--points", str(pts)]
+        assert main(argv) == 2
 
     def test_descend_from_sides(self, tmp_path, capsys):
         pts = self.write_square(tmp_path)

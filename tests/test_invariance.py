@@ -62,7 +62,7 @@ def verify_outcome(s: PointSet) -> tuple[tuple, list[float]]:
     theorem = check_theorem(m, w)
     helly = check_helly_triples(s, m, w)
     flags = [v.passed for v in (fingerhut, theorem, helly, check_suri(s, m), check_tverberg_disks(s, m))]
-    lambdas = [theorem.details["lambda_star"], helly.details["worst_triple_lambda"]]
+    lambdas = [theorem.details["lambda_star"], helly.details["support_lambda"]]
     return (m.pairs, flags), lambdas
 
 

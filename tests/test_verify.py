@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -10,6 +11,7 @@ from conftest import (
     DOUBLED_TRIANGLE,
     SQUARE,
     TRIANGLE_CENTROID,
+    count_calls,
     square_sides,
     triangle_sides,
 )
@@ -26,6 +28,7 @@ from ellimatch import (
     exact_max_sum,
     generate,
     minimize_h,
+    minimize_h_over_edges,
 )
 
 
@@ -141,7 +144,6 @@ class TestCheckHellyTriples:
             m = exact_max_sum(s)
             v = helly_verdict(s, m)
             assert v.passed
-            assert v.details["discordant"] == []
 
     def test_bad_matching_fails_globally_and_triplewise(self):
         # three nested side-paired squares: every triple already violates
@@ -154,7 +156,7 @@ class TestCheckHellyTriples:
         v = helly_verdict(s, m)
         assert v.passed  # discordance-free: both global and triples fail
         assert v.details["lambda_star"] > RATIO_BOUND
-        assert v.details["worst_triple_lambda"] > RATIO_BOUND
+        assert v.details["support_lambda"] > RATIO_BOUND
 
     def test_single_edge_matching(self):
         s = PointSet.of([(0, 0), (1, 0)])
@@ -171,7 +173,32 @@ class TestCheckHellyTriples:
         m = exact_max_sum(s)
         v = helly_verdict(s, m)
         assert v.passed
-        assert all(len(row["edges"]) == 2 for row in v.details["triples"])
+        assert len(v.details["support"]) <= 2
+
+    def test_one_sub_solve(self, monkeypatch):
+        s = generate(InstanceSpec("uniform-square", 12, 0))
+        m = exact_max_sum(s)
+        w = minimize_h(s, m)
+        counts = count_calls(monkeypatch, minimize_h_over_edges)
+        assert check_helly_triples(s, m, w).passed
+        assert counts == {"minimize_h_over_edges": 1}
+
+    def test_over_reported_lambda_caught(self):
+        s = generate(InstanceSpec("uniform-square", 12, 0))
+        m = exact_max_sum(s)
+        w = dataclasses.replace(minimize_h(s, m), lambda_star=1.3)
+        v = check_helly_triples(s, m, w)
+        assert not v.passed
+        assert v.details["support_lambda"] <= RATIO_BOUND < v.details["lambda_star"]
+        assert v.margin < 0
+
+    def test_support_value_bounded_by_lambda_star(self):
+        for seed in range(5):
+            s = generate(InstanceSpec("uniform-square", 8, seed))
+            v = helly_verdict(s, exact_max_sum(s))
+            lam = v.details["lambda_star"]
+            assert v.details["support_lambda"] <= lam + 1e-12 * lam
+            assert 1 <= len(v.details["support"]) <= 3
 
 
 class TestCheckSuri:
