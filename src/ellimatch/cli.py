@@ -134,7 +134,7 @@ def _emit(text: str, out: str | None) -> None:
 
 def _load_matching(path: str, s: PointSet) -> Matching:
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "matching" in data:
+    if isinstance(data, dict) and "matching" in data:
         data = data["matching"]
     return matching_from_dict(data, s)
 

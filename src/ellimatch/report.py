@@ -69,8 +69,27 @@ def matching_dict(m: Matching) -> dict[str, Any]:
     return {"pairs": [[i, j] for i, j in m.pairs], "cost": m.cost}
 
 
-def matching_from_dict(data: dict[str, Any], s: PointSet) -> Matching:
-    return Matching.from_pairs(s, data["pairs"])
+def matching_from_dict(data: Any, s: PointSet) -> Matching:
+    """Read ``{"pairs": [[i, j], ...]}`` as a matching of s.  Each index must
+    be a JSON integer (not a bool) in range; any other shape or value raises
+    ValueError, so a malformed file is an input error."""
+    if not isinstance(data, dict) or "pairs" not in data:
+        raise ValueError('matching: expected a JSON object with a "pairs" key')
+    raw = data["pairs"]
+    if not isinstance(raw, list):
+        raise ValueError('matching: "pairs" must be a list of [i, j] index pairs')
+    n = len(s)
+    for idx, item in enumerate(raw):
+        if (
+            not isinstance(item, list)
+            or len(item) != 2
+            or not all(type(k) is int and 0 <= k < n for k in item)
+        ):
+            raise ValueError(
+                f"matching: pairs[{idx}]: expected [i, j] with integer indices "
+                f"in 0..{n - 1}, got {item!r}"
+            )
+    return Matching.from_pairs(s, raw)
 
 
 def witness_dict(w: WitnessResult) -> dict[str, Any]:

@@ -347,3 +347,26 @@ class TestExitCodes:
         odd = tmp_path / "odd.csv"
         odd.write_text("0,0\n1,0\n2,0\n")
         assert main(["solve", "--points", str(odd)]) == 2
+
+    @pytest.mark.parametrize("command", ["witness", "verify", "descend", "render"])
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"pairs": [[0, 7], [1, 2]]}',
+            '{"pairs": [[0, 1], [2]]}',
+            '{"pairs": 5}',
+            "[[0, 1], [2, 3]]",
+            '{"pairs": [[0, 1.5], [2, 3]]}',
+            '{"pairs": [[0, true], [2, 3]]}',
+            '{"pairs": [[0, "1"], [2, 3]]}',
+        ],
+        ids=["out-of-range", "one-element", "not-a-list", "top-level-list", "float", "bool", "string"],
+    )
+    def test_malformed_matching_is_input_error(self, tmp_path, capsys, command, content):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        bad = tmp_path / "m.json"
+        bad.write_text(content)
+        argv = [command, "--points", str(pts), "--matching", str(bad)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: matching: ")

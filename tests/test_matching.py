@@ -24,6 +24,66 @@ from ellimatch import (
 )
 
 
+def _reference_local_search(s: PointSet, init: Matching) -> Matching:
+    """Reference for local_search: the same scan, tests and float sums, with
+    all six distances of a slot pair recomputed on every visit instead of
+    read from a table."""
+    matching.validate_pairs(s, init.pairs)
+    pts = s.points
+    pairs = [list(p) for p in init.pairs]
+    total = sum(dist(pts[i], pts[j]) for i, j in init.pairs)
+    improved = True
+    while improved:
+        improved = False
+        for e in range(len(pairs)):
+            for f in range(e + 1, len(pairs)):
+                a, b = pairs[e]
+                c, dd = pairs[f]
+                base = dist(pts[a], pts[b]) + dist(pts[c], pts[dd])
+                alt1 = dist(pts[a], pts[c]) + dist(pts[b], pts[dd])
+                alt2 = dist(pts[a], pts[dd]) + dist(pts[b], pts[c])
+                eps = matching.improvement_threshold(total)
+                if alt1 >= alt2 and alt1 > base + eps:
+                    pairs[e] = [a, c]
+                    pairs[f] = [b, dd]
+                    total += alt1 - base
+                    improved = True
+                elif alt2 > base + eps:
+                    pairs[e] = [a, dd]
+                    pairs[f] = [b, c]
+                    total += alt2 - base
+                    improved = True
+    return Matching.from_pairs(s, pairs)
+
+
+def _local_search_starts():
+    """(label, point set, start) triples: the three random generators at
+    n = 2-50 and 200 from random starts, and 4x4-grid multisets, full of
+    duplicate points and equal distances, from sequential starts."""
+    rng = random.Random(84)
+    for gen in ("uniform-square", "gaussian", "clustered"):
+        for n in [*range(2, 51, 2), 200]:
+            s = generate(InstanceSpec(gen, n, n))
+            yield f"{gen} n={n}", s, random_perfect_matching(s, rng).pairs
+    for n in range(4, 41, 4):
+        grid = random.Random(n)
+        s = PointSet.of([(grid.randrange(4), grid.randrange(4)) for _ in range(n)])
+        yield f"4x4 grid n={n}", s, tuple((k, k + 1) for k in range(0, n, 2))
+
+
+def _improving_swap(s: PointSet, m: Matching) -> tuple[int, int] | None:
+    """A slot pair whose exchange gains more than the threshold, if any."""
+    eps = matching.improvement_threshold(m.cost)
+    for e, (a, b) in enumerate(m.pairs):
+        for f in range(e + 1, len(m.pairs)):
+            c, dd = m.pairs[f]
+            base = dist(s[a], s[b]) + dist(s[c], s[dd])
+            alt = max(dist(s[a], s[c]) + dist(s[b], s[dd]), dist(s[a], s[dd]) + dist(s[b], s[c]))
+            if alt > base + eps:
+                return e, f
+    return None
+
+
 def _full_mask_dp(s: PointSet) -> Matching:
     """Reference for exact_max_sum: the same recurrence, tie tuple and
     reconstruction, filled bottom-up over all 2^n masks instead of only the
@@ -276,6 +336,39 @@ class TestLocalSearch:
             init = random_perfect_matching(s, rng)
             out = local_search(s, init)
             assert out.cost >= init.cost
+
+    @pytest.mark.parametrize(
+        "move",
+        [lambda x: x, lambda x: math.ldexp(x, -40), lambda x: x + 1e12],
+        ids=["plain", "scaled-2^-40", "offset-1e12"],
+    )
+    def test_same_swaps_as_reference(self, move):
+        # the distance table must change no swap: pairs and cost agree bit
+        # for bit, and no exchange of two edges is left that gains more
+        # than the threshold
+        for label, s, start in _local_search_starts():
+            s = PointSet.of([(move(x), move(y)) for x, y in s])
+            init = Matching.from_pairs(s, start)
+            out = local_search(s, init)
+            ref = _reference_local_search(s, init)
+            assert out.pairs == ref.pairs, label
+            assert out.cost == ref.cost, label
+            assert _improving_swap(s, out) is None, label
+
+    def test_threshold_follows_the_total(self):
+        # The side-to-diagonal swap of the big square raises the threshold
+        # from 2.004e-9 to 2.832e-9 within the first pass.  The nested
+        # pairing of the four near-collinear points at its centre then
+        # gains 2.4e-9: above the old threshold, below the new one, so the
+        # crossing pair stays.
+        y = math.sqrt(4 * 2.4e-9)
+        s = PointSet.of(
+            [(0, 0), (1000, 0), (1000, 1000), (0, 1000), (499, 500), (500, 500), (501, 500 + y), (502, 500)]
+        )
+        init = Matching.from_pairs(s, [(0, 1), (2, 3), (4, 6), (5, 7)])
+        out = local_search(s, init)
+        assert out.pairs == ((0, 2), (1, 3), (4, 6), (5, 7))
+        assert out.pairs == _reference_local_search(s, init).pairs
 
     def test_removes_zero_edges_when_improvable(self):
         s = PointSet.of([(0, 0), (0, 0), (1, 0), (2, 0)])
