@@ -99,10 +99,11 @@ def h_ratio(a: Point, b: Point, x: Point) -> float:
     """Distance-sum ratio (|a-x| + |b-x|) / |a-b|.
 
     Always >= 1; equals 1 exactly when x lies on the segment ab.  Level sets
-    are the confocal ellipses with foci a and b.
+    are the confocal ellipses with foci a and b.  Any positive length is a
+    valid edge, however small: the ratio is scale-free.
     """
     d = dist(a, b)
-    if d <= EPS_GEO:
+    if d == 0.0:
         raise DegenerateEdgeError(f"edge endpoints coincide: {a}, {b}")
     return (dist(a, x) + dist(b, x)) / d
 

@@ -53,8 +53,15 @@ class PointSet:
 
 def canonical_pairs(pairs: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ...]:
     """Sorted-pair, sorted-list canonical form used for deterministic output
-    and tie-breaking."""
-    return tuple(sorted(tuple(sorted((int(p[0]), int(p[1])))) for p in pairs))
+    and tie-breaking.  Every index must be an ``int`` (not a bool); anything
+    else raises ValueError rather than being truncated or coerced."""
+    out = []
+    for p in pairs:
+        i, j = p[0], p[1]
+        if type(i) is not int or type(j) is not int:
+            raise ValueError(f"point indices must be integers, got {p!r}")
+        out.append((i, j) if i <= j else (j, i))
+    return tuple(sorted(out))
 
 
 def validate_pairs(s: PointSet, pairs: Sequence[tuple[int, int]]) -> None:

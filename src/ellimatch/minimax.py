@@ -22,7 +22,7 @@ short next to a focus tries the focus itself.
 The result is certified by the classical optimality condition for maxima of
 convex functions: at a minimizer, the origin lies in the convex hull of the
 active pieces' gradients.  ``min_norm_point`` gives the distance to that
-hull, searching the candidates of ``hull_candidates``.
+hull and the convex weights attaining it.
 """
 
 from __future__ import annotations
@@ -106,14 +106,14 @@ def _derivatives(p: Piece, x: Point) -> tuple[Point, tuple[float, float, float],
     return (gx / s, gy / s), (hxx / s, hxy / s, hyy / s), ball / s
 
 
-def hull_candidates(
-    vectors: Sequence[Point], eps: float
+def _hull_candidates(
+    vectors: Sequence[Point],
 ) -> Iterator[tuple[tuple[int, ...], tuple[float, ...], Point]]:
     """Candidates for the point nearest the origin in the convex hull of 2-D
     vectors, as (indices, convex coefficients, point): first the nearest
     point of every segment (t clamped to [0, 1]), then the clamped
     combination of every triangle whose barycentric coordinates of the
-    origin are all >= -eps, each in lexicographic order of the indices."""
+    origin are all >= -1e-12, each in lexicographic order of the indices."""
     for i, j in itertools.combinations(range(len(vectors)), 2):
         vi, vj = vectors[i], vectors[j]
         dx, dy = vj[0] - vi[0], vj[1] - vi[1]
@@ -130,7 +130,7 @@ def hull_candidates(
         alpha = (vj[0] * vk[1] - vj[1] * vk[0]) / den
         beta = (vk[0] * vi[1] - vk[1] * vi[0]) / den
         gamma = (vi[0] * vj[1] - vi[1] * vj[0]) / den
-        if alpha < -eps or beta < -eps or gamma < -eps:
+        if min(alpha, beta, gamma) < -1e-12:
             continue
         alpha, beta, gamma = max(alpha, 0.0), max(beta, 0.0), max(gamma, 0.0)
         ssum = alpha + beta + gamma
@@ -150,7 +150,7 @@ def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], 
         raise ValueError("min_norm_point needs at least one vector")
     singletons = (((i,), (1.0,), v) for i, v in enumerate(vectors))
     indices, weights, p = min(
-        itertools.chain(singletons, hull_candidates(vectors, 1e-12)),
+        itertools.chain(singletons, _hull_candidates(vectors)),
         key=lambda c: math.hypot(c[2][0], c[2][1]),
     )
     coeffs = [0.0] * len(vectors)

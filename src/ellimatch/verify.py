@@ -162,7 +162,7 @@ def check_tverberg_disks(s: PointSet, m: Matching) -> Verdict:
         c = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
         return (c, c, 2.0, -d / 2.0)
 
-    res, frame, _ = solve_in_frame(s, m.pairs, disk_slack)
+    res, frame = solve_in_frame(s, m.pairs, disk_slack)
     point = frame.back(res.x)
     return Verdict(
         name="disks",

@@ -1,9 +1,9 @@
 """Witness-point extraction for matchings.
 
 Minimizes the maximum per-edge distance-sum ratio over the plane, identifies
-the active edges and a 2- or 3-edge support whose bisector points surround
-the witness, certifies optimality through the gradient convex hull, and
-computes the Steiner-star (geometric median) objective.
+the active edges, certifies optimality through the gradient convex hull,
+takes the 2- or 3-edge support from that certificate's positive weights,
+and computes the Steiner-star (geometric median) objective.
 
 All solvers map the instance into its unit-square :class:`~ellimatch.geom.Frame`
 first; the ratios are similarity-invariant, so nothing is lost and the
@@ -17,7 +17,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .geom import EPS_GEO, Frame, Point, DegenerateEdgeError, bisector_point, dist, h_ratio, norm
+from .geom import EPS_GEO, Frame, Point, DegenerateEdgeError, dist, h_ratio, norm
 from .matching import Matching, PointSet, validate_pairs
 from .minimax import (
     ACT_REL,
@@ -25,23 +25,24 @@ from .minimax import (
     MinimaxResult,
     Piece,
     _certificate,
-    hull_candidates,
+    _derivatives,
+    min_norm_point,
     minimize_max,
 )
 
 # Relative activity tolerance for the reported active set (times lambda*).
 EPS_ACT = ACT_REL
 
-# Above this, a witness is considered strictly off every segment and support
-# extraction applies; below, the witness sits on a segment (ratio 1 regime).
+# Above this, a witness is considered strictly off every segment and has a
+# support; below, the witness sits on a segment (ratio 1 regime).
 LAMBDA_SEGMENT = 1.0 + 1e-9
 
 IndexPair = tuple[int, int]
 
 
 class SupportError(RuntimeError):
-    """No 2- or 3-edge support contains the witness; the witness is likely
-    inaccurate."""
+    """The active edges' gradients do not certify the point; it is likely
+    not a witness."""
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,10 @@ class WitnessResult:
     """Minimax witness for an edge set.
 
     ``certificate`` pairs each active edge with its convex coefficient in the
-    gradient combination whose norm is ``residual``.  ``support`` is None when
-    the ratio is 1 within tolerance (witness on a segment) or when extraction
-    failed.
+    gradient combination whose norm is ``residual``.  ``support`` is the
+    certificate's edges of positive weight (2 or 3, by Caratheodory in the
+    plane); it is None when the ratio is 1 within tolerance (witness on a
+    segment) or when the certificate does not hold.
     """
 
     o_star: Point
@@ -102,10 +104,10 @@ def solve_in_frame(
     piece: Callable[[Point, Point, float], Piece],
     *,
     value_floor: float | None = None,
-) -> tuple[MinimaxResult, Frame, dict[int, Point]]:
+) -> tuple[MinimaxResult, Frame]:
     """Minimize the max over edges ab of ``piece(a, b, |ab|)`` in the
     unit-square frame of the edges' endpoints, from the mean of the edge
-    midpoints.  Returns (result in the frame, the frame, frame points)."""
+    midpoints.  Returns (result in the frame, the frame)."""
     if not pairs:
         raise ValueError("no edges to minimize over")
     pieces, npts, frame = _frame_pieces(s, pairs, piece)
@@ -113,7 +115,7 @@ def solve_in_frame(
         sum(npts[i][0] + npts[j][0] for i, j in pairs) / (2.0 * len(pairs)),
         sum(npts[i][1] + npts[j][1] for i, j in pairs) / (2.0 * len(pairs)),
     )
-    return minimize_max(pieces, x0, value_floor=value_floor), frame, npts
+    return minimize_max(pieces, x0, value_floor=value_floor), frame
 
 
 def h_max(s: PointSet, pairs: Sequence[IndexPair], x: Point) -> float:
@@ -133,7 +135,7 @@ def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessRes
     # The ratio never drops below 1, so 1 is a proven floor; hitting it
     # certifies optimality even when the witness sits on a duplicated point
     # where the gradient hull cannot cancel.
-    res, frame, npts = solve_in_frame(s, pairs, _ratio_piece, value_floor=1.0)
+    res, frame = solve_in_frame(s, pairs, _ratio_piece, value_floor=1.0)
 
     lam = res.value
     residual = res.residual
@@ -142,12 +144,9 @@ def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessRes
         # duplicated-point witness (the endpoint ball absorbs the gradient).
         residual = 0.0
     certificate = tuple(zip(res.active, res.coefficients))
-    support: tuple[int, ...] | None = None
-    if lam > LAMBDA_SEGMENT:
-        try:
-            support, _ = _support_in_frame(npts, pairs, res.active, res.x)
-        except (SupportError, DegenerateEdgeError):
-            support = None
+    support = None
+    if lam > LAMBDA_SEGMENT and res.residual <= EPS_CERT:
+        support = tuple(e for e, mu in certificate if mu > 0.0)
     return WitnessResult(
         o_star=frame.back(res.x),
         lambda_star=lam,
@@ -171,49 +170,26 @@ def active_set(
     return tuple(out)
 
 
-def _support_in_frame(
-    pts: Sequence[Point] | dict[int, Point],
-    pairs: Sequence[IndexPair],
-    active: Sequence[int],
-    o: Point,
-    *,
-    tol: float = EPS_GEO,
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Support search in a given coordinate frame; see caratheodory_support."""
-    ls = []
-    for e in active:
-        i, j = pairs[e]
-        x = (pts[i][0] - o[0], pts[i][1] - o[1])
-        y = (pts[j][0] - o[0], pts[j][1] - o[1])
-        ls.append(bisector_point(x, y))
-    unit = max((norm(l) for l in ls), default=0.0)
-    if unit <= 0.0:
-        unit = 1.0
-    ls = [(l[0] / unit, l[1] / unit) for l in ls]
-    for idx, coeffs, p in hull_candidates(ls, 1e-9):
-        if math.hypot(p[0], p[1]) <= tol:
-            return tuple(active[a] for a in idx), coeffs
-    raise SupportError(
-        f"no 2- or 3-edge support among {len(active)} active edges contains the witness"
-    )
-
-
 def caratheodory_support(
-    s: PointSet,
-    m: Matching,
-    active: Sequence[int],
-    o: Point,
-    *,
-    tol: float = EPS_GEO,
+    s: PointSet, m: Matching, active: Sequence[int], o: Point
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Pick 2 or 3 active edges whose bisector points' convex hull contains o.
-
-    Pairs are preferred over triples.  Containment is tested in the frame
-    translated to o and rescaled to unit size, so ``tol`` applies at unit
-    scale.  Raises :class:`SupportError` when nothing works, which signals an
-    inaccurate witness.
+    """The edges among ``active`` that carry the optimality certificate at o,
+    and their convex weights: the positive-weight part of the min-norm
+    combination of the edges' gradients in the unit-square frame of ``m``,
+    as in :func:`optimality_certificate`.  By Caratheodory in the plane there
+    are at most 3.  Raises :class:`SupportError` when the residual exceeds
+    ``EPS_CERT``, which signals an inaccurate witness.
     """
-    return _support_in_frame(s.points, m.pairs, active, o, tol=tol)
+    validate_pairs(s, m.pairs)
+    pieces, _, frame = _frame_pieces(s, m.pairs, _ratio_piece)
+    x = frame.to(o)
+    _, coeffs, residual = min_norm_point([_derivatives(pieces[e], x)[0] for e in active])
+    if residual > EPS_CERT:
+        raise SupportError(
+            f"the gradients of {len(active)} active edges miss the origin by {residual:.3g}"
+        )
+    support = [(e, mu) for e, mu in zip(active, coeffs) if mu > 0.0]
+    return tuple(e for e, _ in support), tuple(mu for _, mu in support)
 
 
 def optimality_certificate(

@@ -19,6 +19,7 @@ from ellimatch import (
     InstanceSpec,
     Matching,
     PointSet,
+    active_set,
     check_fingerhut,
     check_helly_triples,
     check_suri,
@@ -29,6 +30,7 @@ from ellimatch import (
     generate,
     minimize_h,
 )
+from ellimatch.witness import h_max
 
 TRANSFORMS = {
     "translate 2^49": lambda p: (p[0] + 2.0**49, p[1] + 2.0**49),
@@ -108,3 +110,16 @@ def test_descent_at_tiny_scale():
     assert [step.cost for step in rt.trace] == [k * step.cost for step in r.trace]
     assert rt.witness.o_star == (k * r.witness.o_star[0], k * r.witness.o_star[1])
     assert rt.witness.lambda_star == r.witness.lambda_star
+
+
+def test_witness_queries_at_tiny_scale():
+    # An absolute floor on the edge length once made active_set and h_max
+    # raise DegenerateEdgeError here, though the witness itself solves.
+    s = generate(InstanceSpec("uniform-square", 10, 3))
+    k = 2.0**-40
+    tiny = PointSet.of([(k * x, k * y) for x, y in s])
+    m = exact_max_sum(s)
+    mt = Matching.from_pairs(tiny, m.pairs)
+    w, wt = minimize_h(s, m), minimize_h(tiny, mt)
+    assert active_set(tiny, mt, wt.o_star, wt.lambda_star) == (1, 2, 3)
+    assert h_max(tiny, mt.pairs, wt.o_star) == pytest.approx(h_max(s, m.pairs, w.o_star), rel=1e-12)

@@ -162,6 +162,12 @@ class TestMatchingValidation:
         m = Matching.from_pairs(SQUARE, [(3, 1), (2, 0)])
         assert m.pairs == ((0, 2), (1, 3))
 
+    @pytest.mark.parametrize("pairs", [[(0, 1.9), (2, 3)], [(True, 0), ("2", 3)]])
+    def test_non_int_index_rejected(self, pairs):
+        # int() would truncate 1.9 and coerce True and "2" into a valid matching
+        with pytest.raises(ValueError):
+            Matching.from_pairs(SQUARE, pairs)
+
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
             Matching.from_pairs(SQUARE, [(0, 1), (2, 7)])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -16,6 +17,7 @@ from conftest import (
     triangle_sides,
 )
 from ellimatch import (
+    EPS_CERT,
     EPS_GEO,
     RATIO_BOUND,
     InstanceSpec,
@@ -24,6 +26,7 @@ from ellimatch import (
     SupportError,
     active_set,
     caratheodory_support,
+    check_helly_triples,
     dist,
     exact_max_sum,
     generate,
@@ -32,7 +35,9 @@ from ellimatch import (
     optimality_certificate,
     steiner_star,
 )
-from ellimatch.witness import h_max
+from ellimatch import witness
+from ellimatch.minimax import minimize_max
+from ellimatch.witness import LAMBDA_SEGMENT, h_max
 
 
 def grid_minimize(s, pairs, lo, hi, *, levels=7, grid=40):
@@ -190,6 +195,29 @@ class TestCaratheodorySupport:
             if w.lambda_star > 1.0 + 1e-6:
                 assert w.support is not None
                 assert len(w.support) in (2, 3)
+                # one support: the certificate's positive weights, which is
+                # also the edge set the Helly check solves
+                assert w.support == tuple(e for e, mu in w.certificate if mu > 0.0)
+                assert check_helly_triples(s, m, w).details["support"] == list(w.support)
+                assert caratheodory_support(s, m, w.active, w.o_star)[0] == w.support
+
+    def test_doubled_pentagon_support_is_the_certificate(self):
+        # A search over bisector points once reported (0, 1, 2) here while
+        # the certificate put its weight on edges 1, 2 and 3.
+        s = generate(InstanceSpec("doubled-polygon", 10, 0))
+        w = minimize_h(s, exact_max_sum(s))
+        assert w.support == (1, 2, 3)
+        assert [e for e, mu in w.certificate if mu > 0.0] == [1, 2, 3]
+
+    def test_unconverged_witness_has_no_support(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            res = minimize_max(*args, **kwargs)
+            return dataclasses.replace(res, residual=2 * EPS_CERT, converged=False)
+
+        monkeypatch.setattr(witness, "minimize_max", stalled)
+        w = minimize_h(DOUBLED_TRIANGLE, triangle_sides())
+        assert w.lambda_star > LAMBDA_SEGMENT and not w.converged
+        assert w.support is None
 
 
 class TestOptimalityCertificate:
