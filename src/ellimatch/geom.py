@@ -111,14 +111,16 @@ def h_ratio(a: Point, b: Point, x: Point) -> float:
 def grad_h(a: Point, b: Point, x: Point) -> Point:
     """Gradient of ``h_ratio(a, b, .)`` at x, undefined at the endpoints.
 
-    Equals ((x-a)/|x-a| + (x-b)/|x-b|) / |a-b|.
+    Equals ((x-a)/|x-a| + (x-b)/|x-b|) / |a-b|.  Like the ratio, it holds
+    at any scale: only an edge of length 0 or an x exactly at an endpoint
+    is rejected.
     """
     d = dist(a, b)
-    if d <= EPS_GEO:
+    if d == 0.0:
         raise DegenerateEdgeError(f"edge endpoints coincide: {a}, {b}")
     da = dist(x, a)
     db = dist(x, b)
-    if da <= EPS_GEO or db <= EPS_GEO:
+    if da == 0.0 or db == 0.0:
         raise FocusError(f"gradient undefined at endpoint: {x}")
     gx = ((x[0] - a[0]) / da + (x[0] - b[0]) / db) / d
     gy = ((x[1] - a[1]) / da + (x[1] - b[1]) / db) / d
@@ -142,9 +144,10 @@ def bisector_point(x: Point, y: Point) -> Point:
 
 def f_ratio(x: Point, y: Point) -> float:
     """(|x| + |y|) / |x - y|: the distance-sum ratio of segment xy seen from
-    the origin.  Strictly decreases when y slides inward along the segment."""
+    the origin.  Strictly decreases when y slides inward along the segment.
+    Scale-free: only coincident arguments are rejected."""
     d = dist(x, y)
-    if d <= EPS_GEO:
+    if d == 0.0:
         raise DegenerateEdgeError(f"coincident arguments: {x}, {y}")
     return (norm(x) + norm(y)) / d
 
@@ -162,10 +165,11 @@ def in_ellipse(a: Point, b: Point, lam: float, x: Point) -> bool:
 
 def in_lens(x: Point, y: Point, alpha: float, z: Point) -> bool:
     """Membership in the alpha-lens of segment xy: the two endpoints plus
-    every point from which the segment subtends an angle of at least alpha."""
+    every point from which the segment subtends an angle of at least alpha.
+    Scale-free: only coincident endpoints are rejected."""
     if not 0.0 < alpha < math.pi:
         raise ValueError(f"alpha must lie in (0, pi), got {alpha}")
-    if dist(x, y) <= EPS_GEO:
+    if dist(x, y) == 0.0:
         raise DegenerateEdgeError(f"coincident arguments: {x}, {y}")
     if z == x or z == y:
         return True

@@ -19,10 +19,28 @@ foci, where a piece has a kink, are handled exactly: a focus is stationary
 when the ball of subgradients it adds absorbs the gradient, and a step cut
 short next to a focus tries the focus itself.
 
+Once ``tau`` is small, only the pieces within a few hundred ``tau`` of the
+max carry any softmax weight: ``exp`` of anything below -745.14 is exactly
+0.0.  So most passes screen pieces out instead of evaluating them.  Every
+piece is Lipschitz with constant ``2 / s`` (a disk piece with 1), so with
+``L`` the largest of these, a piece worth ``v`` at a point z is worth at most
+``v + L |y - z|`` at y.  Passes evaluate every piece until one finds at least
+half of the weights underflowed; its point becomes the anchor z, with the
+pieces ranked by their values there.  The passes after it are screened: a
+pass at y evaluates pieces in that order and stops at the first one whose
+bound falls more than ``_UNDERFLOW_MARGIN * tau`` below the largest value
+seen, since that piece and every later one would get a weight of exactly
+0.0.  The max, the weight sum, the smoothed value, the Newton direction and
+the focus test are thus the same floats as with every piece evaluated, and
+so is the result.  A screened pass that evaluates more than half of the
+pieces makes the next pass a full one again.  A smaller ``tau`` only
+tightens the screen, so the anchor carries across stages.
+
 The result is certified by the classical optimality condition for maxima of
 convex functions: at a minimizer, the origin lies in the convex hull of the
 active pieces' gradients.  ``min_norm_point`` gives the distance to that
-hull and the convex weights attaining it.
+hull and the convex weights attaining it.  The certificate evaluates every
+piece.
 """
 
 from __future__ import annotations
@@ -62,13 +80,19 @@ _ARMIJO = 1e-4
 _LEAP = 3.0
 _NEGLIGIBLE = 1e-30  # softmax weight below which a piece is skipped
 
+# Distance below the max, in units of tau, past which a piece's softmax
+# weight exp((f_i - max f) / tau) is exactly 0.0.  exp underflows to zero
+# below -745.14; the 14.8 tau to spare cover the rounding of piece values at
+# unit scale, down to the last stage's tau of 1e-14.
+_UNDERFLOW_MARGIN = 760.0
+
 
 @dataclass(frozen=True)
 class MinimaxResult:
     """Minimizer of the max of the pieces.
 
-    ``iterations`` counts full passes over the piece list (each evaluation
-    of every piece at one point).
+    ``iterations`` counts passes over the piece list, each at one point,
+    whether it evaluates every piece or screens out those without weight.
     """
 
     x: Point
@@ -226,18 +250,54 @@ def minimize_max(
     ratio functions never drop below 1).  Reaching it stops the search, and
     ending within 1e-9 of it certifies optimality, which covers minima
     pinned at piece singularities where no gradient combination can cancel.
+
+    Passes after the first few stages skip the pieces whose softmax weight
+    would underflow to 0.0, found by the Lipschitz screen of the module
+    docstring; the result is the same, bit for bit, as with every piece
+    evaluated on every pass.
     """
     if not pieces:
         raise ValueError("minimize_max needs at least one piece")
+    lipschitz = max(2.0 / p[2] for p in pieces)
+    # The anchor: the point and piece values of the last full pass at which
+    # at least half of the weights underflowed, and the piece indices by
+    # value there, highest first.  While ranked is None, passes are full.
+    anchor, anchor_vals, ranked = x0, [], None
 
-    def smoothed(x: Point, tau: float) -> tuple[float, float, list[float]]:
-        """(phi_tau, max f, unnormalized softmax weights) at x."""
-        nonlocal iterations
+    def smoothed(y: Point, tau: float) -> tuple[float, float, Sequence[Piece], list[float]]:
+        """(phi_tau, max f, pieces, their unnormalized softmax weights) at y.
+        The pieces are those evaluated, in index order: every piece of
+        positive weight is among them."""
+        nonlocal iterations, anchor, anchor_vals, ranked
         iterations += 1
-        vals = [_piece_value(p, x) for p in pieces]
-        top = max(vals)
-        weights = [math.exp((v - top) / tau) for v in vals]
-        return top + tau * math.log(sum(weights)), top, weights
+        if ranked is None:  # a full pass
+            live = pieces
+            vals = [_piece_value(p, y) for p in pieces]
+            top = max(vals)
+            weights = [math.exp((v - top) / tau) for v in vals]
+            if 2 * weights.count(0.0) >= len(pieces):
+                anchor, anchor_vals = y, vals
+                ranked = sorted(range(len(pieces)), key=vals.__getitem__, reverse=True)
+        else:  # a screened pass
+            reach = (
+                lipschitz * math.hypot(y[0] - anchor[0], y[1] - anchor[1])
+                + _UNDERFLOW_MARGIN * tau
+            )
+            top = -math.inf
+            seen = []
+            for i in ranked:
+                if anchor_vals[i] + reach < top:
+                    break  # this piece and every later one end below top - margin
+                v = _piece_value(pieces[i], y)
+                seen.append((i, v))
+                if v > top:
+                    top = v
+            if 2 * len(seen) > len(pieces):
+                ranked = None
+            seen.sort()
+            live = [pieces[i] for i, _ in seen]
+            weights = [math.exp((v - top) / tau) for _, v in seen]
+        return top + tau * math.log(sum(weights)), top, live, weights
 
     def at_floor(f: float, tol: float) -> bool:
         return value_floor is not None and f <= value_floor + tol
@@ -250,9 +310,9 @@ def minimize_max(
         if at_floor(f, _ROUNDING * unit):
             break
         tau = _TAU_START * unit * 0.1**stage
-        phi, f, weights = smoothed(x, tau)
+        phi, f, live, weights = smoothed(x, tau)
         for _ in range(_NEWTON_STEPS):
-            direction = _direction(pieces, weights, x, tau)
+            direction = _direction(live, weights, x, tau)
             if direction is None:
                 break
             sx, sy, slope = direction
@@ -264,7 +324,7 @@ def minimize_max(
             t = t0 = min(1.0, _LEAP * tau / -slope)
             for _ in range(_HALVINGS):
                 y = (x[0] + t * sx, x[1] + t * sy)
-                phi_y, f_y, w_y = smoothed(y, tau)
+                phi_y, f_y, live_y, w_y = smoothed(y, tau)
                 if rounding or phi_y <= phi + _ARMIJO * t * slope:
                     break
                 t *= 0.5
@@ -275,16 +335,16 @@ def minimize_max(
                 # model cannot see; the focus itself may be the better point.
                 gap, c = min(
                     (math.hypot(c[0] - y[0], c[1] - y[1]), c)
-                    for p, w in zip(pieces, weights)
+                    for p, w in zip(live, weights)
                     if w > _NEGLIGIBLE
                     for c in p[:2]
                 )
                 if gap < t * math.hypot(sx, sy):
-                    phi_c, f_c, w_c = smoothed(c, tau)
+                    phi_c, f_c, live_c, w_c = smoothed(c, tau)
                     if phi_c <= phi_y:
-                        y, phi_y, f_y, w_y = c, phi_c, f_c, w_c
+                        y, phi_y, f_y, live_y, w_y = c, phi_c, f_c, live_c, w_c
             moved = math.hypot(y[0] - x[0], y[1] - x[1])
-            x, phi, f, weights = y, phi_y, f_y, w_y
+            x, phi, f, live, weights = y, phi_y, f_y, live_y, w_y
             if at_floor(f, _ROUNDING * unit):
                 break
             # Middle stages only seed the next one; the last runs to rounding.

@@ -29,6 +29,14 @@ coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infini
 points = st.tuples(coord, coord)
 
 
+# An exact power of two, so that shrinking a point by it rounds nothing.
+TINY = 2.0**-40
+
+
+def shrunk(p):
+    return (TINY * p[0], TINY * p[1])
+
+
 def vectors_apart(min_norm=1e-3):
     return points.filter(lambda p: norm(p) > min_norm)
 
@@ -155,6 +163,26 @@ class TestGradH:
         with pytest.raises(FocusError):
             grad_h((0, 0), (1, 0), (0, 0))
 
+    def test_rejects_coincident_endpoints(self):
+        with pytest.raises(DegenerateEdgeError):
+            grad_h((1, 1), (1, 1), (0, 0))
+
+    def test_tiny_edge(self):
+        # The gradient scales like 1 / |ab|; a 2^-40 edge is a proper edge.
+        g = grad_h((0.0, 0.0), (TINY, 0.0), (TINY / 2, TINY))
+        unit = grad_h((0.0, 0.0), (1.0, 0.0), (0.5, 1.0))
+        for gi, ui in zip(g, unit):
+            assert gi == pytest.approx(ui / TINY, rel=1e-15)
+
+    def test_tiny_scale_matches_unit_scale(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            a, b, x = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
+            g = grad_h(*(shrunk(p) for p in (a, b, x)))
+            unit = grad_h(a, b, x)
+            err = math.hypot(g[0] - unit[0] / TINY, g[1] - unit[1] / TINY)
+            assert err <= 1e-15 * math.hypot(*g)
+
     def test_matches_central_differences(self):
         rng = random.Random(4)
         step = 1e-6
@@ -225,6 +253,13 @@ class TestFRatio:
         with pytest.raises(DegenerateEdgeError):
             f_ratio((1, 1), (1, 1))
 
+    def test_tiny_scale_matches_unit_scale(self):
+        assert f_ratio((TINY, 0.0), (0.0, TINY)) == pytest.approx(math.sqrt(2), rel=1e-15)
+        rng = random.Random(6)
+        for _ in range(100):
+            x, y = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2)]
+            assert f_ratio(shrunk(x), shrunk(y)) == pytest.approx(f_ratio(x, y), rel=1e-15)
+
     @given(vectors_apart(), vectors_apart())
     def test_equals_h_at_origin(self, x, y):
         if dist(x, y) <= 1e-3:
@@ -282,6 +317,16 @@ class TestLensMembership:
 
     def test_right_angle_point_outside(self):
         assert not in_lens((-1, 0), (1, 0), 2 * math.pi / 3, (0, 1))
+
+    def test_tiny_scale_matches_unit_scale(self):
+        rng = random.Random(8)
+        inside = 0
+        for _ in range(300):
+            x, y, z = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
+            member = in_lens(x, y, 2 * math.pi / 3, z)
+            assert in_lens(shrunk(x), shrunk(y), 2 * math.pi / 3, shrunk(z)) == member
+            inside += member
+        assert 0 < inside < 300
 
     def test_lens_contained_in_ellipse(self):
         # every (2*pi/3)-lens member is a (2/sqrt(3))-ellipse member
