@@ -58,14 +58,10 @@ from .verify import (
     check_tverberg_disks,
 )
 from .witness import (
-    EPS_ACT,
     EPS_CERT,
     CertificateResult,
-    SupportError,
     WitnessResult,
-    active_set,
     caratheodory_support,
-    h_max,
     minimize_h,
     minimize_h_over_edges,
     optimality_certificate,

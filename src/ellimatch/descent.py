@@ -21,7 +21,8 @@ from .matching import (
     local_search,
     validate_pairs,
 )
-from .witness import EPS_ACT, WitnessResult, minimize_h
+from .minimax import ACT_REL
+from .witness import WitnessResult, minimize_h
 
 # Relative strict margin required of red edges: ratio must beat lambda by
 # more than EPS_RED_REL * lambda * scale.
@@ -138,7 +139,7 @@ def build_graph(
                 f"point {ids[k]} coincides with the witness; ratio should be 1"
             )
 
-    blue_tol = EPS_ACT * lam * scale
+    blue_tol = ACT_REL * lam * scale
     blue = []
     for i, j in edges:
         u, v = verts[local[i]], verts[local[j]]

@@ -169,13 +169,21 @@ def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], 
 
     Exhausts supports of size 1, 2 and 3 (sufficient in the plane) and
     returns (point, convex coefficients over the inputs, norm of the point).
+    Candidates whose norm is within rounding (``_ROUNDING`` times the
+    longest vector) of the smallest are tied; among them the one with the
+    fewest indices wins, then the nearer.  So on a symmetric tie a triangle
+    with a weight at rounding level does not displace the exact segment.
     """
     if not vectors:
         raise ValueError("min_norm_point needs at least one vector")
     singletons = (((i,), (1.0,), v) for i, v in enumerate(vectors))
-    indices, weights, p = min(
-        itertools.chain(singletons, _hull_candidates(vectors)),
-        key=lambda c: math.hypot(c[2][0], c[2][1]),
+    candidates = [
+        (math.hypot(c[2][0], c[2][1]), c)
+        for c in itertools.chain(singletons, _hull_candidates(vectors))
+    ]
+    tie = min(r for r, _ in candidates) + _ROUNDING * max(math.hypot(*v) for v in vectors)
+    _, (indices, weights, p) = min(
+        (c for c in candidates if c[0] <= tie), key=lambda c: (len(c[1][0]), c[0])
     )
     coeffs = [0.0] * len(vectors)
     for i, w in zip(indices, weights):
@@ -184,14 +192,14 @@ def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], 
 
 
 def _certificate(
-    pieces: Sequence[Piece], x: Point, act_rel: float = ACT_REL
+    pieces: Sequence[Piece], x: Point
 ) -> tuple[float, list[int], tuple[float, ...], float]:
     """Evaluate all pieces at x and compute the min-norm certificate over the
-    gradients of the active ones, those within ``act_rel * max(1, |f|)`` of
+    gradients of the active ones, those within ``ACT_REL * max(1, |f|)`` of
     the max.  Returns (max, active, coeffs over active, residual)."""
     vals = [_piece_value(p, x) for p in pieces]
     f = max(vals)
-    tol = act_rel * max(1.0, abs(f))
+    tol = ACT_REL * max(1.0, abs(f))
     active = [i for i, v in enumerate(vals) if v >= f - tol]
     grads = [_derivatives(pieces[i], x)[0] for i in active]
     _, coeffs, residual = min_norm_point(grads)

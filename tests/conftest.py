@@ -7,7 +7,7 @@ import sys
 
 from hypothesis import settings
 
-from ellimatch import Matching, PointSet
+from ellimatch import Matching, PointSet, h_ratio
 
 # Fixed example sequences and no example database: runs are reproducible and
 # leave no .hypothesis/ directory behind.
@@ -39,6 +39,16 @@ def square_diagonals() -> Matching:
 def triangle_sides() -> Matching:
     """The matching of DOUBLED_TRIANGLE realizing the three triangle sides."""
     return Matching.from_pairs(DOUBLED_TRIANGLE, [(0, 2), (1, 4), (3, 5)])
+
+
+def max_ratio(s: PointSet, pairs, x) -> float:
+    """Test oracle: the largest distance-sum ratio over the edges at x."""
+    return max(h_ratio(s[i], s[j], x) for i, j in pairs)
+
+
+def certificate_edges(cert) -> tuple[int, ...]:
+    """The active edges of a certificate, in index order."""
+    return tuple(e for e, _ in cert.coefficients)
 
 
 def random_perfect_matching(s: PointSet, rng) -> Matching:

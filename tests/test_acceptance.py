@@ -13,6 +13,7 @@ import time
 from conftest import (
     DOUBLED_TRIANGLE,
     TRIANGLE_CENTROID,
+    max_ratio,
     random_perfect_matching,
     triangle_sides,
 )
@@ -38,7 +39,6 @@ from ellimatch import (
     steiner_star,
 )
 from ellimatch.geom import norm
-from ellimatch.witness import h_max
 
 SIZES = (4, 6, 8, 10, 12)
 
@@ -120,7 +120,7 @@ def test_criterion_5_certificate_soundness():
                 sum(wt * q[0] for wt, q in zip(weights, s)) / tot,
                 sum(wt * q[1] for wt, q in zip(weights, s)) / tot,
             )
-            assert h_max(s, m.pairs, p) >= w.lambda_star - 1e-5, (seed, p)
+            assert max_ratio(s, m.pairs, p) >= w.lambda_star - 1e-5, (seed, p)
             probed += 1
     print(f"PASS criterion 5: {probed} hull probes never beat a certified witness")
 

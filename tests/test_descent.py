@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     DOUBLED_TRIANGLE,
     SQUARE,
+    certificate_edges,
     random_perfect_matching,
     square_sides,
     triangle_sides,
@@ -29,6 +30,7 @@ from ellimatch import (
     find_alternating_cycle,
     generate,
     minimize_h,
+    optimality_certificate,
 )
 from ellimatch.descent import ImprovementError, VertexAtOriginError, _find_improving_cycle
 from ellimatch.geom import DegenerateEdgeError
@@ -70,14 +72,12 @@ class TestBuildGraph:
             build_graph(s, [(0, 1), (2, 3)], (0.0, 0.0), 1.5)
 
     def test_color_classes_invariant_under_similarity(self):
-        from ellimatch import active_set
-
         rng = random.Random(13)
         s = generate(InstanceSpec("uniform-square", 8, 3))
         init = random_perfect_matching(s, rng)
         w = minimize_h(s, init)
         assert w.lambda_star > 1.01
-        act = active_set(s, init, w.o_star, w.lambda_star)
+        act = certificate_edges(optimality_certificate(s, init, w.o_star))
         pairs = [init.pairs[e] for e in act]
         g = build_graph(s, pairs, w.o_star, w.lambda_star)
 

@@ -14,12 +14,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import certificate_edges, max_ratio
 from ellimatch import (
     DegenerateEdgeError,
     InstanceSpec,
     Matching,
     PointSet,
-    active_set,
     check_fingerhut,
     check_helly_triples,
     check_suri,
@@ -29,8 +29,8 @@ from ellimatch import (
     exact_max_sum,
     generate,
     minimize_h,
+    optimality_certificate,
 )
-from ellimatch.witness import h_max
 
 TRANSFORMS = {
     "translate 2^49": lambda p: (p[0] + 2.0**49, p[1] + 2.0**49),
@@ -113,7 +113,7 @@ def test_descent_at_tiny_scale():
 
 
 def test_witness_queries_at_tiny_scale():
-    # An absolute floor on the edge length once made active_set and h_max
+    # An absolute floor on the edge length once made the point queries
     # raise DegenerateEdgeError here, though the witness itself solves.
     s = generate(InstanceSpec("uniform-square", 10, 3))
     k = 2.0**-40
@@ -121,5 +121,9 @@ def test_witness_queries_at_tiny_scale():
     m = exact_max_sum(s)
     mt = Matching.from_pairs(tiny, m.pairs)
     w, wt = minimize_h(s, m), minimize_h(tiny, mt)
-    assert active_set(tiny, mt, wt.o_star, wt.lambda_star) == (1, 2, 3)
-    assert h_max(tiny, mt.pairs, wt.o_star) == pytest.approx(h_max(s, m.pairs, w.o_star), rel=1e-12)
+    cert = optimality_certificate(tiny, mt, wt.o_star)
+    assert certificate_edges(cert) == (1, 2, 3)
+    assert cert.lambda_at == pytest.approx(max_ratio(s, m.pairs, w.o_star), rel=1e-12)
+    assert max_ratio(tiny, mt.pairs, wt.o_star) == pytest.approx(
+        max_ratio(s, m.pairs, w.o_star), rel=1e-12
+    )

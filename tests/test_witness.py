@@ -13,6 +13,8 @@ from conftest import (
     SQUARE,
     TRIANGLE,
     TRIANGLE_CENTROID,
+    certificate_edges,
+    max_ratio,
     square_sides,
     triangle_sides,
 )
@@ -23,8 +25,6 @@ from ellimatch import (
     InstanceSpec,
     Matching,
     PointSet,
-    SupportError,
-    active_set,
     caratheodory_support,
     check_helly_triples,
     dist,
@@ -37,7 +37,7 @@ from ellimatch import (
 )
 from ellimatch import witness
 from ellimatch.minimax import minimize_max
-from ellimatch.witness import LAMBDA_SEGMENT, h_max
+from ellimatch.witness import LAMBDA_SEGMENT
 
 
 def grid_minimize(s, pairs, lo, hi, *, levels=7, grid=40):
@@ -51,7 +51,7 @@ def grid_minimize(s, pairs, lo, hi, *, levels=7, grid=40):
         for a in range(-grid, grid + 1):
             for b in range(-grid, grid + 1):
                 x = (cx + span * a / grid, cy + span * b / grid)
-                v = h_max(s, pairs, x)
+                v = max_ratio(s, pairs, x)
                 if v < best_v:
                     best_v, best_x = v, x
         centers = [best_x]
@@ -122,7 +122,7 @@ class TestMinimizeH:
                     sum(wt * q[0] for wt, q in zip(weights, s)) / tot,
                     sum(wt * q[1] for wt, q in zip(weights, s)) / tot,
                 )
-                assert h_max(s, m.pairs, p) >= w.lambda_star - 1e-5
+                assert max_ratio(s, m.pairs, p) >= w.lambda_star - 1e-5
 
     def test_similarity_equivariance(self):
         s = generate(InstanceSpec("uniform-square", 8, 5))
@@ -146,46 +146,61 @@ class TestMinimizeH:
 
 
 class TestActiveSet:
+    """The certificate's active edges at a point."""
+
     def test_square_sides_both_active(self):
         m = square_sides()
         w = minimize_h(SQUARE, m)
-        assert active_set(SQUARE, m, w.o_star, w.lambda_star) == (0, 1)
+        assert certificate_edges(optimality_certificate(SQUARE, m, w.o_star)) == (0, 1)
 
     def test_doubled_triangle_all_active(self):
         m = triangle_sides()
         w = minimize_h(DOUBLED_TRIANGLE, m)
-        assert active_set(DOUBLED_TRIANGLE, m, w.o_star, w.lambda_star) == (0, 1, 2)
+        cert = optimality_certificate(DOUBLED_TRIANGLE, m, w.o_star)
+        assert certificate_edges(cert) == (0, 1, 2)
 
     def test_strictly_contained_edge_excluded(self):
         # at o = (0.5, 0.3) the bottom edge's ratio is well below the top
         # edge's, so its ellipse at the max level strictly contains o
         m = square_sides()
         o = (0.5, 0.3)
-        lam = h_max(SQUARE, m.pairs, o)
-        assert active_set(SQUARE, m, o, lam) == (1,)
+        cert = optimality_certificate(SQUARE, m, o)
+        assert cert.lambda_at == pytest.approx(max_ratio(SQUARE, m.pairs, o), rel=1e-12)
+        assert certificate_edges(cert) == (1,)
 
 
 class TestCaratheodorySupport:
+    """The certificate's positive-weight edges at a point."""
+
     def test_two_edge_segment_case(self):
         m = square_sides()
         w = minimize_h(SQUARE, m)
-        support, coeffs = caratheodory_support(SQUARE, m, w.active, w.o_star)
-        assert support == (0, 1)
-        assert sum(coeffs) == pytest.approx(1.0, abs=1e-9)
+        cert = optimality_certificate(SQUARE, m, w.o_star)
+        assert cert.support == (0, 1)
+        assert sum(dict(cert.coefficients)[e] for e in cert.support) == pytest.approx(
+            1.0, abs=1e-9
+        )
 
     def test_triangle_needs_all_three(self):
         m = triangle_sides()
         w = minimize_h(DOUBLED_TRIANGLE, m)
-        support, coeffs = caratheodory_support(DOUBLED_TRIANGLE, m, w.active, w.o_star)
-        assert len(support) == 3
-        for c in coeffs:
-            assert c == pytest.approx(1 / 3, abs=1e-6)
+        cert = optimality_certificate(DOUBLED_TRIANGLE, m, w.o_star)
+        assert len(cert.support) == 3
+        for e in cert.support:
+            assert dict(cert.coefficients)[e] == pytest.approx(1 / 3, abs=1e-6)
 
     def test_failure_signals_bad_witness(self):
         m = triangle_sides()
         # a point far from the true witness has no containing support
-        with pytest.raises(SupportError):
-            caratheodory_support(DOUBLED_TRIANGLE, m, (0, 1, 2), (0.9, 0.8))
+        cert = optimality_certificate(DOUBLED_TRIANGLE, m, (0.9, 0.8))
+        assert not cert.ok and cert.residual > EPS_CERT
+        assert cert.support is None
+
+    def test_benchmark_shim_is_the_certificate_support(self):
+        m = triangle_sides()
+        w = minimize_h(DOUBLED_TRIANGLE, m)
+        assert caratheodory_support(DOUBLED_TRIANGLE, m, w.o_star) == (0, 1, 2)
+        assert caratheodory_support(DOUBLED_TRIANGLE, m, (0.9, 0.8)) is None
 
     def test_support_size_two_or_three_above_one(self):
         for seed in range(20):
@@ -199,7 +214,7 @@ class TestCaratheodorySupport:
                 # also the edge set the Helly check solves
                 assert w.support == tuple(e for e, mu in w.certificate if mu > 0.0)
                 assert check_helly_triples(s, m, w).details["support"] == list(w.support)
-                assert caratheodory_support(s, m, w.active, w.o_star)[0] == w.support
+                assert optimality_certificate(s, m, w.o_star).support == w.support
 
     def test_doubled_pentagon_support_is_the_certificate(self):
         # A search over bisector points once reported (0, 1, 2) here while
@@ -208,6 +223,27 @@ class TestCaratheodorySupport:
         w = minimize_h(s, exact_max_sum(s))
         assert w.support == (1, 2, 3)
         assert [e for e, mu in w.certificate if mu > 0.0] == [1, 2, 3]
+
+    def test_symmetric_tie_keeps_the_exact_segment(self):
+        # On the regular octagon a triangle candidate with a weight of about
+        # 1e-16 on edge 1 once won the min-norm tie against the exact
+        # segment of edges 2 and 3.
+        s = PointSet.of(
+            [(math.cos(2 * math.pi * k / 8), math.sin(2 * math.pi * k / 8)) for k in range(8)]
+        )
+        m = Matching.from_pairs(s, [(0, 5), (1, 4), (2, 7), (3, 6)])
+        w = minimize_h(s, m)
+        assert w.support == (2, 3)
+        weights = dict(w.certificate)
+        assert weights[0] == weights[1] == 0.0
+        assert weights[2] == pytest.approx(0.5, abs=1e-12)
+        assert weights[3] == pytest.approx(0.5, abs=1e-12)
+        assert optimality_certificate(s, m, w.o_star).support == (2, 3)
+        # a tie the exact triangle wins keeps all three edges
+        t = minimize_h(DOUBLED_TRIANGLE, triangle_sides())
+        assert t.support == (0, 1, 2)
+        for _, mu in t.certificate:
+            assert mu == pytest.approx(1 / 3, abs=1e-12)
 
     def test_unconverged_witness_has_no_support(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -228,11 +264,13 @@ class TestOptimalityCertificate:
         coeffs = dict(cert.coefficients)
         assert coeffs[0] == pytest.approx(0.5, abs=1e-9)
         assert coeffs[1] == pytest.approx(0.5, abs=1e-9)
+        assert cert.support == (0, 1)
 
     def test_non_minimizer_rejected(self):
         cert = optimality_certificate(SQUARE, square_sides(), (0.3, 0.9))
         assert not cert.ok
         assert cert.residual > 1e-3
+        assert cert.support is None
 
     def test_triangle_centroid(self):
         cert = optimality_certificate(DOUBLED_TRIANGLE, triangle_sides(), TRIANGLE_CENTROID)
