@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 from hypothesis import settings
 
@@ -15,6 +17,8 @@ settings.register_profile("ellimatch", derandomize=True, database=None)
 settings.load_profile("ellimatch")
 
 SQRT3 = math.sqrt(3.0)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Unit square, counterclockwise from the origin.
 SQUARE = PointSet.of([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -77,3 +81,14 @@ def count_calls(monkeypatch, *functions):
                 if value is f:
                     monkeypatch.setattr(module, key, wrapper)
     return counts
+
+
+def load_perfbench(stem: str):
+    """Load ``perfbench/<stem>.py`` unmodified, as module ``perfbench_<stem>``,
+    without importing the package a second time."""
+    name = f"perfbench_{stem}"
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module

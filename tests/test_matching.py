@@ -8,7 +8,14 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import DOUBLED_TRIANGLE, SQUARE, TRIANGLE, random_perfect_matching, square_sides
+from conftest import (
+    DOUBLED_TRIANGLE,
+    SQUARE,
+    TRIANGLE,
+    load_perfbench,
+    random_perfect_matching,
+    square_sides,
+)
 from ellimatch import (
     InstanceSpec,
     Matching,
@@ -85,9 +92,9 @@ def _improving_swap(s: PointSet, m: Matching) -> tuple[int, int] | None:
 
 
 def _full_mask_dp(s: PointSet) -> Matching:
-    """Reference for exact_max_sum: the same recurrence, tie tuple and
-    reconstruction, filled bottom-up over all 2^n masks instead of only the
-    reachable ones."""
+    """Reference for exact_max_sum: the same recurrence and reconstruction on
+    (cost, -zero edges) tuples in every state, filled bottom-up over all 2^n
+    masks instead of only the reachable ones."""
     n = len(s)
     pts = s.points
     d = [[dist(pts[i], pts[j]) for j in range(n)] for i in range(n)]
@@ -133,6 +140,12 @@ def _full_mask_dp(s: PointSet) -> Matching:
                 break
             jbits ^= bj
     return Matching.from_pairs(s, pairs)
+
+
+def _doubled_regular_polygon(k: int) -> list[tuple[float, float]]:
+    """Regular k-gon on the unit circle, every vertex twice."""
+    vertices = [(math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k)) for i in range(k)]
+    return [v for v in vertices for _ in range(2)]
 
 
 def _assert_same_as_full_mask_dp(s: PointSet) -> None:
@@ -232,10 +245,10 @@ class TestExactMaxSum:
     def test_default_cap_refuses_26_before_any_work(self, monkeypatch):
         s = generate(InstanceSpec("uniform-square", 26, 0))
 
-        def no_work(p, q):
-            raise AssertionError("distance computed past the size cap")
+        def no_work(pts):
+            raise AssertionError("distance table built past the size cap")
 
-        monkeypatch.setattr(matching, "dist", no_work)
+        monkeypatch.setattr(matching, "_distance_table", no_work)
         with pytest.raises(SizeCapError, match="cap of 24"):
             exact_max_sum(s)
 
@@ -253,10 +266,29 @@ class TestExactMaxSum:
             [p for p in TRIANGLE for _ in range(2)],
             [p for p in SQUARE for _ in range(2)],
             [(3.5, -1.25)] * 10,
+            *(_doubled_regular_polygon(k) for k in (4, 6, 8)),
+            [(3.5, -1.25)] * 16,
+            # lex-least pairs the two 3s: a zero edge tied exactly in cost
+            [(x, 0) for x in (3, 3, 2, 4, 2, 4, 1, 5, 1, 5, 0, 6, 0, 6)],
+            [(1e12 + x, 1e12 + y) for x, y in generate(InstanceSpec("uniform-square", 12, 0))],
         ],
-        ids=["collinear", "duplicated", "doubled-triangle", "doubled-square", "coincident"],
+        ids=[
+            "collinear",
+            "duplicated",
+            "doubled-triangle",
+            "doubled-square",
+            "coincident",
+            "doubled-polygon-8",
+            "doubled-polygon-12",
+            "doubled-polygon-16",
+            "coincident-16",
+            "duplicated-collinear",
+            "offset-1e12",
+        ],
     )
     def test_bit_identical_to_full_mask_dp_on_degenerate_sets(self, coords):
+        # exact float ties decide the pairs here, and zero-edge counts where
+        # points coincide
         _assert_same_as_full_mask_dp(PointSet.of(coords))
 
     @given(
@@ -269,6 +301,19 @@ class TestExactMaxSum:
     def test_bit_identical_to_full_mask_dp_on_grid_ties(self, coords):
         # a 4x4 integer grid forces duplicated points and exact cost ties
         _assert_same_as_full_mask_dp(PointSet.of(coords))
+
+    def test_reproduces_the_benchmark_reference(self):
+        # every pair list the benchmark checks exact answers against: 300
+        # sets at n = 12, 48 at n = 16-20 and the doubled triangle
+        workloads = load_perfbench("workloads")
+        reference = workloads.load_reference()
+        assert len(reference) == 349
+        for key, entry in reference.items():
+            generator, n, iseed = key.split("/")
+            inst = workloads.make_instance(generator, int(n), iseed)
+            assert inst.digest == entry["digest"], key
+            m = exact_max_sum(PointSet.of(inst.points))
+            assert [list(p) for p in m.pairs] == entry["pairs"], key
 
     def test_agrees_with_brute_force(self):
         for seed in range(50):

@@ -10,11 +10,9 @@ benchmark run.
 from __future__ import annotations
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
+from conftest import load_perfbench
 from ellimatch import (
     InstanceSpec,
     Matching,
@@ -25,21 +23,9 @@ from ellimatch import (
     optimality_certificate,
 )
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACER = PERFBENCH / "tracer.py"
-WORKLOADS = PERFBENCH / "workloads.py"
-
-
-def load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_every_trace_target_is_a_package_callable():
-    tracer = load("perfbench_tracer", TRACER)
+    tracer = load_perfbench("tracer")
     assert tracer.TARGETS
     for name in tracer.TARGETS:
         module, _, attr = name.partition(".")
@@ -52,7 +38,7 @@ def test_every_trace_target_is_a_package_callable():
 def test_witness_check_runs_on_the_package_certificate():
     # The namespace the benchmark's loader builds, from the package already
     # imported here.
-    workloads = load("perfbench_workloads", WORKLOADS)
+    workloads = load_perfbench("workloads")
     lib = SimpleNamespace(
         PointSet=PointSet, Matching=Matching, optimality_certificate=optimality_certificate
     )
