@@ -65,13 +65,26 @@ def _reference_local_search(s: PointSet, init: Matching) -> Matching:
 
 def _local_search_starts():
     """(label, point set, start) triples: the three random generators at
-    n = 2-50 and 200 from random starts, and 4x4-grid multisets, full of
+    n = 2-50 and 200 from random starts, clustered and gaussian n = 200
+    from sequential starts (many passes, with swaps late in the last ones),
+    a set where a clean row swaps, and 4x4-grid multisets, full of
     duplicate points and equal distances, from sequential starts."""
     rng = random.Random(84)
     for gen in ("uniform-square", "gaussian", "clustered"):
         for n in [*range(2, 51, 2), 200]:
             s = generate(InstanceSpec(gen, n, n))
             yield f"{gen} n={n}", s, random_perfect_matching(s, rng).pairs
+    for gen in ("clustered", "gaussian"):
+        s = generate(InstanceSpec(gen, 200, 1))
+        yield f"{gen} n=200 sequential", s, tuple((k, k + 1) for k in range(0, 200, 2))
+    # Pass 2 finds row 1 clean and swaps slot 1 with slot 3, which changed
+    # after row 1 began in pass 1.  Slot 4 did not, but the new slot 1
+    # gains by a swap with it; deferring that test to pass 3 ends in other
+    # pairs.
+    s = PointSet.of(
+        [(31, 53), (48, 69), (67, 20), (97, 42), (36, 47), (51, 53), (40, 76), (69, 73), (59, 47), (48, 37)]
+    )
+    yield "swap in a clean row", s, ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
     for n in range(4, 41, 4):
         grid = random.Random(n)
         s = PointSet.of([(grid.randrange(4), grid.randrange(4)) for _ in range(n)])
@@ -371,6 +384,36 @@ class TestBruteForce:
             brute_force_max_sum(s)
 
 
+class TestDistanceTable:
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [(0.0, 0.0), (3.0, 4.0)],
+            [(-1.5, 2.25), (0.1, -0.3), (-1.5, 2.25), (7.0, -1e-3)],
+            list(generate(InstanceSpec("uniform-square", 200, 0))),
+            [(x - 0.5, -y) for x, y in generate(InstanceSpec("gaussian", 200, 1))],
+            [p for p in generate(InstanceSpec("clustered", 100, 2)) for _ in range(2)],
+            [(1e12 + x, 1e12 - y) for x, y in generate(InstanceSpec("uniform-square", 200, 3))],
+            [
+                (math.ldexp(x, -40), math.ldexp(y, -40))
+                for x, y in generate(InstanceSpec("gaussian", 200, 4))
+            ],
+        ],
+        ids=["n=2", "n=4-duplicates", "uniform-200", "negative-200", "duplicated-200",
+             "offset-1e12", "scaled-2^-40"],
+    )
+    def test_symmetric_and_equal_to_dist(self, coords):
+        # every ordered pair, bit for bit: one computation serves both halves
+        pts = PointSet.of(coords).points
+        d = matching._distance_table(pts)
+        assert len(d) == len(pts)
+        for i, p in enumerate(pts):
+            assert len(d[i]) == len(pts)
+            for j, q in enumerate(pts):
+                assert d[i][j].hex() == dist(p, q).hex(), (i, j)
+                assert d[i][j].hex() == d[j][i].hex(), (i, j)
+
+
 class TestLocalSearch:
     def test_square_sides_improve_to_diagonals(self):
         out = local_search(SQUARE, square_sides())
@@ -394,9 +437,9 @@ class TestLocalSearch:
         ids=["plain", "scaled-2^-40", "offset-1e12"],
     )
     def test_same_swaps_as_reference(self, move):
-        # the distance table must change no swap: pairs and cost agree bit
-        # for bit, and no exchange of two edges is left that gains more
-        # than the threshold
+        # the distance table and the skipped re-tests must change no swap:
+        # pairs and cost agree bit for bit, no exchange of two edges is left
+        # that gains more than the threshold, and the result is a fixed point
         for label, s, start in _local_search_starts():
             s = PointSet.of([(move(x), move(y)) for x, y in s])
             init = Matching.from_pairs(s, start)
@@ -405,6 +448,7 @@ class TestLocalSearch:
             assert out.pairs == ref.pairs, label
             assert out.cost == ref.cost, label
             assert _improving_swap(s, out) is None, label
+            assert local_search(s, out).pairs == out.pairs, label
 
     def test_threshold_follows_the_total(self):
         # The side-to-diagonal swap of the big square raises the threshold
