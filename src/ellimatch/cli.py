@@ -17,15 +17,7 @@ from typing import Any
 
 from .config import theorem_tol
 from .descent import descend
-from .instances import (
-    GENERATORS,
-    InstanceSpec,
-    OddCountError,
-    PointParseError,
-    generate,
-    load_points,
-    save_points,
-)
+from .instances import GENERATORS, InstanceSpec, generate, load_points, save_points
 from .matching import Matching, PointSet, SizeCapError, exact_max_sum, local_search
 from .report import (
     Report,
@@ -382,10 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PointParseError, OddCountError, SizeCapError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError, json.JSONDecodeError, KeyError) as e:
+    # the point-file, size-cap and JSON decode errors are all ValueErrors
+    except (OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -92,19 +92,18 @@ def save_points(s: PointSet, path: str | Path, fmt: str | None = None) -> None:
         )
 
 
-def load_points(
-    path: str | Path, fmt: str | None = None, *, require_even: bool = True
-) -> PointSet:
+def load_points(path: str | Path) -> PointSet:
+    """Read a point file written by :func:`save_points`, JSON when the suffix
+    is ``.json`` and CSV otherwise; the count must be even."""
     path = Path(path)
-    fmt = _infer_format(path, fmt)
     text = path.read_text(encoding="utf-8")
-    if fmt == "csv":
+    if _infer_format(path, None) == "csv":
         pts = _parse_csv(text)
     else:
         pts = _parse_json(text)
     if not pts:
         raise PointParseError(f"{path}: no points found")
-    if require_even and len(pts) % 2:
+    if len(pts) % 2:
         raise OddCountError(f"{path}: odd number of points ({len(pts)})")
     return PointSet.of(pts)
 

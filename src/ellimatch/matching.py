@@ -139,7 +139,7 @@ def _distance_table(pts: Sequence[Point]) -> list[list[float]]:
     return rows
 
 
-def exact_max_sum(s: PointSet, *, cap: int = EXACT_CAP) -> Matching:
+def exact_max_sum(s: PointSet) -> Matching:
     """Globally optimal max-sum matching by dynamic programming over vertex
     subsets.
 
@@ -159,8 +159,8 @@ def exact_max_sum(s: PointSet, *, cap: int = EXACT_CAP) -> Matching:
     """
     _require_even(s)
     n = len(s)
-    if n > cap:
-        raise SizeCapError(f"{n} points exceeds the exact-solver cap of {cap}")
+    if n > EXACT_CAP:
+        raise SizeCapError(f"{n} points exceeds the exact-solver cap of {EXACT_CAP}")
     d = _distance_table(s.points)
     # partners[i]: (bit, distance) for each j > i, in increasing j, since
     # the lowest unmatched index is always the one paired
@@ -224,7 +224,7 @@ def exact_max_sum(s: PointSet, *, cap: int = EXACT_CAP) -> Matching:
     return Matching.from_pairs(s, pairs)
 
 
-def brute_force_max_sum(s: PointSet, *, cap: int = BRUTE_CAP) -> Matching:
+def brute_force_max_sum(s: PointSet) -> Matching:
     """Max-sum matching by exhaustive (2n-1)!! enumeration.
 
     Independent oracle for :func:`exact_max_sum`: same tie rule (fewest zero
@@ -238,8 +238,8 @@ def brute_force_max_sum(s: PointSet, *, cap: int = BRUTE_CAP) -> Matching:
     """
     _require_even(s)
     n = len(s)
-    if n > cap:
-        raise SizeCapError(f"{n} points exceeds the brute-force cap of {cap}")
+    if n > BRUTE_CAP:
+        raise SizeCapError(f"{n} points exceeds the brute-force cap of {BRUTE_CAP}")
     pts = s.points
     d = [[dist(pts[i], pts[j]) for j in range(n)] for i in range(n)]
     best = (float("-inf"), 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from .geom import RATIO_BOUND, Point, dist
+from .geom import RATIO_BOUND, dist
 from .matching import Matching, PointSet
 from .witness import WitnessResult
 
@@ -25,22 +25,17 @@ _STYLE = (
     "  </style>\n"
 )
 
+_PIXEL_SIZE = 640  # figure width; the height follows the viewBox's aspect
+
 
 def render_svg(
     s: PointSet,
     m: Matching | None = None,
-    witness: "WitnessResult | Point | None" = None,
+    witness: WitnessResult | None = None,
     path: str | Path | None = None,
-    *,
-    lam: float = RATIO_BOUND,
-    pixel_size: int = 640,
 ) -> str:
     """Build the SVG document and, when ``path`` is given, write it there."""
-    o: Point | None
-    if isinstance(witness, WitnessResult):
-        o = witness.o_star
-    else:
-        o = witness
+    o = witness.o_star if witness is not None else None
 
     xs = [p[0] for p in s]
     ys = [p[1] for p in s]
@@ -60,8 +55,8 @@ def render_svg(
     sw = max(vw, vh) / 250.0  # stroke width in data units
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{pixel_size}" '
-        f'height="{pixel_size * vh / vw:.6g}" viewBox="{vx:.9g} {vy:.9g} {vw:.9g} {vh:.9g}">\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PIXEL_SIZE}" '
+        f'height="{_PIXEL_SIZE * vh / vw:.6g}" viewBox="{vx:.9g} {vy:.9g} {vw:.9g} {vh:.9g}">\n',
         _STYLE,
         # y-up: flip the y axis about the viewBox center line.
         f'  <g transform="translate(0,{(2 * vy + vh):.9g}) scale(1,-1)">\n',
@@ -72,8 +67,8 @@ def render_svg(
             a, b = s[i], s[j]
             d = dist(a, b)
             cx, cy = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
-            rx = lam * d / 2.0
-            ry = (d / 2.0) * math.sqrt(lam * lam - 1.0)
+            rx = RATIO_BOUND * d / 2.0
+            ry = (d / 2.0) * math.sqrt(RATIO_BOUND * RATIO_BOUND - 1.0)
             angle = math.degrees(math.atan2(b[1] - a[1], b[0] - a[0]))
             parts.append(
                 f'    <ellipse class="ratio-ellipse" cx="{cx!r}" cy="{cy!r}" '

@@ -186,55 +186,66 @@ def caratheodory_support(s: PointSet, m: Matching, o: Point) -> tuple[int, ...] 
     return optimality_certificate(s, m, o).support
 
 
-def _vertex_optimal(pts: Sequence[Point], c: Point) -> bool:
-    """Whether the data point c is a geometric median of pts: the pull of
-    the points elsewhere (the sum of unit vectors towards them) must not
-    exceed the number of points at c (Vardi and Zhang 2000)."""
+# Steiner star: the pull norm below which a Weiszfeld iterate off every data
+# point is a certified median, and the most Weiszfeld steps taken.
+STAR_GRAD_TOL = 1e-6
+STAR_MAX_ITERS = 50000
+
+
+def _pull(
+    pts: Sequence[Point], y: Point
+) -> tuple[int, float, float, float, float, float, Point]:
+    """(at, rx, ry, wx, wy, winv, near) at y: the number of points within
+    1e-13 of y, the pull (rx, ry) of the others (the sum of unit vectors
+    towards them), the Weiszfeld sums of p / |p - y| and 1 / |p - y| over
+    them, and the point nearest y, the first one on a tie."""
     at = 0
     rx = ry = 0.0
+    wx = wy = winv = 0.0
+    near = pts[0]
+    dmin = math.inf
     for p in pts:
-        d = math.hypot(p[0] - c[0], p[1] - c[1])
+        d = math.hypot(y[0] - p[0], y[1] - p[1])
+        if d < dmin:
+            near, dmin = p, d
         if d <= 1e-13:
             at += 1
-        else:
-            rx += (p[0] - c[0]) / d
-            ry += (p[1] - c[1]) / d
+            continue
+        rx += (p[0] - y[0]) / d
+        ry += (p[1] - y[1]) / d
+        winv += 1.0 / d
+        wx += p[0] / d
+        wy += p[1] / d
+    return at, rx, ry, wx, wy, winv, near
+
+
+def _vertex_optimal(pts: Sequence[Point], c: Point) -> bool:
+    """Whether the data point c is a geometric median of pts: the pull of
+    the points elsewhere must not exceed the number of points at c (Vardi
+    and Zhang 2000)."""
+    at, rx, ry = _pull(pts, c)[:3]
     return math.hypot(rx, ry) <= at + 1e-12
 
 
-def steiner_star(
-    s: PointSet, *, grad_tol: float = 1e-6, max_iters: int = 50000
-) -> tuple[Point, float, bool]:
+def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
     """Geometric-median center, its total-distance objective, and whether a
     certificate ended the iteration.
 
-    Weiszfeld iteration from the centroid.  Towards a data point that is
-    itself the median, Weiszfeld crawls at a rate close to 1, so every step
-    tests the data point nearest the iterate for vertex optimality and stops
-    there when it passes.  An iterate that lands on any other data point
-    steps along the pull of the remaining points.  The sum of unit vectors is
-    scale-free, so ``grad_tol`` certifies the center in any frame.
+    Weiszfeld iteration from the centroid, at most ``STAR_MAX_ITERS`` steps.
+    Towards a data point that is itself the median, Weiszfeld crawls at a
+    rate close to 1, so every step tests the data point nearest the iterate
+    for vertex optimality and stops there when it passes.  An iterate that
+    lands on any other data point steps along the pull of the remaining
+    points.  The sum of unit vectors is scale-free, so ``STAR_GRAD_TOL``
+    certifies the center in any frame.
     """
     frame = Frame.of(s.points)
     pts = [frame.to(p) for p in s]
     n = len(pts)
     y = (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
     converged = False
-    for _ in range(max_iters):
-        at = 0
-        rx = ry = 0.0
-        wx = wy = winv = 0.0
-        for p in pts:
-            d = math.hypot(y[0] - p[0], y[1] - p[1])
-            if d <= 1e-13:
-                at += 1
-                continue
-            rx += (p[0] - y[0]) / d
-            ry += (p[1] - y[1]) / d
-            winv += 1.0 / d
-            wx += p[0] / d
-            wy += p[1] / d
-        near = min(pts, key=lambda p: dist(p, y))
+    for _ in range(STAR_MAX_ITERS):
+        at, rx, ry, wx, wy, winv, near = _pull(pts, y)
         if _vertex_optimal(pts, near):
             y, converged = near, True
             break
@@ -243,7 +254,7 @@ def steiner_star(
             step = (rn - at) / winv
             y = (y[0] + step * rx / rn, y[1] + step * ry / rn)
         else:
-            if rn <= grad_tol:
+            if rn <= STAR_GRAD_TOL:
                 converged = True
                 break  # subgradient certificate
             y2 = (wx / winv, wy / winv)

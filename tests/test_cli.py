@@ -247,6 +247,30 @@ class TestVerifyAndDescend:
         assert data["verdicts"]["descent"]["status"] == "ok"
         assert len(data["trace"]) == 1
 
+    def test_descend_step_limit_exits_one(self, tmp_path, capsys):
+        pts = tmp_path / "u.csv"
+        assert main(["gen", "--n", "8", "--seed", "0", "--out", str(pts)]) == 0
+        code, out = run(
+            capsys, "descend", "--points", str(pts), "--init-seed", "0", "--max-steps", "1"
+        )
+        assert code == 1
+        data = json.loads(out)
+        assert data["verdicts"]["descent"] == {"status": "step_limit", "steps": 1}
+
+    def test_descend_non_convergence_exits_three(self, tmp_path, capsys, monkeypatch):
+        from ellimatch import descent
+
+        solve = descent.minimize_h
+        monkeypatch.setattr(
+            descent, "minimize_h", lambda s, m: dataclasses.replace(solve(s, m), converged=False)
+        )
+        pts = self.write_square(tmp_path)
+        code, out = run(capsys, "descend", "--points", str(pts))
+        assert code == 3
+        data = json.loads(out)
+        assert data["verdicts"]["descent"]["status"] == "solver_failure"
+        assert data["witness"]["converged"] is False
+
     def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
         pts = self.write_square(tmp_path)
         mfile = tmp_path / "m.json"

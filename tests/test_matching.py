@@ -250,11 +250,6 @@ class TestExactMaxSum:
         with pytest.raises(ValueError):
             exact_max_sum(PointSet.of([(0, 0), (1, 0), (2, 0)]))
 
-    def test_cap_enforced(self):
-        s = generate(InstanceSpec("uniform-square", 12, 0))
-        with pytest.raises(SizeCapError):
-            exact_max_sum(s, cap=10)
-
     def test_default_cap_refuses_26_before_any_work(self, monkeypatch):
         s = generate(InstanceSpec("uniform-square", 26, 0))
 

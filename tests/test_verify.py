@@ -17,6 +17,7 @@ from conftest import (
 )
 from ellimatch import (
     RATIO_BOUND,
+    DegenerateEdgeError,
     InstanceSpec,
     Matching,
     PointSet,
@@ -102,6 +103,22 @@ class TestCheckFingerhut:
         assert not v.passed
         assert not vt.passed
         assert vt.tolerance == k * v.tolerance
+
+    @pytest.mark.parametrize(
+        "move",
+        [lambda c: c, lambda c: c * 2.0**-40, lambda c: c + 2.0**49],
+        ids=["unit", "scaled-2^-40", "offset-2^49"],
+    )
+    def test_short_edge_is_degenerate_for_witness_and_verdict(self, move):
+        # Both paths reject an edge of length <= EPS_GEO in the unit frame
+        # (here 5e-10), although the ratio itself is defined on it; this
+        # pins the one threshold they share today.
+        s = PointSet.of([(move(x), move(y)) for x, y in [(0, 0), (5e-10, 0), (1, 1), (0, 1)]])
+        m = Matching.from_pairs(s, [(0, 1), (2, 3)])
+        with pytest.raises(DegenerateEdgeError):
+            minimize_h(s, m)
+        with pytest.raises(DegenerateEdgeError):
+            check_fingerhut(s, m, (move(0.5), move(0.5)))
 
 
 class TestVerdictInvariant:

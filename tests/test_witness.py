@@ -330,7 +330,8 @@ class TestSteinerStar:
         assert center == s[0]
         assert t == pytest.approx(sum(dist(s[0], p) for p in s), rel=1e-15)
 
-    def test_iteration_limit_reported(self):
+    def test_iteration_limit_reported(self, monkeypatch):
         s = PointSet.of([(0, 0), (3, 1), (1, 4), (5, 5)])
         assert steiner_star(s)[2]
-        assert not steiner_star(s, max_iters=1)[2]
+        monkeypatch.setattr(witness, "STAR_MAX_ITERS", 1)
+        assert not steiner_star(s)[2]
