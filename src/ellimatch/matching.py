@@ -14,6 +14,13 @@ from .geom import Point, dist
 EXACT_CAP = 24
 BRUTE_CAP = 12
 
+# exact_max_sum's tolerances, relative to the potentials' total: an edge is
+# tight when its slack is at most _TIGHT_REL of it, and the DP on tight
+# edges stands when it comes within _GAP_REL of it.  _GAP_REL < _TIGHT_REL
+# is what makes the restriction exact.
+_TIGHT_REL = 1e-12
+_GAP_REL = 0.5e-12
+
 
 class SizeCapError(ValueError):
     """Instance exceeds the solver's configured size cap."""
@@ -139,36 +146,76 @@ def _distance_table(pts: Sequence[Point]) -> list[list[float]]:
     return rows
 
 
-def exact_max_sum(s: PointSet) -> Matching:
-    """Globally optimal max-sum matching by dynamic programming over vertex
-    subsets.
+def _potentials(d: Sequence[Sequence[float]]) -> list[float]:
+    """Vertex potentials y with y_i + y_j >= d[i][j] for every i != j, and
+    sum(y) half the optimum of the assignment relaxation, so at least the
+    cost of every perfect matching.  Both hold up to rounding: pairs fell
+    short by at most 1.3e-16 of sum(y) on the benchmark's 349 reference
+    sets, as given, scaled by 2^-40 and offset by 1e12.
 
-    State: the set of already-matched indices; the lowest unmatched index is
-    always paired next, against every other unmatched one.  So after k pairs
-    a state holds indices 0..k-1 and k higher ones, and only F(n+1) states
-    (Fibonacci) are reachable from the empty one: 10,946 at n = 20 and
-    75,025 at n = 24.  They are visited by memoized recursion of depth n/2,
-    each scanning at most n - 1 partners.  Each state holds one float, the
-    best total over its unmatched points.  Exact cost ties are broken
-    toward the fewest zero-length edges (duplicated points can tie a
-    degenerate pairing with a proper one, and downstream witness math needs
-    proper edges), then toward the lexicographically smallest canonical pair
-    list.  The zero-edge count of a state's optimum is stored only where it
-    is nonzero, and read only where a partner reaches the running best:
-    about ln r + 0.6 times in r partners whose totals come in random order.
+    Kuhn-Munkres in potentials form (shortest augmenting paths, O(n^3)) on
+    the costs -d[i][j], with the diagonal excluded, gives duals u, v with
+    u_i + v_j <= -d[i][j]; y_i = -(u_i + v_i) / 2 then bounds both orders
+    of each pair.
     """
-    _require_even(s)
-    n = len(s)
-    if n > EXACT_CAP:
-        raise SizeCapError(f"{n} points exceeds the exact-solver cap of {EXACT_CAP}")
-    d = _distance_table(s.points)
-    # partners[i]: (bit, distance) for each j > i, in increasing j, since
-    # the lowest unmatched index is always the one paired
-    partners = [[(1 << j, d[i][j]) for j in range(i + 1, n)] for i in range(n)]
-    full = (1 << n) - 1
+    n = len(d)
+    # rows and columns are 1-based: column 0 is the root of each row's
+    # augmenting path, and way[j] the column before j on that path
+    cost = [[]]
+    for i, row in enumerate(d):
+        c = [0.0, *(-x for x in row)]
+        c[i + 1] = math.inf
+        cost.append(c)
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    row_of = [0] * (n + 1)  # the row assigned to each column, 0 if none
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        free = list(range(1, n + 1))  # columns not yet on the path tree
+        done = [0]
+        while row_of[j0]:
+            i0 = row_of[j0]
+            ci, ui = cost[i0], u[i0]
+            delta = math.inf
+            j1 = 0
+            for j in free:
+                cur = ci[j] - ui - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in done:
+                u[row_of[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(j1)
+            done.append(j1)
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return [-(u[i] + v[i]) / 2 for i in range(1, n + 1)]
+
+
+def _max_sum_pairs(
+    partners: Sequence[Sequence[tuple[int, float]]],
+) -> tuple[float, list[tuple[int, int]]]:
+    """The best total over the perfect matchings made of ``partners`` edges,
+    and its pairs under :func:`exact_max_sum`'s tie rule; (-inf, []) when
+    they hold none.  ``partners[i]`` lists (1 << j, d_ij) for the allowed
+    j > i in increasing j, since the lowest unmatched index is always the
+    one paired."""
+    full = (1 << len(partners)) - 1
     # value[mask] = best total over the points NOT in mask; zeros[mask] =
     # the fewest zero-length edges among those optima, absent when 0.
-    # Comparing (value, -zeros) pairs is the tie rule above, and its first
+    # Comparing (value, -zeros) pairs is the tie rule, and its first
     # component alone is the plain float DP.
     value: dict[int, float] = {full: 0.0}
     zeros: dict[int, int] = {}
@@ -197,10 +244,12 @@ def exact_max_sum(s: PointSet) -> Matching:
             zeros[mask] = best_zeros
         return best
 
-    solve(0)
+    total = solve(0)
     # solve's closure holds solve itself; break that cycle so the tables are
     # freed on return, not at some later cyclic garbage collection
     del solve
+    if total == -math.inf:
+        return total, []
 
     pairs = []
     mask = 0
@@ -221,6 +270,69 @@ def exact_max_sum(s: PointSet) -> Matching:
                     break
         else:  # pragma: no cover - unreachable by construction
             raise AssertionError("DP reconstruction failed")
+    return total, pairs
+
+
+def exact_max_sum(s: PointSet) -> Matching:
+    """Globally optimal max-sum matching: a dynamic program over vertex
+    subsets, run on the edges that assignment potentials make tight.
+
+    Potentials: :func:`_potentials` solves the assignment relaxation
+    (Kuhn-Munkres, O(n^3)) and returns y with y_i + y_j >= |p_i p_j| on
+    every pair, up to rounding; every y_i is then raised by half the
+    largest shortfall, so that this holds whatever y came back, and a
+    wrong y can cost time but not the answer.  A perfect matching's edge
+    slacks y_i + y_j - |p_i p_j| sum to sum(y) - cost, so sum(y) bounds
+    every cost.  An edge is tight when its slack is at most
+    ``_TIGHT_REL`` * sum(y) (1e-12).
+
+    DP: state is the set of already-matched indices; the lowest unmatched
+    index is always paired next, against every other unmatched one that an
+    allowed edge reaches.  So after k pairs a state holds indices 0..k-1
+    and k higher ones: at most F(n+1) states (Fibonacci), 75,025 at
+    n = 24, visited by memoized recursion of depth n/2.  Each state holds
+    one float, the best total over its unmatched points.  Exact cost ties
+    are broken toward the fewest zero-length edges (duplicated points can
+    tie a degenerate pairing with a proper one, and downstream witness math
+    needs proper edges), then toward the lexicographically smallest
+    canonical pair list.  The zero-edge count of a state's optimum is
+    stored only where it is nonzero, and read only where a partner reaches
+    the running best: about ln r + 0.6 times in r partners whose totals
+    come in random order.
+
+    The DP runs first on the tight edges alone.  If their optimum is below
+    sum(y) by more than ``_GAP_REL`` * sum(y) (0.5e-12), or they hold no
+    perfect matching (a relaxation that is not tight: an odd cycle, or a
+    degenerate dual), it runs again on all edges.  The restriction changes
+    no result: once the gap check passes, the unrestricted optimum passes
+    it too, so every matching within rounding of that optimum has slacks
+    summing to at most ``_GAP_REL`` * sum(y) plus rounding, and each of its
+    edges, having slack >= 0 up to rounding, is tight since ``_GAP_REL`` <
+    ``_TIGHT_REL``.  The unrestricted DP's choice at each state on its
+    reconstruction path ties only completions of such matchings; every
+    other candidate there is lower by more than rounding, and the
+    restricted DP never rates a candidate higher.  So both make the same
+    choices from the same floats and zero counts: the same pairs and cost
+    bits.
+    """
+    _require_even(s)
+    n = len(s)
+    if n > EXACT_CAP:
+        raise SizeCapError(f"{n} points exceeds the exact-solver cap of {EXACT_CAP}")
+    d = _distance_table(s.points)
+    y = _potentials(d)
+    short = max(d[i][j] - y[i] - y[j] for i in range(n) for j in range(i + 1, n))
+    if short > 0.0:
+        y = [t + short / 2 for t in y]
+    bound = sum(y)
+    slack_tol = _TIGHT_REL * bound
+    tight = [
+        [(1 << j, d[i][j]) for j in range(i + 1, n) if y[i] + y[j] - d[i][j] <= slack_tol]
+        for i in range(n)
+    ]
+    best, pairs = _max_sum_pairs(tight)
+    if best < bound - _GAP_REL * bound:
+        _, pairs = _max_sum_pairs([[(1 << j, d[i][j]) for j in range(i + 1, n)] for i in range(n)])
     return Matching.from_pairs(s, pairs)
 
 
@@ -230,11 +342,11 @@ def brute_force_max_sum(s: PointSet) -> Matching:
     Independent oracle for :func:`exact_max_sum`: same tie rule (fewest zero
     edges, then lex-least) and the same right-nested summation order when
     scoring a pairing.  The two agree in cost to within an ulp, but not
-    always in pairs: the DP takes each subproblem's maximum after rounding,
-    so where pairings tie in exact arithmetic (collinear points, say),
-    rounding can favour a different one in each solver.  Enumeration pairs
-    the lowest free index first and scans partners in increasing order,
-    making the first optimum found the lex-least one.
+    always in pairs: :func:`exact_max_sum` takes each subproblem's maximum
+    after rounding, so where pairings tie in exact arithmetic (collinear
+    points, say), rounding can favour a different one in each solver.
+    Enumeration pairs the lowest free index first and scans partners in
+    increasing order, making the first optimum found the lex-least one.
     """
     _require_even(s)
     n = len(s)

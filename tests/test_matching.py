@@ -155,6 +155,92 @@ def _full_mask_dp(s: PointSet) -> Matching:
     return Matching.from_pairs(s, pairs)
 
 
+def _reachable_state_dp(s: PointSet) -> Matching:
+    """Reference for exact_max_sum above 16 points, where _full_mask_dp is
+    too slow: the same memoized DP over the F(n+1) states reachable from
+    the empty one, with the same float values, zero counts, tie rule and
+    reconstruction, on every edge instead of only the tight ones."""
+    n = len(s)
+    pts = s.points
+    d = [[dist(pts[i], pts[j]) for j in range(n)] for i in range(n)]
+    partners = [[(1 << j, d[i][j]) for j in range(i + 1, n)] for i in range(n)]
+    full = (1 << n) - 1
+    value: dict[int, float] = {full: 0.0}
+    zeros: dict[int, int] = {}
+
+    def solve(mask: int) -> float:
+        rem = ~mask & full
+        bi = rem & -rem
+        base = mask | bi
+        best = -math.inf
+        best_zeros = 0
+        for bj, dij in partners[bi.bit_length() - 1]:
+            if rem & bj:
+                child = base | bj
+                rest = value.get(child)
+                if rest is None:
+                    rest = solve(child)
+                v = dij + rest
+                if v >= best:
+                    z = zeros.get(child, 0) + (dij == 0.0)
+                    if v > best or z < best_zeros:
+                        best = v
+                        best_zeros = z
+        value[mask] = best
+        if best_zeros:
+            zeros[mask] = best_zeros
+        return best
+
+    solve(0)
+    pairs = []
+    mask = 0
+    while mask != full:
+        rem = ~mask & full
+        bi = rem & -rem
+        i = bi.bit_length() - 1
+        target = (value[mask], zeros.get(mask, 0))
+        for bj, dij in partners[i]:
+            if rem & bj:
+                child = mask | bi | bj
+                if (dij + value[child], zeros.get(child, 0) + (dij == 0.0)) == target:
+                    pairs.append((i, bj.bit_length() - 1))
+                    mask = child
+                    break
+    return Matching.from_pairs(s, pairs)
+
+
+def _oracle_family(name: str, n: int) -> PointSet:
+    """The degenerate families checked against _reachable_state_dp."""
+    rng = random.Random(n)
+    if name == "circle":
+        coords = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+    elif name == "strip":
+        coords = [(rng.random(), 1e-7 * rng.random()) for _ in range(n)]
+    elif name == "integer-collinear":
+        coords = [(rng.randrange(2 * n), 0) for _ in range(n)]
+    elif name == "grid":
+        coords = [(rng.randrange(4), rng.randrange(4)) for _ in range(n)]
+    elif name == "coincident":
+        coords = [(3.5, -1.25)] * n
+    else:  # offset-1e12
+        coords = [(1e12 + x, 1e12 + y) for x, y in generate(InstanceSpec("uniform-square", n, n))]
+    return PointSet.of(coords)
+
+
+def _count_dp_runs(monkeypatch) -> list[int]:
+    """Count exact_max_sum's DP runs: 1 on the tight edges, 2 with the
+    fallback to all edges."""
+    runs = [0]
+    dp = matching._max_sum_pairs
+
+    def counted(partners):
+        runs[0] += 1
+        return dp(partners)
+
+    monkeypatch.setattr(matching, "_max_sum_pairs", counted)
+    return runs
+
+
 def _doubled_regular_polygon(k: int) -> list[tuple[float, float]]:
     """Regular k-gon on the unit circle, every vertex twice."""
     vertices = [(math.cos(2 * math.pi * i / k), math.sin(2 * math.pi * i / k)) for i in range(k)]
@@ -309,6 +395,86 @@ class TestExactMaxSum:
     def test_bit_identical_to_full_mask_dp_on_grid_ties(self, coords):
         # a 4x4 integer grid forces duplicated points and exact cost ties
         _assert_same_as_full_mask_dp(PointSet.of(coords))
+
+    @pytest.mark.parametrize(
+        "s",
+        [
+            SQUARE,
+            DOUBLED_TRIANGLE,
+            PointSet.of([(x, 0) for x in (3, 3, 2, 4, 2, 4, 1, 5, 1, 5, 0, 6, 0, 6)]),
+            generate(InstanceSpec("uniform-square", 12, 0)),
+        ],
+        ids=["square", "doubled-triangle", "duplicated-collinear", "uniform-12"],
+    )
+    def test_fallback_reruns_on_all_edges(self, monkeypatch, s):
+        # potentials raised by 1e-6 of themselves put sum(y) above every
+        # matching's cost by far more than the gap bound, so the DP on the
+        # tight edges never stands and reruns on all edges
+        potentials = matching._potentials
+        monkeypatch.setattr(
+            matching, "_potentials", lambda d: [t * (1 + 1e-6) for t in potentials(d)]
+        )
+        runs = _count_dp_runs(monkeypatch)
+        got, want = exact_max_sum(s), _full_mask_dp(s)
+        assert runs[0] == 2
+        assert got.pairs == want.pairs
+        assert got.cost == want.cost
+
+    def test_infeasible_potentials_cannot_change_the_answer(self, monkeypatch):
+        # Taken as given, these make the square's sides tight at sum(y) = 2
+        # and leave the diagonal (0, 2) slack, so the DP on the tight edges
+        # alone would return the sides.  Raised to feasibility, sum(y)
+        # exceeds every cost, and the DP reruns on all edges.
+        monkeypatch.setattr(matching, "_potentials", lambda d: [0.75, 0.25, 0.75, 0.25])
+        runs = _count_dp_runs(monkeypatch)
+        assert exact_max_sum(SQUARE).pairs == ((0, 2), (1, 3))
+        assert runs[0] == 2
+
+    @pytest.mark.parametrize(
+        "move",
+        [lambda x: x, lambda x: math.ldexp(x, -40), lambda x: x + 1e12],
+        ids=["plain", "scaled-2^-40", "offset-1e12"],
+    )
+    def test_potentials_bound_every_pair_and_close_the_gap(self, move):
+        # the benchmark's n = 16-20 sets: y is dual feasible, sum(y) bounds
+        # the optimum, and the gap is below the tight-edge tolerance, all
+        # relative to sum(y)
+        workloads = load_perfbench("workloads")
+        keys = [k for k in workloads.load_reference() if 16 <= int(k.split("/")[1]) <= 20]
+        assert len(keys) == 48
+        for key in keys:
+            generator, n, iseed = key.split("/")
+            inst = workloads.make_instance(generator, int(n), iseed)
+            s = PointSet.of([(move(x), move(y)) for x, y in inst.points])
+            d = matching._distance_table(s.points)
+            y = matching._potentials(d)
+            total = sum(y)
+            for i in range(len(s)):
+                for j in range(i + 1, len(s)):
+                    assert y[i] + y[j] >= d[i][j] - 1e-14 * total, (key, i, j)
+            best = exact_max_sum(s).cost
+            assert total >= best - 1e-14 * total, key
+            assert total - best <= 1e-12 * total, key
+
+    @pytest.mark.parametrize(
+        "family, n",
+        [
+            (family, n)
+            for family in ("circle", "strip", "integer-collinear", "grid", "offset-1e12")
+            for n in (18, 20, 24)
+        ]
+        + [("coincident", 24)],
+    )
+    def test_bit_identical_to_reachable_state_dp(self, monkeypatch, family, n):
+        # up to the cap, on sets full of exact ties; the tight edges alone
+        # carry the optimum, so the DP runs once
+        s = _oracle_family(family, n)
+        runs = _count_dp_runs(monkeypatch)
+        got = exact_max_sum(s)
+        want = _reachable_state_dp(s)
+        assert runs[0] == 1
+        assert got.pairs == want.pairs
+        assert got.cost == want.cost
 
     def test_reproduces_the_benchmark_reference(self):
         # every pair list the benchmark checks exact answers against: 300
