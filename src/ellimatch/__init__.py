@@ -1,7 +1,6 @@
 """Max-sum matchings of planar point sets, minimax witness points, and
 ellipse-intersection certificates."""
 
-from .config import DEFAULT_THEOREM_TOL, theorem_tol
 from .descent import (
     AlternatingCycle,
     BicoloredGraph,
@@ -13,6 +12,7 @@ from .descent import (
     find_alternating_cycle,
 )
 from .geom import (
+    DEFAULT_THEOREM_TOL,
     EPS_GEO,
     RATIO_BOUND,
     DegenerateEdgeError,

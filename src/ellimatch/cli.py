@@ -3,20 +3,23 @@ verdict checks, descend, render figures, and batch suites.
 
 Exit codes: 0 success, 1 verdict/descent failure, 2 input error, 3 solver
 non-convergence.  Identical command lines (same seeds) produce byte-identical
-JSON output.
+JSON output.  The tolerance on the ratio bound is resolved here, once per
+command, and passed down as a float: the library reads no environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import random
 import sys
 from pathlib import Path
 from typing import Any
 
-from .config import theorem_tol
 from .descent import descend
+from .geom import DEFAULT_THEOREM_TOL
 from .instances import GENERATORS, InstanceSpec, generate, load_points, save_points
 from .matching import Matching, PointSet, SizeCapError, exact_max_sum, local_search
 from .report import (
@@ -153,6 +156,21 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
+def _theorem_tol(flag: float | None) -> float:
+    """The tolerance on the ratio bound: ``--tol``, else the TVERBERG_TOL
+    environment variable, else DEFAULT_THEOREM_TOL.  Either source must
+    give a finite positive value."""
+    raw = flag if flag is not None else os.environ.get("TVERBERG_TOL")
+    if raw is None:
+        return DEFAULT_THEOREM_TOL
+    value = float(raw)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(
+            f"tolerance (--tol or TVERBERG_TOL) must be finite and positive, got {raw}"
+        )
+    return value
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     s = generate(InstanceSpec(args.generator, args.n, args.seed))
     save_points(s, args.out, args.format)
@@ -188,16 +206,12 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _run_checks(
-    s: PointSet,
-    m: Matching | None,
-    names: list[str],
-    tol: float | None,
+    s: PointSet, m: Matching | None, names: list[str], tol: float
 ) -> tuple[dict[str, Any], Matching | None, bool, bool]:
     """Run the named checks; returns (verdict dicts, matching used, all
     passed, any solver trouble).  Theorem and suri judge the exact max-sum
     matching, the others ``m`` (the exact one when None); each matching and
     its witness are solved once."""
-    tol = theorem_tol(tol)  # rejected even when no named check reads it
     verdicts: dict[str, Any] = {}
     solver_trouble = False
     exact = None
@@ -236,7 +250,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if not names:
         names = list(CHECK_NAMES)
     m = _load_matching(args.matching, s) if args.matching else None
-    verdicts, m_used, all_pass, trouble = _run_checks(s, m, names, args.tol)
+    tol = _theorem_tol(args.tol)  # rejected even when no named check reads it
+    verdicts, m_used, all_pass, trouble = _run_checks(s, m, names, tol)
     report = Report(
         instance=instance_dict(s),
         matching=matching_dict(m_used) if m_used is not None else None,
@@ -256,7 +271,7 @@ def _cmd_descend(args: argparse.Namespace) -> int:
         init = _random_matching(s, args.init_seed)
     else:
         init = _sequential_matching(s)
-    result = descend(s, init, max_steps=args.max_steps, tol=args.tol)
+    result = descend(s, init, max_steps=args.max_steps, tol=_theorem_tol(args.tol))
     report = Report(
         instance=instance_dict(s),
         matching=matching_dict(result.matching),
@@ -278,26 +293,23 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def run_suite(
-    count: int,
-    sizes: list[int],
-    seed: int,
-    checks: list[str],
-    *,
-    generator: str = "uniform-square",
-    include_doubled: bool = False,
-    tol: float | None = None,
-) -> tuple[dict[str, Any], int]:
+def _cmd_suite(args: argparse.Namespace) -> int:
     """Generate -> solve -> check over seeded instances; the aggregate keeps
-    per-instance records ordered by index and the minimum margin seen.  A
-    ``count`` below 1 is an input error (ValueError)."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    per-instance records ordered by index and the minimum margin seen."""
+    sizes = _parse_sizes(args.sizes)
+    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    unknown = [c for c in checks if c not in CHECK_NAMES]
+    if unknown:
+        raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
+    if args.count < 1:
+        raise ValueError(f"count must be at least 1, got {args.count}")
+    tol = _theorem_tol(args.tol)
     specs = [
-        InstanceSpec(generator, sizes[i % len(sizes)], seed + i) for i in range(count)
+        InstanceSpec(args.generator, sizes[i % len(sizes)], args.seed + i)
+        for i in range(args.count)
     ]
-    if include_doubled:
-        specs.append(InstanceSpec("doubled-polygon", 6, seed))
+    if args.include_doubled:
+        specs.append(InstanceSpec("doubled-polygon", 6, args.seed))
     records = []
     min_margin: float | None = None
     all_pass = True
@@ -324,38 +336,21 @@ def run_suite(
                 min_margin = v["margin"]
     aggregate = {
         "suite": {
-            "count": count,
+            "count": args.count,
             "sizes": sizes,
-            "seed": seed,
-            "generator": generator,
+            "seed": args.seed,
+            "generator": args.generator,
             "checks": checks,
-            "tolerance": theorem_tol(tol),
+            "tolerance": tol,
         },
         "instances": records,
         "min_margin": min_margin,
         "all_passed": all_pass,
     }
-    code = EXIT_SOLVER if trouble else (EXIT_OK if all_pass else EXIT_VERDICT)
-    return aggregate, code
-
-
-def _cmd_suite(args: argparse.Namespace) -> int:
-    sizes = _parse_sizes(args.sizes)
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    unknown = [c for c in checks if c not in CHECK_NAMES]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")
-    aggregate, code = run_suite(
-        args.count,
-        sizes,
-        args.seed,
-        checks,
-        generator=args.generator,
-        include_doubled=args.include_doubled,
-        tol=args.tol,
-    )
     _emit(json.dumps(aggregate, indent=2, sort_keys=True), args.out)
-    return code
+    if trouble:
+        return EXIT_SOLVER
+    return EXIT_OK if all_pass else EXIT_VERDICT
 
 
 _COMMANDS = {

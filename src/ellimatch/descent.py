@@ -12,8 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .config import theorem_tol
-from .geom import EPS_GEO, RATIO_BOUND, DegenerateEdgeError, Frame, Point, dist, norm
+from .geom import (
+    DEFAULT_THEOREM_TOL,
+    EPS_GEO,
+    RATIO_BOUND,
+    DegenerateEdgeError,
+    Frame,
+    Point,
+    dist,
+    edge_lengths,
+    norm,
+)
 from .matching import (
     Matching,
     PointSet,
@@ -255,11 +264,6 @@ class DescentResult:
         return self.status == "ok"
 
 
-def _has_zero_edge(s: PointSet, m: Matching) -> bool:
-    """Whether an edge of m is degenerate; s is in its unit frame."""
-    return any(dist(s[i], s[j]) <= EPS_GEO for i, j in m.pairs)
-
-
 def _find_improving_cycle(
     s: PointSet, m: Matching, w: WitnessResult
 ) -> AlternatingCycle | None:
@@ -276,7 +280,11 @@ def _find_improving_cycle(
 
 
 def descend(
-    s: PointSet, init: Matching, *, max_steps: int = 500, tol: float | None = None
+    s: PointSet,
+    init: Matching,
+    *,
+    max_steps: int = 500,
+    tol: float = DEFAULT_THEOREM_TOL,
 ) -> DescentResult:
     """Improve a matching by alternating-cycle swaps until its minimax ratio
     is within tolerance of 2/sqrt(3).
@@ -294,13 +302,16 @@ def descend(
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     validate_pairs(s, init.pairs)
-    tol = theorem_tol(tol)
     frame = Frame.of(s.points)
     fs = PointSet(tuple(frame.to(p) for p in s))
     m = init
-    if _has_zero_edge(fs, m):
+    try:
+        edge_lengths(fs.points, m.pairs)
+    except DegenerateEdgeError:
         m = local_search(s, m)
-        if _has_zero_edge(fs, m):
+        try:
+            edge_lengths(fs.points, m.pairs)
+        except DegenerateEdgeError:
             return DescentResult(m, None, (), "degenerate_edges")
 
     trace: list[DescentStep] = []

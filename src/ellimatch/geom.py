@@ -8,7 +8,7 @@ points into the unit-square :class:`Frame` before relying on them.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 Point = tuple[float, float]
@@ -19,6 +19,9 @@ EPS_GEO = 1e-9
 # The minimax distance-sum ratio bound 2/sqrt(3), attained exactly by the
 # doubled equilateral triangle.
 RATIO_BOUND = 2.0 / math.sqrt(3.0)
+
+# Default slack accepted on RATIO_BOUND by the theorem-level checks.
+DEFAULT_THEOREM_TOL = 1e-6
 
 _TWO_PI = 2.0 * math.pi
 
@@ -63,6 +66,23 @@ class FocusError(ValueError):
 def dist(a: Point, b: Point) -> float:
     """Euclidean distance between two points."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def edge_lengths(
+    points: Sequence[Point] | Mapping[int, Point],
+    pairs: Sequence[tuple[int, int]],
+    scale: float = 1.0,
+) -> list[float]:
+    """Length of each edge ij of ``points[i]``, ``points[j]``.  An edge no
+    longer than ``EPS_GEO * scale``, ``scale`` being the points' frame scale
+    (1 for framed points), is degenerate: :class:`DegenerateEdgeError`."""
+    lengths = []
+    for i, j in pairs:
+        d = dist(points[i], points[j])
+        if d <= EPS_GEO * scale:
+            raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
+        lengths.append(d)
+    return lengths
 
 
 def norm(x: Point) -> float:

@@ -127,6 +127,14 @@ def _parse_csv(text: str) -> list[tuple[float, float]]:
     return pts
 
 
+def _finite_number(c: object) -> bool:
+    """Whether a JSON value is a number, not a boolean, in float range."""
+    try:
+        return type(c) in (int, float) and math.isfinite(c)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 def _parse_json(text: str) -> list[tuple[float, float]]:
     try:
         data = json.loads(text)
@@ -142,7 +150,7 @@ def _parse_json(text: str) -> list[tuple[float, float]]:
         if (
             not isinstance(item, list)
             or len(item) != 2
-            or not all(isinstance(c, (int, float)) and math.isfinite(c) for c in item)
+            or not all(_finite_number(c) for c in item)
         ):
             raise PointParseError(f"points[{idx}]: expected a finite [x, y] pair, got {item!r}")
         pts.append((float(item[0]), float(item[1])))

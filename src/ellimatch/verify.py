@@ -8,7 +8,8 @@ triples: Helly's theorem puts the global minimax value on some triple, the
 witness's certificate names it, and one solve of those edges bounds the
 global value from below while the witness's own value bounds it from above.
 Every verdict reports a signed margin (positive = satisfied) so tightness
-can be analyzed, not just pass/fail.
+can be analyzed, not just pass/fail.  ``tol`` is the slack on the ratio
+bound, ``DEFAULT_THEOREM_TOL`` unless the caller passes one.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .config import theorem_tol
-from .geom import EPS_GEO, RATIO_BOUND, Frame, Point, DegenerateEdgeError, dist
+from .geom import DEFAULT_THEOREM_TOL, EPS_GEO, RATIO_BOUND, Frame, Point, dist, edge_lengths
 from .matching import Matching, PointSet, validate_pairs
 from .minimax import Piece
 from .witness import WitnessResult, minimize_h_over_edges, solve_in_frame, steiner_star
@@ -36,7 +36,7 @@ class Verdict:
 
 
 def check_fingerhut(
-    s: PointSet, m: Matching, o: Point, *, tol: float | None = None
+    s: PointSet, m: Matching, o: Point, *, tol: float = DEFAULT_THEOREM_TOL
 ) -> Verdict:
     """Per-edge bound at a candidate witness: every matched edge ab must
     satisfy |a-o| + |b-o| <= (2/sqrt(3)) |a-b|.
@@ -44,20 +44,14 @@ def check_fingerhut(
     Margin is the smallest absolute slack over the edges; the tolerance is
     relative to the longest edge so the verdict is scale-free.
     """
-    tol = theorem_tol(tol)
     validate_pairs(s, m.pairs)
-    slacks = []
-    max_len = 0.0
-    zero = EPS_GEO * Frame.of(s.points).scale
-    for i, j in m.pairs:
-        a, b = s[i], s[j]
-        d = dist(a, b)
-        if d <= zero:
-            raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
-        max_len = max(max_len, d)
-        slacks.append(RATIO_BOUND * d - (dist(a, o) + dist(b, o)))
+    lengths = edge_lengths(s.points, m.pairs, Frame.of(s.points).scale)
+    slacks = [
+        RATIO_BOUND * d - (dist(s[i], o) + dist(s[j], o))
+        for (i, j), d in zip(m.pairs, lengths)
+    ]
     margin = min(slacks)
-    tolerance = tol * max_len
+    tolerance = tol * max(lengths)
     return Verdict(
         name="fingerhut",
         passed=margin >= -tolerance,
@@ -67,10 +61,11 @@ def check_fingerhut(
     )
 
 
-def check_theorem(m: Matching, w: WitnessResult, *, tol: float | None = None) -> Verdict:
+def check_theorem(
+    m: Matching, w: WitnessResult, *, tol: float = DEFAULT_THEOREM_TOL
+) -> Verdict:
     """Max-sum matching minimax bound: given the max-sum matching ``m`` and
     its witness ``w``, require lambda* <= 2/sqrt(3) + tol."""
-    tol = theorem_tol(tol)
     # lambda_star is a genuine function value, so the margin test is sound
     # even for a non-converged solve (it can only under-report the slack);
     # callers escalate non-convergence separately via details["converged"].
@@ -91,7 +86,7 @@ def check_theorem(m: Matching, w: WitnessResult, *, tol: float | None = None) ->
 
 
 def check_helly_triples(
-    s: PointSet, m: Matching, w: WitnessResult, *, tol: float | None = None
+    s: PointSet, m: Matching, w: WitnessResult, *, tol: float = DEFAULT_THEOREM_TOL
 ) -> Verdict:
     """Consistency of the support-restricted minimax verdict with the global
     one, ``w`` being the witness of all of ``m``.
@@ -109,7 +104,6 @@ def check_helly_triples(
     the distance of the nearer value to the threshold, negated on
     discordance.
     """
-    tol = theorem_tol(tol)
     validate_pairs(s, m.pairs)
     threshold = RATIO_BOUND + tol
     support = [e for e, mu in w.certificate if mu > 0.0]
@@ -130,11 +124,12 @@ def check_helly_triples(
     )
 
 
-def check_suri(s: PointSet, m: Matching, *, tol: float | None = None) -> Verdict:
+def check_suri(
+    s: PointSet, m: Matching, *, tol: float = DEFAULT_THEOREM_TOL
+) -> Verdict:
     """Steiner-star bound: the geometric-median objective t(S) must not
     exceed (2/sqrt(3)) times the cost of the max-sum matching ``m``; the
     tolerance is relative to that cost."""
-    tol = theorem_tol(tol)
     center, t, converged = steiner_star(s)
     margin = RATIO_BOUND * m.cost - t
     tolerance = tol * m.cost

@@ -20,7 +20,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .geom import EPS_GEO, Frame, Point, DegenerateEdgeError, dist, norm
+from .geom import Frame, Point, dist, edge_lengths, norm
 from .matching import Matching, PointSet, validate_pairs
 from .minimax import EPS_CERT, MinimaxResult, Piece, _certificate, minimize_max
 
@@ -95,12 +95,8 @@ def _frame_pieces(
     used = sorted({k for p in pairs for k in p})
     frame = Frame.of([s[k] for k in used])
     npts = {k: frame.to(s[k]) for k in used}
-    pieces = []
-    for i, j in pairs:
-        d = dist(npts[i], npts[j])
-        if d <= EPS_GEO:
-            raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
-        pieces.append(piece(npts[i], npts[j], d))
+    lengths = edge_lengths(npts, pairs)
+    pieces = [piece(npts[i], npts[j], d) for (i, j), d in zip(pairs, lengths)]
     return pieces, npts, frame
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 
+import ellimatch
 from conftest import count_calls
 from ellimatch import exact_max_sum, minimize_h
 from ellimatch.cli import main
@@ -271,6 +274,46 @@ class TestVerifyAndDescend:
         assert data["verdicts"]["descent"]["status"] == "solver_failure"
         assert data["witness"]["converged"] is False
 
+    @pytest.mark.parametrize("env", ["bad", "-3", "nan"])
+    @pytest.mark.parametrize("command", ["verify", "descend", "suite"])
+    def test_invalid_env_tolerance_is_input_error(
+        self, tmp_path, capsys, monkeypatch, command, env
+    ):
+        monkeypatch.setenv("TVERBERG_TOL", env)
+        if command == "suite":
+            argv = ["suite", "--count", "1", "--sizes", "4"]
+        else:
+            argv = [command, "--points", str(self.write_square(tmp_path))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_env_tolerance_is_reported_by_verify_and_suite(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("TVERBERG_TOL", "0.25")
+        pts = self.write_square(tmp_path)
+        _, out = run(capsys, "verify", "--points", str(pts), "--theorem")
+        assert json.loads(out)["verdicts"]["theorem"]["tolerance"] == 0.25
+        _, out = run(capsys, "suite", "--count", "1", "--sizes", "4")
+        assert json.loads(out)["suite"]["tolerance"] == 0.25
+        _, out = run(capsys, "suite", "--count", "1", "--sizes", "4", "--tol", "0.5")
+        assert json.loads(out)["suite"]["tolerance"] == 0.5
+
+    def test_env_tolerance_reaches_descend(self, tmp_path, capsys, monkeypatch):
+        # The sides of the square are within 1.0 of the bound, so descend
+        # stops at once; --tol takes precedence over the variable.
+        pts = self.write_square(tmp_path)
+        mfile = tmp_path / "m.json"
+        mfile.write_text(json.dumps({"pairs": [[0, 1], [2, 3]], "cost": 2.0}))
+        monkeypatch.setenv("TVERBERG_TOL", "1.0")
+        argv = ["descend", "--points", str(pts), "--matching", str(mfile)]
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["verdicts"]["descent"] == {"status": "ok", "steps": 0}
+        code, out = run(capsys, *argv, "--tol", "1e-6")
+        assert code == 0
+        assert json.loads(out)["verdicts"]["descent"] == {"status": "ok", "steps": 1}
+
     def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
         pts = self.write_square(tmp_path)
         mfile = tmp_path / "m.json"
@@ -367,6 +410,15 @@ class TestExitCodes:
         bad.write_text("a,b\n")
         assert main(["solve", "--points", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "coord", ["1" * 400, "true"], ids=["int-beyond-float-range", "bool"]
+    )
+    def test_unreadable_json_coordinate_is_input_error(self, tmp_path, capsys, coord):
+        pts = tmp_path / "p.json"
+        pts.write_text(f'{{"points": [[{coord}, 0], [1, 1]]}}')
+        assert main(["solve", "--points", str(pts)]) == 2
+        assert capsys.readouterr().err.startswith("error: points[0]: ")
+
     def test_odd_count_is_input_error(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"
         odd.write_text("0,0\n1,0\n2,0\n")
@@ -394,3 +446,23 @@ class TestExitCodes:
         argv = [command, "--points", str(pts), "--matching", str(bad)]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: matching: ")
+
+
+def test_only_the_cli_reads_the_environment():
+    # Library functions take every setting as an argument; the CLI alone
+    # turns environment variables into arguments.
+    package = Path(ellimatch.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            if names & {"environ", "environb", "getenv", "getenvb"}:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

@@ -113,6 +113,18 @@ class TestPointFiles:
         with pytest.raises(PointParseError, match="line"):
             load_points(path)
 
+    def test_json_integer_beyond_float_range(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"points": [[10**400, 0], [1, 1]]}))
+        with pytest.raises(PointParseError, match="points\\[0\\]"):
+            load_points(path)
+
+    def test_json_boolean_coordinate(self, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"points": [[0, 0], [1, True]]}))
+        with pytest.raises(PointParseError, match="points\\[1\\]"):
+            load_points(path)
+
     def test_json_bad_structure(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": [[0, 0], ["x", 1]]}))

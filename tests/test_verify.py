@@ -16,6 +16,7 @@ from conftest import (
     triangle_sides,
 )
 from ellimatch import (
+    DEFAULT_THEOREM_TOL,
     RATIO_BOUND,
     DegenerateEdgeError,
     InstanceSpec,
@@ -26,6 +27,7 @@ from ellimatch import (
     check_suri,
     check_theorem,
     check_tverberg_disks,
+    descend,
     exact_max_sum,
     generate,
     minimize_h,
@@ -44,6 +46,22 @@ def helly_verdict(s, m):
 
 def suri_verdict(s):
     return check_suri(s, exact_max_sum(s))
+
+
+def test_library_ignores_the_tolerance_environment_variable(monkeypatch):
+    # Only the CLI reads TVERBERG_TOL; a library call without tol uses 1e-6.
+    monkeypatch.setenv("TVERBERG_TOL", "1.0")
+    assert DEFAULT_THEOREM_TOL == 1e-6
+    sides, diagonals = square_sides(), exact_max_sum(SQUARE)
+    w = minimize_h(SQUARE, sides)
+    assert check_fingerhut(SQUARE, sides, w.o_star).tolerance == 1e-6  # longest edge 1
+    assert check_theorem(sides, w).tolerance == 1e-6
+    assert check_suri(SQUARE, diagonals).tolerance == 1e-6 * diagonals.cost
+    helly = check_helly_triples(SQUARE, sides, w)
+    lams = (helly.details["lambda_star"], helly.details["support_lambda"])
+    assert helly.margin == min(abs(RATIO_BOUND + 1e-6 - lam) for lam in lams)
+    # within 1.0 of the bound the sides would stop at once; 1e-6 takes a swap
+    assert len(descend(SQUARE, sides).trace) == 1
 
 
 class TestCheckFingerhut:
