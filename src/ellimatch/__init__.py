@@ -16,17 +16,13 @@ from .geom import (
     EPS_GEO,
     RATIO_BOUND,
     DegenerateEdgeError,
-    FocusError,
     Point,
     ZeroVectorError,
-    angle_directed,
     angle_undirected,
     bisector_point,
     dist,
     f_ratio,
-    grad_h,
     h_ratio,
-    in_ellipse,
     in_lens,
 )
 from .instances import (
@@ -43,7 +39,6 @@ from .matching import (
     PointSet,
     SizeCapError,
     brute_force_max_sum,
-    cost,
     exact_max_sum,
     local_search,
 )

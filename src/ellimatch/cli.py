@@ -128,7 +128,13 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _load_matching(path: str, s: PointSet) -> Matching:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:  # its message already gives the position
+        raise
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise ValueError(f"matching: {path}: {e}") from None
     if isinstance(data, dict) and "matching" in data:
         data = data["matching"]
     return matching_from_dict(data, s)

@@ -139,9 +139,7 @@ def build_graph(
         default=0.0,
     )
     local = {pid: k for k, pid in enumerate(ids)}
-    for i, j in edges:
-        if dist(verts[local[i]], verts[local[j]]) <= EPS_GEO * scale:
-            raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
+    lengths = edge_lengths(dict(zip(ids, verts)), edges, scale)
     for k, v in enumerate(verts):
         if norm(v) <= EPS_GEO * scale:
             raise VertexAtOriginError(
@@ -150,9 +148,8 @@ def build_graph(
 
     blue_tol = ACT_REL * lam * scale
     blue = []
-    for i, j in edges:
+    for (i, j), d in zip(edges, lengths):
         u, v = verts[local[i]], verts[local[j]]
-        d = dist(u, v)
         if abs(norm(u) + norm(v) - lam * d) > blue_tol:
             raise GraphColorError(
                 f"edge ({i}, {j}) is not tight at lambda={lam} within {blue_tol}"

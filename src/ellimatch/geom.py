@@ -23,9 +23,6 @@ RATIO_BOUND = 2.0 / math.sqrt(3.0)
 # Default slack accepted on RATIO_BOUND by the theorem-level checks.
 DEFAULT_THEOREM_TOL = 1e-6
 
-_TWO_PI = 2.0 * math.pi
-
-
 @dataclass(frozen=True)
 class Frame:
     """Similarity map ``to(p) = (p - offset) / scale`` onto the unit square,
@@ -57,10 +54,6 @@ class DegenerateEdgeError(ValueError):
 
 class ZeroVectorError(ValueError):
     """Angle or bisector requested for the zero vector."""
-
-
-class FocusError(ValueError):
-    """Gradient requested at a segment endpoint, where it is undefined."""
 
 
 def dist(a: Point, b: Point) -> float:
@@ -101,18 +94,8 @@ def angle_undirected(x: Point, y: Point) -> float:
     _require_nonzero(y)
     cross = x[0] * y[1] - x[1] * y[0]
     dot = x[0] * y[0] + x[1] * y[1]
+    # atan2 of cross/dot keeps precision near 0 and pi, unlike acos.
     return math.atan2(abs(cross), dot)
-
-
-def angle_directed(x: Point, y: Point) -> float:
-    """Counterclockwise angle that rotates vector x onto vector y, in [0, 2*pi)."""
-    _require_nonzero(x)
-    _require_nonzero(y)
-    cross = x[0] * y[1] - x[1] * y[0]
-    dot = x[0] * y[0] + x[1] * y[1]
-    a = math.atan2(cross, dot) % _TWO_PI
-    # Float modulo may round a tiny negative angle up to exactly 2*pi.
-    return 0.0 if a >= _TWO_PI else a
 
 
 def h_ratio(a: Point, b: Point, x: Point) -> float:
@@ -126,25 +109,6 @@ def h_ratio(a: Point, b: Point, x: Point) -> float:
     if d == 0.0:
         raise DegenerateEdgeError(f"edge endpoints coincide: {a}, {b}")
     return (dist(a, x) + dist(b, x)) / d
-
-
-def grad_h(a: Point, b: Point, x: Point) -> Point:
-    """Gradient of ``h_ratio(a, b, .)`` at x, undefined at the endpoints.
-
-    Equals ((x-a)/|x-a| + (x-b)/|x-b|) / |a-b|.  Like the ratio, it holds
-    at any scale: only an edge of length 0 or an x exactly at an endpoint
-    is rejected.
-    """
-    d = dist(a, b)
-    if d == 0.0:
-        raise DegenerateEdgeError(f"edge endpoints coincide: {a}, {b}")
-    da = dist(x, a)
-    db = dist(x, b)
-    if da == 0.0 or db == 0.0:
-        raise FocusError(f"gradient undefined at endpoint: {x}")
-    gx = ((x[0] - a[0]) / da + (x[0] - b[0]) / db) / d
-    gy = ((x[1] - a[1]) / da + (x[1] - b[1]) / db) / d
-    return (gx, gy)
 
 
 def bisector_point(x: Point, y: Point) -> Point:
@@ -172,17 +136,6 @@ def f_ratio(x: Point, y: Point) -> float:
     return (norm(x) + norm(y)) / d
 
 
-def in_ellipse(a: Point, b: Point, lam: float, x: Point) -> bool:
-    """Membership in the filled ellipse {z : |a-z| + |b-z| <= lam |a-b|}.
-
-    Non-strict: boundary points within EPS_GEO count as inside, since
-    witness points sit exactly on active-edge boundaries.
-    """
-    if lam < 1.0:
-        raise ValueError(f"lam must be >= 1, got {lam}")
-    return h_ratio(a, b, x) <= lam + EPS_GEO
-
-
 def in_lens(x: Point, y: Point, alpha: float, z: Point) -> bool:
     """Membership in the alpha-lens of segment xy: the two endpoints plus
     every point from which the segment subtends an angle of at least alpha.
@@ -197,7 +150,4 @@ def in_lens(x: Point, y: Point, alpha: float, z: Point) -> bool:
     v = (y[0] - z[0], y[1] - z[1])
     if (u[0] == 0.0 and u[1] == 0.0) or (v[0] == 0.0 and v[1] == 0.0):
         return True
-    # atan2 of cross/dot keeps precision near 0 and pi, unlike acos.
-    cross = u[0] * v[1] - u[1] * v[0]
-    dot = u[0] * v[0] + u[1] * v[1]
-    return math.atan2(abs(cross), dot) >= alpha
+    return angle_undirected(u, v) >= alpha

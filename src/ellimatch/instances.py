@@ -140,6 +140,8 @@ def _parse_json(text: str) -> list[tuple[float, float]]:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise PointParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
+    except ValueError as e:  # an integer past the interpreter's digit limit
+        raise PointParseError(f"invalid JSON: {e}") from None
     if not isinstance(data, dict) or "points" not in data:
         raise PointParseError('expected a JSON object with a "points" key')
     raw = data["points"]

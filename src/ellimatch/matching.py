@@ -107,12 +107,6 @@ class Matching:
         return s[i], s[j]
 
 
-def cost(m: Matching, s: PointSet) -> float:
-    """Recompute the total Euclidean length of the matching over s."""
-    validate_pairs(s, m.pairs)
-    return sum(dist(s[i], s[j]) for i, j in m.pairs)
-
-
 def improvement_threshold(current_cost: float) -> float:
     """Minimum accepted cost increase, relative to the cost so that it holds
     at every scale; guards against float swap cycling.  It must not fall as

@@ -30,15 +30,14 @@ from ellimatch import (
     exact_max_sum,
     find_alternating_cycle,
     generate,
-    grad_h,
     h_ratio,
-    in_ellipse,
     in_lens,
     f_ratio,
     minimize_h,
     steiner_star,
 )
 from ellimatch.geom import norm
+from ellimatch.minimax import _derivatives, _piece_value
 
 SIZES = (4, 6, 8, 10, 12)
 
@@ -80,29 +79,60 @@ def test_criterion_3_oracle_equivalence():
     print("PASS criterion 3: DP cost equals brute-force cost exactly on 50 instances")
 
 
+def _central_differences(f, x, step):
+    """Central differences along x and along y at x of f, a map from points
+    to tuples of floats."""
+    return [
+        tuple(
+            (hi - lo) / (2 * step)
+            for hi, lo in zip(f((x[0] + ex, x[1] + ey)), f((x[0] - ex, x[1] - ey)))
+        )
+        for ex, ey in ((step, 0.0), (0.0, step))
+    ]
+
+
 def test_criterion_4_gradient_correctness():
+    # The ratio of edge ab is the minimizer's piece (a, b, |ab|, 0): the
+    # gradient and Hessian checked here are those its Newton steps and its
+    # certificate use.
     rng = random.Random(12345)
     step = 1e-6
     checked = 0
-    worst = 0.0
+    worst_g = worst_h = 0.0
     while checked < 100:
         a = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         b = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         x = (rng.uniform(-2, 2), rng.uniform(-2, 2))
         if dist(a, b) < 0.1 or dist(x, a) < 0.1 or dist(x, b) < 0.1:
             continue
-        g = grad_h(a, b, x)
-        fd = (
-            (h_ratio(a, b, (x[0] + step, x[1])) - h_ratio(a, b, (x[0] - step, x[1])))
-            / (2 * step),
-            (h_ratio(a, b, (x[0], x[1] + step)) - h_ratio(a, b, (x[0], x[1] - step)))
-            / (2 * step),
-        )
-        rel = math.hypot(g[0] - fd[0], g[1] - fd[1]) / max(1e-12, math.hypot(*g))
+        s = dist(a, b)
+        piece = (a, b, s, 0.0)
+        g, (hxx, hxy, hyy), ball = _derivatives(piece, x)
+        assert ball == 0.0
+        (fx,), (fy,) = _central_differences(lambda y: (_piece_value(piece, y),), x, step)
+        rel = math.hypot(g[0] - fx, g[1] - fy) / max(1e-12, math.hypot(*g))
         assert rel <= 1e-6, (a, b, x, rel)
-        worst = max(worst, rel)
+        # The gradient's differences along x and along y are the Hessian's rows.
+        (dxx, dxy), (dyx, dyy) = _central_differences(
+            lambda y: _derivatives(piece, y)[0], x, step
+        )
+        err = math.hypot(hxx - dxx, hxy - dxy, hxy - dyx, hyy - dyy)
+        rel_h = err / max(1e-12, math.hypot(hxx, hxy, hxy, hyy))
+        assert rel_h <= 1e-6, (a, b, x, rel_h)
+        # At a focus c the other term alone is a subgradient: the unit vector
+        # from the other focus to c, over s.  The focus adds a ball of
+        # radius 1/s.
+        for c, other in ((a, b), (b, a)):
+            gc, _, ball = _derivatives(piece, c)
+            expected = ((c[0] - other[0]) / s / s, (c[1] - other[1]) / s / s)
+            assert math.hypot(gc[0] - expected[0], gc[1] - expected[1]) <= 1e-12 / s
+            assert ball == 1.0 / s
+        worst_g, worst_h = max(worst_g, rel), max(worst_h, rel_h)
         checked += 1
-    print(f"PASS criterion 4: analytic gradient matches FD on 100 configs (worst rel={worst:.2e})")
+    print(
+        f"PASS criterion 4: the solver's gradient and Hessian match FD on 100 configs "
+        f"(worst rel {worst_g:.2e} and {worst_h:.2e}), and the focus subgradient holds"
+    )
 
 
 def test_criterion_5_certificate_soundness():
@@ -158,7 +188,7 @@ def test_criterion_7_lens_contained_in_ellipse():
         z = (mx + rng.uniform(-r, r), my + rng.uniform(-r, r))
         if not in_lens(x, y, alpha, z):
             continue
-        assert in_ellipse(x, y, RATIO_BOUND, z), (x, y, z)
+        assert h_ratio(x, y, z) <= RATIO_BOUND + 1e-9, (x, y, z)
         hits += 1
     print("PASS criterion 7: 1000 lens members all inside the 2/sqrt(3) ellipse")
 

@@ -325,6 +325,43 @@ class TestVerifyAndDescend:
         assert code == 0
 
 
+class TestOutFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["witness"],
+            ["verify"],
+            ["descend", "--init-seed", "3"],
+            ["suite", "--count", "2", "--sizes", "4,6"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_out_writes_the_stdout_bytes(self, tmp_path, capsys, argv):
+        if argv[0] != "suite":
+            pts = tmp_path / "p.csv"
+            assert main(["gen", "--n", "8", "--seed", "1", "--out", str(pts)]) == 0
+            argv = [*argv, "--points", str(pts)]
+        code = main(argv)
+        shown = capsys.readouterr().out
+        out = tmp_path / "out.json"
+        assert main([*argv, "--out", str(out)]) == code
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == shown.encode("utf-8")
+
+    def test_solve_out_feeds_witness(self, tmp_path, capsys):
+        # The README flow: a solve report is a matching file.
+        pts = tmp_path / "pts.csv"
+        assert main(["gen", "--n", "10", "--seed", "42", "--out", str(pts)]) == 0
+        mfile = tmp_path / "matching.json"
+        assert main(["solve", "--points", str(pts), "--exact", "--out", str(mfile)]) == 0
+        code, out = run(capsys, "witness", "--points", str(pts), "--matching", str(mfile))
+        assert code == 0
+        assert json.loads(out)["matching"] == json.loads(mfile.read_text())["matching"]
+        _, solved = run(capsys, "witness", "--points", str(pts))
+        assert out == solved
+
+
 class TestRender:
     def test_render_writes_svg(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
@@ -399,6 +436,26 @@ class TestSuite:
         code, _ = run(capsys, "suite", "--checks", "nonsense")
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", ["3,5", "0-0"])
+    def test_bad_sizes_rejected(self, capsys, sizes):
+        assert main(["suite", "--count", "1", "--sizes", sizes]) == 2
+        assert capsys.readouterr().err.startswith("error: sizes must be even")
+
+    def test_unconverged_check_exits_three(self, capsys, monkeypatch):
+        from ellimatch import cli
+
+        solve = cli.minimize_h
+        monkeypatch.setattr(
+            cli, "minimize_h", lambda s, m: dataclasses.replace(solve(s, m), converged=False)
+        )
+        code, out = run(capsys, "suite", "--count", "2", "--sizes", "4", "--checks", "theorem")
+        assert code == 3
+        records = json.loads(out)["instances"]
+        assert [r["verdicts"]["theorem"]["details"]["converged"] for r in records] == [
+            False,
+            False,
+        ]
+
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
@@ -418,6 +475,20 @@ class TestExitCodes:
         pts.write_text(f'{{"points": [[{coord}, 0], [1, 1]]}}')
         assert main(["solve", "--points", str(pts)]) == 2
         assert capsys.readouterr().err.startswith("error: points[0]: ")
+
+    def test_points_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys):
+        pts = tmp_path / "p.json"
+        pts.write_text(f'{{"points": [[{"1" * 5000}, 0], [1, 1]]}}')
+        assert main(["solve", "--points", str(pts)]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+
+    def test_matching_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        bad = tmp_path / "m.json"
+        bad.write_text(f'{{"pairs": [[{"1" * 5000}, 0], [1, 2]]}}')
+        assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: matching: {bad}: ")
 
     def test_odd_count_is_input_error(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"

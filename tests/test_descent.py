@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 
@@ -32,7 +33,14 @@ from ellimatch import (
     minimize_h,
     optimality_certificate,
 )
-from ellimatch.descent import ImprovementError, VertexAtOriginError, _find_improving_cycle
+from ellimatch import descent
+from ellimatch.cli import main
+from ellimatch.descent import (
+    GraphColorError,
+    ImprovementError,
+    VertexAtOriginError,
+    _find_improving_cycle,
+)
 from ellimatch.geom import DegenerateEdgeError
 
 
@@ -62,6 +70,11 @@ class TestBuildGraph:
         m = square_sides()
         with pytest.raises(VertexAtOriginError):
             build_graph(SQUARE, list(m.pairs), (0.0, 0.0), math.sqrt(2))
+
+    def test_edge_that_is_not_tight_rejected(self):
+        # the sides' ratio at the center is sqrt(2), not 1.3
+        with pytest.raises(GraphColorError):
+            build_graph(SQUARE, list(square_sides().pairs), (0.5, 0.5), 1.3)
 
     @pytest.mark.parametrize("r", [1e-13, 1.0])
     def test_coincident_vertices_rejected_at_every_scale(self, r):
@@ -201,6 +214,21 @@ class TestApplyCycle:
         no_support = dataclasses.replace(w, support=None)
         assert _find_improving_cycle(SQUARE, square_sides(), no_support) is None
 
+    def test_witness_on_a_support_vertex_gives_no_cycle(self):
+        # build_graph rejects the graph (a vertex at the witness), and the
+        # search reports no cycle instead of raising
+        w = minimize_h(SQUARE, square_sides())
+        on_vertex = dataclasses.replace(w, o_star=SQUARE[0])
+        assert _find_improving_cycle(SQUARE, square_sides(), on_vertex) is None
+
+
+def _no_cycle(g):
+    return None
+
+
+def _failed_swap(m, cycle, s):
+    raise ImprovementError("cycle swap did not increase cost")
+
 
 class TestDescend:
     def test_square_from_sides(self):
@@ -242,6 +270,31 @@ class TestDescend:
         init = Matching.from_pairs(s, [(0, 1), (2, 3)])
         result = descend(s, init)
         assert result.status == "degenerate_edges"
+
+    @pytest.mark.parametrize(
+        "name, stub, status",
+        [
+            ("find_alternating_cycle", _no_cycle, "cycle_not_found"),
+            ("apply_cycle", _failed_swap, "improvement_violation"),
+        ],
+    )
+    def test_stop_is_flagged_and_exits_one(
+        self, tmp_path, capsys, monkeypatch, name, stub, status
+    ):
+        monkeypatch.setattr(descent, name, stub)
+        result = descend(SQUARE, square_sides())
+        assert result.status == status
+        assert result.matching == square_sides()
+        assert result.trace == ()
+        assert result.witness.lambda_star == pytest.approx(math.sqrt(2), abs=1e-6)
+
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        mfile = tmp_path / "m.json"
+        mfile.write_text('{"pairs": [[0, 1], [2, 3]]}')
+        assert main(["descend", "--points", str(pts), "--matching", str(mfile)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdicts"]["descent"] == {"status": status, "steps": 0}
 
 
 def _degenerate_family(name: str, n: int, seed: int) -> PointSet:

@@ -11,19 +11,19 @@ from hypothesis import given, strategies as st
 from ellimatch import (
     RATIO_BOUND,
     DegenerateEdgeError,
-    FocusError,
+    Matching,
+    PointSet,
     ZeroVectorError,
-    angle_directed,
     angle_undirected,
     bisector_point,
+    check_fingerhut,
     dist,
     f_ratio,
-    grad_h,
     h_ratio,
-    in_ellipse,
     in_lens,
 )
-from ellimatch.geom import Frame, norm
+from ellimatch.geom import Frame, edge_lengths, norm
+from ellimatch.minimax import _derivatives
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coord, coord)
@@ -39,6 +39,12 @@ def shrunk(p):
 
 def vectors_apart(min_norm=1e-3):
     return points.filter(lambda p: norm(p) > min_norm)
+
+
+def grad_h(a, b, x):
+    """Gradient of ``h_ratio(a, b, .)`` at x, as the minimizer computes it:
+    the ratio is the piece ``(a, b, |ab|, 0)``."""
+    return _derivatives((a, b, dist(a, b), 0.0), x)[0]
 
 
 class TestFrame:
@@ -78,25 +84,11 @@ class TestAngles:
     def test_same(self):
         assert angle_undirected((1, 0), (1, 0)) == 0.0
 
-    def test_directed_quarter_turn(self):
-        assert angle_directed((1, 0), (0, 1)) == pytest.approx(math.pi / 2, abs=1e-15)
-
-    def test_directed_three_quarter(self):
-        assert angle_directed((0, 1), (1, 0)) == pytest.approx(3 * math.pi / 2, abs=1e-15)
-
-    def test_directed_identity(self):
-        assert angle_directed((1, 0), (1, 0)) == 0.0
-
     def test_origin_rejected(self):
         with pytest.raises(ZeroVectorError):
             angle_undirected((0, 0), (1, 0))
         with pytest.raises(ZeroVectorError):
-            angle_directed((1, 0), (0, 0))
-
-    @given(vectors_apart(), vectors_apart())
-    def test_directed_angles_sum_to_full_turn(self, x, y):
-        total = angle_directed(x, y) + angle_directed(y, x)
-        assert min(abs(total), abs(total - 2 * math.pi)) <= 1e-12
+            angle_undirected((1, 0), (0, 0))
 
     @given(vectors_apart(), vectors_apart())
     def test_undirected_symmetric(self, x, y):
@@ -144,6 +136,8 @@ class TestHRatio:
 
 
 class TestGradH:
+    """The gradient of the ratio that the minimizer and the certificate use."""
+
     def test_at_origin_symmetric_edge(self):
         g = grad_h((1, 0), (0, 1), (0, 0))
         assert g[0] == pytest.approx(-1 / math.sqrt(2), abs=1e-12)
@@ -159,29 +153,11 @@ class TestGradH:
         assert g[0] == pytest.approx(5 / math.sqrt(26), abs=1e-12)
         assert g[1] == pytest.approx(0.0, abs=1e-15)
 
-    def test_rejects_focus(self):
-        with pytest.raises(FocusError):
-            grad_h((0, 0), (1, 0), (0, 0))
-
     def test_rejects_coincident_endpoints(self):
+        # No piece is built for a zero-length edge: the one edge rule
+        # rejects it first.
         with pytest.raises(DegenerateEdgeError):
-            grad_h((1, 1), (1, 1), (0, 0))
-
-    def test_tiny_edge(self):
-        # The gradient scales like 1 / |ab|; a 2^-40 edge is a proper edge.
-        g = grad_h((0.0, 0.0), (TINY, 0.0), (TINY / 2, TINY))
-        unit = grad_h((0.0, 0.0), (1.0, 0.0), (0.5, 1.0))
-        for gi, ui in zip(g, unit):
-            assert gi == pytest.approx(ui / TINY, rel=1e-15)
-
-    def test_tiny_scale_matches_unit_scale(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            a, b, x = [(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3)]
-            g = grad_h(*(shrunk(p) for p in (a, b, x)))
-            unit = grad_h(a, b, x)
-            err = math.hypot(g[0] - unit[0] / TINY, g[1] - unit[1] / TINY)
-            assert err <= 1e-15 * math.hypot(*g)
+            edge_lengths([(1, 1), (1, 1)], [(0, 1)])
 
     def test_matches_central_differences(self):
         rng = random.Random(4)
@@ -291,20 +267,26 @@ class TestFRatio:
 
 
 class TestEllipseMembership:
+    """Membership in the 2/sqrt(3) ellipse of one edge, as the per-edge
+    witness check decides it."""
+
+    EDGE = PointSet.of([(-1, 0), (1, 0)])
+
+    def verdict(self, x):
+        return check_fingerhut(self.EDGE, Matching.from_pairs(self.EDGE, [(0, 1)]), x)
+
     def test_just_inside_boundary(self):
-        assert in_ellipse((-1, 0), (1, 0), RATIO_BOUND, (0, 0.577))
+        assert self.verdict((0, 0.577)).passed
 
     def test_just_outside_boundary(self):
         # boundary height is 1/sqrt(3) ~ 0.57735
-        assert not in_ellipse((-1, 0), (1, 0), RATIO_BOUND, (0, 0.578))
+        assert not self.verdict((0, 0.578)).passed
 
     def test_midpoint_always_inside(self):
-        for lam in (1.0, RATIO_BOUND, 2.0):
-            assert in_ellipse((-1, 0), (1, 0), lam, (0, 0))
-
-    def test_bad_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            in_ellipse((-1, 0), (1, 0), 0.5, (0, 0))
+        v = self.verdict((0, 0))
+        assert v.passed
+        # |a-o| + |b-o| = |a-b| at the midpoint, so every lam >= 1 admits it
+        assert v.margin == pytest.approx((RATIO_BOUND - 1.0) * 2.0, abs=1e-15)
 
 
 class TestLensMembership:
@@ -342,5 +324,5 @@ class TestLensMembership:
             z = (mx + rng.uniform(-r, r), my + rng.uniform(-r, r))
             if not in_lens(x, y, 2 * math.pi / 3, z):
                 continue
-            assert in_ellipse(x, y, RATIO_BOUND, z)
+            assert h_ratio(x, y, z) <= RATIO_BOUND + 1e-9
             hits += 1

@@ -119,6 +119,13 @@ class TestPointFiles:
         with pytest.raises(PointParseError, match="points\\[0\\]"):
             load_points(path)
 
+    def test_json_integer_past_the_digit_limit(self, tmp_path):
+        # json.loads itself refuses an integer of more than 4,300 digits
+        path = tmp_path / "digits.json"
+        path.write_text(f'{{"points": [[{"1" * 5000}, 0], [1, 1]]}}')
+        with pytest.raises(PointParseError, match="invalid JSON"):
+            load_points(path)
+
     def test_json_boolean_coordinate(self, tmp_path):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"points": [[0, 0], [1, True]]}))

@@ -22,7 +22,6 @@ from ellimatch import (
     PointSet,
     SizeCapError,
     brute_force_max_sum,
-    cost,
     dist,
     exact_max_sum,
     generate,
@@ -297,16 +296,18 @@ class TestMatchingValidation:
         for seed in range(10):
             s = generate(InstanceSpec("gaussian", 10, seed))
             m = random_perfect_matching(s, rng)
-            assert abs(m.cost - cost(m, s)) <= 1e-9
+            shuffled = [(j, i) for i, j in reversed(m.pairs)]
+            assert Matching.from_pairs(s, shuffled).cost == m.cost
+            assert abs(m.cost - math.fsum(dist(s[i], s[j]) for i, j in m.pairs)) <= 1e-9
 
 
 class TestCost:
     def test_square_diagonals(self):
         m = Matching.from_pairs(SQUARE, [(0, 2), (1, 3)])
-        assert cost(m, SQUARE) == pytest.approx(2 * math.sqrt(2), abs=1e-12)
+        assert m.cost == pytest.approx(2 * math.sqrt(2), abs=1e-12)
 
     def test_square_sides(self):
-        assert cost(square_sides(), SQUARE) == pytest.approx(2.0, abs=1e-15)
+        assert square_sides().cost == pytest.approx(2.0, abs=1e-15)
 
     def test_coincident_pair_costs_zero(self):
         s = PointSet.of([(1, 1), (1, 1)])

@@ -1,18 +1,20 @@
 """The benchmark's use of the package still holds.
 
-``perfbench/tracer.py`` rebinds each function named in ``TARGETS``, and
+``perfbench/tracer.py`` rebinds each function named in ``TARGETS``,
 ``perfbench/workloads.py`` checks every reported witness with the
-package's ``optimality_certificate``.  A target or certificate field
-deleted or renamed in the package would otherwise surface only as a failed
-benchmark run.
+package's ``optimality_certificate``, and ``perfbench/record_reference.py``
+reads the exact and brute-force solvers from ``matching``.  A target,
+certificate field or solver deleted or renamed in the package would
+otherwise surface only as a failed benchmark run.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 from types import SimpleNamespace
 
-from conftest import load_perfbench
+from conftest import PERFBENCH, load_perfbench
 from ellimatch import (
     InstanceSpec,
     Matching,
@@ -33,6 +35,22 @@ def test_every_trace_target_is_a_package_callable():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), name
+
+
+def test_every_matching_name_the_recorder_reads_resolves():
+    # record_reference.py binds the package's matching module to the name
+    # `matching`; every attribute it reads there must exist.
+    tree = ast.parse((PERFBENCH / "record_reference.py").read_text(encoding="utf-8"))
+    names = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "matching"
+    }
+    assert "exact_max_sum" in names
+    module = importlib.import_module(f"{load_perfbench('tracer').PACKAGE}.matching")
+    assert [n for n in sorted(names) if not hasattr(module, n)] == []
 
 
 def test_witness_check_runs_on_the_package_certificate():
