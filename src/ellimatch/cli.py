@@ -131,23 +131,19 @@ def _load_matching(path: str, s: PointSet) -> Matching:
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:  # its message already gives the position
-        raise
-    except ValueError as e:  # an integer past the interpreter's digit limit
+    except ValueError as e:  # a JSON syntax error, or an integer past the digit limit
         raise ValueError(f"matching: {path}: {e}") from None
     if isinstance(data, dict) and "matching" in data:
         data = data["matching"]
     return matching_from_dict(data, s)
 
 
-def _random_matching(s: PointSet, seed: int) -> Matching:
+def _start_matching(s: PointSet, seed: int | None) -> Matching:
+    """Pair consecutive indices, shuffled first when a seed is given."""
     idx = list(range(len(s)))
-    random.Random(seed).shuffle(idx)
+    if seed is not None:
+        random.Random(seed).shuffle(idx)
     return Matching.from_pairs(s, [(idx[k], idx[k + 1]) for k in range(0, len(idx), 2)])
-
-
-def _sequential_matching(s: PointSet) -> Matching:
-    return Matching.from_pairs(s, [(k, k + 1) for k in range(0, len(s), 2)])
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -186,12 +182,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     s = load_points(args.points)
     if args.local_search:
-        init = (
-            _random_matching(s, args.init_seed)
-            if args.init_seed is not None
-            else _sequential_matching(s)
-        )
-        m = local_search(s, init)
+        m = local_search(s, _start_matching(s, args.init_seed))
     else:
         m = exact_max_sum(s)
     _emit(json.dumps({"matching": matching_dict(m)}, indent=2, sort_keys=True), args.out)
@@ -273,10 +264,8 @@ def _cmd_descend(args: argparse.Namespace) -> int:
     s = load_points(args.points)
     if args.matching:
         init = _load_matching(args.matching, s)
-    elif args.init_seed is not None:
-        init = _random_matching(s, args.init_seed)
     else:
-        init = _sequential_matching(s)
+        init = _start_matching(s, args.init_seed)
     result = descend(s, init, max_steps=args.max_steps, tol=_theorem_tol(args.tol))
     report = Report(
         instance=instance_dict(s),

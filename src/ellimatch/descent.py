@@ -15,13 +15,13 @@ from dataclasses import dataclass, replace
 from .geom import (
     DEFAULT_THEOREM_TOL,
     EPS_GEO,
-    RATIO_BOUND,
     DegenerateEdgeError,
     Frame,
     Point,
     dist,
     edge_lengths,
     norm,
+    within_bound,
 )
 from .matching import (
     Matching,
@@ -56,32 +56,19 @@ class ImprovementError(RuntimeError):
 
 @dataclass(frozen=True)
 class BicoloredGraph:
-    """Endpoints of selected edges, translated so the witness is the origin.
+    """Graph on the endpoints of selected edges.
 
     Blue edges are the (tight) matching pairs; red edges are strict-inequality
     pairs.  Edges hold graph-vertex indices; ``point_ids`` maps them back to
     the instance.
     """
 
-    vertices: tuple[Point, ...]
     point_ids: tuple[int, ...]
     blue_edges: tuple[tuple[int, int], ...]
     red_edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        n = len(self.vertices)
-        if len(self.point_ids) != n:
-            raise ValueError("point_ids must align with vertices")
-        seen = [False] * n
-        for i, j in self.blue_edges:
-            for k in (i, j):
-                if not 0 <= k < n:
-                    raise ValueError(f"blue edge index {k} out of range")
-                if seen[k]:
-                    raise ValueError("blue edges are not a matching")
-                seen[k] = True
-        if not all(seen):
-            raise ValueError("blue edges do not cover every vertex")
+        validate_pairs(self.point_ids, self.blue_edges)
         blue = {tuple(sorted(e)) for e in self.blue_edges}
         for e in self.red_edges:
             if tuple(sorted(e)) in blue:
@@ -164,13 +151,10 @@ def build_graph(
             if (a, b) in blue_set:
                 continue
             d = dist(verts[a], verts[b])
-            if d <= EPS_GEO * scale:
-                continue
             if lam * d - (norm(verts[a]) + norm(verts[b])) > red_margin:
                 red.append((a, b))
 
     return BicoloredGraph(
-        vertices=tuple(verts),
         point_ids=tuple(ids),
         blue_edges=tuple(blue),
         red_edges=tuple(red),
@@ -180,7 +164,7 @@ def build_graph(
 def find_alternating_cycle(g: BicoloredGraph) -> AlternatingCycle | None:
     """Exhaustive depth-first search for a simple cycle alternating blue and
     red edges, or None when no such cycle exists."""
-    n = len(g.vertices)
+    n = len(g.point_ids)
     partner: dict[int, int] = {}
     for a, b in g.blue_edges:
         partner[a] = b
@@ -323,7 +307,7 @@ def descend(
         witness = minimize_h(fs, m)
         if not witness.converged:
             return result("solver_failure", witness)
-        if witness.lambda_star <= RATIO_BOUND + tol:
+        if within_bound(witness.lambda_star, tol):
             return result("ok", witness)
         cycle = _find_improving_cycle(fs, m, witness)
         if cycle is None:

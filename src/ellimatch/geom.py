@@ -23,6 +23,13 @@ RATIO_BOUND = 2.0 / math.sqrt(3.0)
 # Default slack accepted on RATIO_BOUND by the theorem-level checks.
 DEFAULT_THEOREM_TOL = 1e-6
 
+
+def within_bound(lam: float, tol: float) -> bool:
+    """Whether a minimax ratio lam is within tol of RATIO_BOUND: the one test
+    behind the descent's stop rule and the ratio verdicts."""
+    return RATIO_BOUND - lam >= -tol
+
+
 @dataclass(frozen=True)
 class Frame:
     """Similarity map ``to(p) = (p - offset) / scale`` onto the unit square,

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
 
 from .geom import Point, dist
@@ -72,7 +72,7 @@ def canonical_pairs(pairs: Iterable[Sequence[int]]) -> tuple[tuple[int, int], ..
     return tuple(sorted(out))
 
 
-def validate_pairs(s: PointSet, pairs: Sequence[tuple[int, int]]) -> None:
+def validate_pairs(s: Sized, pairs: Sequence[tuple[int, int]]) -> None:
     """Check that pairs form a perfect matching of the indices of s."""
     n = len(s)
     seen = [False] * n
@@ -101,10 +101,6 @@ class Matching:
         validate_pairs(s, canon)
         total = sum(dist(s[i], s[j]) for i, j in canon)
         return cls(canon, total)
-
-    def edge(self, s: PointSet, e: int) -> tuple[Point, Point]:
-        i, j = self.pairs[e]
-        return s[i], s[j]
 
 
 def improvement_threshold(current_cost: float) -> float:

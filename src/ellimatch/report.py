@@ -39,20 +39,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Report":
-        return cls(
-            instance=data["instance"],
-            matching=data.get("matching"),
-            witness=data.get("witness"),
-            verdicts=data.get("verdicts", {}),
-            trace=data.get("trace"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
-
 
 def instance_dict(s: PointSet) -> dict[str, Any]:
     # "generator" and "seed" stay, always null, so every report keeps its bytes

@@ -48,7 +48,7 @@ def render_svg(
     pad = 0.1 * extent
     # Ellipses overhang their edges; widen the box so they stay visible.
     if m is not None and m.pairs:
-        pad += 0.35 * max(dist(*m.edge(s, e)) for e in range(len(m.pairs)))
+        pad += 0.35 * max(dist(s[i], s[j]) for i, j in m.pairs)
     vx, vy = minx - pad, miny - pad
     vw, vh = (maxx - minx) + 2 * pad, (maxy - miny) + 2 * pad
 

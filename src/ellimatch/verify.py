@@ -17,7 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from .geom import DEFAULT_THEOREM_TOL, EPS_GEO, RATIO_BOUND, Frame, Point, dist, edge_lengths
+from .geom import (
+    DEFAULT_THEOREM_TOL,
+    EPS_GEO,
+    RATIO_BOUND,
+    Frame,
+    Point,
+    dist,
+    edge_lengths,
+    within_bound,
+)
 from .matching import Matching, PointSet, validate_pairs
 from .minimax import Piece
 from .witness import WitnessResult, minimize_h_over_edges, solve_in_frame, steiner_star
@@ -72,7 +81,7 @@ def check_theorem(
     margin = RATIO_BOUND - w.lambda_star
     return Verdict(
         name="theorem",
-        passed=margin >= -tol,
+        passed=within_bound(w.lambda_star, tol),
         margin=margin,
         tolerance=tol,
         details={
@@ -108,7 +117,7 @@ def check_helly_triples(
     threshold = RATIO_BOUND + tol
     support = [e for e, mu in w.certificate if mu > 0.0]
     sub = minimize_h_over_edges(s, [m.pairs[e] for e in support])
-    consistent = (w.lambda_star <= threshold) == (sub.lambda_star <= threshold)
+    consistent = within_bound(w.lambda_star, tol) == within_bound(sub.lambda_star, tol)
     margin = min(abs(threshold - w.lambda_star), abs(threshold - sub.lambda_star))
     return Verdict(
         name="helly",

@@ -236,12 +236,7 @@ def test_criterion_10_helly_triple_consistency():
 def test_criterion_11_no_alternating_cycle_negative_control():
     # 6 vertices a1 b1 a2 b2 a3 b3 (indices 0..5), blue matching pairs
     # {a1b1, a2b2, a3b3}, red {a1a2, a1b2, b1a3, b1b3}: no alternating cycle
-    verts = tuple(
-        (2.0 * math.cos(k * math.pi / 3 + 0.2), 2.0 * math.sin(k * math.pi / 3 + 0.2))
-        for k in range(6)
-    )
     g = BicoloredGraph(
-        vertices=verts,
         point_ids=(0, 1, 2, 3, 4, 5),
         blue_edges=((0, 1), (2, 3), (4, 5)),
         red_edges=((0, 2), (0, 3), (1, 4), (1, 5)),

@@ -490,6 +490,14 @@ class TestExitCodes:
         assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: matching: {bad}: ")
 
+    def test_truncated_matching_names_the_file(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        bad = tmp_path / "m.json"
+        bad.write_text('{"pairs": [[0, 1], [2, 3]')
+        assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: matching: {bad}: ")
+
     def test_odd_count_is_input_error(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"
         odd.write_text("0,0\n1,0\n2,0\n")

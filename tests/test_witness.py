@@ -330,6 +330,13 @@ class TestSteinerStar:
         assert center == s[0]
         assert t == pytest.approx(sum(dist(s[0], p) for p in s), rel=1e-15)
 
+    def test_step_off_a_data_point_that_is_not_the_median(self):
+        # The centroid is the data point (0, 0); the other points pull on it
+        # with 3 against its 1 coincident point, so the iteration steps
+        # along that pull and ends at the median (1, 0).
+        s = PointSet.of([(0, 0), (1, 0), (1, 0), (1, 0), (1, 0), (-4, 0)])
+        assert steiner_star(s) == ((1.0, 0.0), 6.0, True)
+
     def test_iteration_limit_reported(self, monkeypatch):
         s = PointSet.of([(0, 0), (3, 1), (1, 4), (5, 5)])
         assert steiner_star(s)[2]
