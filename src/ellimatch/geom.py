@@ -8,7 +8,7 @@ points into the unit-square :class:`Frame` before relying on them.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 Point = tuple[float, float]
@@ -53,6 +53,17 @@ class Frame:
 
     def back(self, q: Point) -> Point:
         return (self.offset[0] + self.scale * q[0], self.offset[1] + self.scale * q[1])
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``sum(values)`` added strictly left to right, as Python 3.11 and
+    earlier add floats.  From 3.12 on, ``sum()`` carries each float term's
+    rounding error along, so its totals, and every result computed from
+    them, would differ by interpreter version."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 class DegenerateEdgeError(ValueError):

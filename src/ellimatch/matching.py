@@ -8,7 +8,7 @@ import math
 from collections.abc import Iterable, Sequence, Sized
 from dataclasses import dataclass
 
-from .geom import Point, dist
+from .geom import Point, dist, left_sum
 
 # Size caps (number of points) for the exact solvers.
 EXACT_CAP = 24
@@ -99,7 +99,7 @@ class Matching:
     def from_pairs(cls, s: PointSet, pairs: Iterable[Sequence[int]]) -> "Matching":
         canon = canonical_pairs(pairs)
         validate_pairs(s, canon)
-        total = sum(dist(s[i], s[j]) for i, j in canon)
+        total = left_sum(dist(s[i], s[j]) for i, j in canon)
         return cls(canon, total)
 
 
@@ -314,7 +314,7 @@ def exact_max_sum(s: PointSet) -> Matching:
     short = max(d[i][j] - y[i] - y[j] for i in range(n) for j in range(i + 1, n))
     if short > 0.0:
         y = [t + short / 2 for t in y]
-    bound = sum(y)
+    bound = left_sum(y)
     slack_tol = _TIGHT_REL * bound
     tight = [
         [(1 << j, d[i][j]) for j in range(i + 1, n) if y[i] + y[j] - d[i][j] <= slack_tol]
@@ -398,7 +398,7 @@ def local_search(s: PointSet, init: Matching) -> Matching:
     d = _distance_table(s.points)
     pairs = [list(p) for p in init.pairs]
     lengths = [d[i][j] for i, j in pairs]
-    total = sum(lengths)
+    total = left_sum(lengths)
     eps = improvement_threshold(total)
     m = len(pairs)
     # clock counts swaps; changed[k] is the clock at slot k's last swap and

@@ -36,21 +36,29 @@ so is the result.  A screened pass that evaluates more than half of the
 pieces makes the next pass a full one again.  A smaller ``tau`` only
 tightens the screen, so the anchor carries across stages.
 
+No piece is evaluated twice at one point within a solve.  The solver keeps
+the values each pass finds, by point; a later pass at a point already passed
+over reads them and evaluates only the pieces not yet evaluated there.  So
+each stage's opening pass, at the point the last stage ended on, and the
+certificate mostly read values instead of computing them.  A value is the
+same float however often it is computed, so nothing else changes, and a
+pass that reads values still counts in ``iterations``.
+
 The result is certified by the classical optimality condition for maxima of
 convex functions: at a minimizer, the origin lies in the convex hull of the
 active pieces' gradients.  ``min_norm_point`` gives the distance to that
-hull and the convex weights attaining it.  The certificate evaluates every
-piece.
+hull and the convex weights attaining it.  The certificate takes every
+piece's value into account.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .geom import Point
+from .geom import Point, left_sum
 
 # Convex-combination certificate residual accepted as "optimal".
 EPS_CERT = 1e-7
@@ -92,7 +100,9 @@ class MinimaxResult:
     """Minimizer of the max of the pieces.
 
     ``iterations`` counts passes over the piece list, each at one point,
-    whether it evaluates every piece or screens out those without weight.
+    whether it evaluates every piece, screens out those without weight, or
+    reads values found at its point by an earlier pass, as the opening pass
+    of a stage and the certificate mostly do.
     """
 
     x: Point
@@ -104,30 +114,50 @@ class MinimaxResult:
     converged: bool
 
 
-def _piece_value(p: Piece, x: Point) -> float:
+def _value(p: Piece, x: Point) -> float:
+    """The value of piece p at x: the one copy of the piece formula, called
+    once per piece and point within a solve."""
     a, b, s, beta = p
     return (math.hypot(x[0] - a[0], x[1] - a[1]) + math.hypot(x[0] - b[0], x[1] - b[1])) / s + beta
 
 
-def _derivatives(p: Piece, x: Point) -> tuple[Point, tuple[float, float, float], float]:
-    """Gradient and Hessian (xx, xy, yy) of a piece at x, and the radius of
-    the ball of subgradients its foci at x add.  At a focus the other term
-    alone is a valid subgradient."""
-    a, b, s, _ = p
-    gx = gy = hxx = hxy = hyy = ball = 0.0
-    for c in (a, b):
-        dx, dy = x[0] - c[0], x[1] - c[1]
-        d = math.hypot(dx, dy)
-        if d > 1e-15:
-            ux, uy = dx / d, dy / d
-            gx += ux
-            gy += uy
-            hxx += (1.0 - ux * ux) / d
-            hxy -= ux * uy / d
-            hyy += (1.0 - uy * uy) / d
-        else:
-            ball += 1.0
-    return (gx / s, gy / s), (hxx / s, hxy / s, hyy / s), ball / s
+def _derivatives(
+    pieces: Iterable[Piece], weights: Iterable[float], total: float, x: Point
+) -> tuple[float, float, float, list[tuple[float, float, float, float, float, float]]]:
+    """Weighted derivatives at x of the pieces whose weight exceeds
+    ``_NEGLIGIBLE``, each weight taken over ``total``: the weighted gradient
+    (gx, gy), the weighted radius of the balls of subgradients that foci at x
+    add, and per piece its weight q, gradient and Hessian
+    (q, gx, gy, hxx, hxy, hyy).  At a focus the other term alone is a valid
+    subgradient, and the focus adds a ball of radius 1/s.  The one copy of
+    the derivative formulas."""
+    x0, x1 = x
+    hypot = math.hypot
+    gx = gy = ball = 0.0
+    terms = []
+    for (a, b, s, _), w in zip(pieces, weights):
+        if w <= _NEGLIGIBLE:
+            continue
+        px = py = hxx = hxy = hyy = foci = 0.0
+        for c in (a, b):
+            dx, dy = x0 - c[0], x1 - c[1]
+            d = hypot(dx, dy)
+            if d > 1e-15:
+                ux, uy = dx / d, dy / d
+                px += ux
+                py += uy
+                hxx += (1.0 - ux * ux) / d
+                hxy -= ux * uy / d
+                hyy += (1.0 - uy * uy) / d
+            else:
+                foci += 1.0
+        q = w / total
+        px, py = px / s, py / s
+        gx += q * px
+        gy += q * py
+        ball += q * (foci / s)
+        terms.append((q, px, py, hxx / s, hxy / s, hyy / s))
+    return gx, gy, ball, terms
 
 
 def _hull_candidates(
@@ -192,25 +222,29 @@ def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], 
 
 
 def _certificate(
-    pieces: Sequence[Piece], x: Point
+    pieces: Sequence[Piece], x: Point, vals: Sequence[float] | None = None
 ) -> tuple[float, list[int], tuple[float, ...], float]:
-    """Evaluate all pieces at x and compute the min-norm certificate over the
-    gradients of the active ones, those within ``ACT_REL * max(1, |f|)`` of
-    the max.  Returns (max, active, coeffs over active, residual)."""
-    vals = [_piece_value(p, x) for p in pieces]
+    """Evaluate all pieces at x, unless their values ``vals`` there are
+    given, and compute the min-norm certificate over the gradients of the
+    active ones, those within ``ACT_REL * max(1, |f|)`` of the max.
+    Returns (max, active, coeffs over active, residual)."""
+    if vals is None:
+        vals = [_value(p, x) for p in pieces]
     f = max(vals)
     tol = ACT_REL * max(1.0, abs(f))
     active = [i for i, v in enumerate(vals) if v >= f - tol]
-    grads = [_derivatives(pieces[i], x)[0] for i in active]
+    _, _, _, terms = _derivatives([pieces[i] for i in active], [1.0] * len(active), 1.0, x)
+    grads = [(gx, gy) for _, gx, gy, _, _, _ in terms]
     _, coeffs, residual = min_norm_point(grads)
     return f, active, coeffs, residual
 
 
 def _direction(
-    pieces: Sequence[Piece], weights: Sequence[float], x: Point, tau: float
+    pieces: Sequence[Piece], weights: Sequence[float], total: float, x: Point, tau: float
 ) -> tuple[float, float, float] | None:
     """Descent step (sx, sy) for phi_tau at x and the directional derivative
     along it, or None where x is a focus at which phi_tau is stationary.
+    ``total`` is the sum of ``weights``.
 
     The Newton step of the smoothed Hessian
     ``sum p_i H_i + (sum p_i g_i g_i^T - grad grad^T) / tau`` is taken where
@@ -218,21 +252,15 @@ def _direction(
     steepest descent step.  Pieces whose weight vanishes against the top one
     are skipped.
     """
-    total = sum(weights)
-    terms = [
-        (w / total, *_derivatives(p, x)) for p, w in zip(pieces, weights) if w > _NEGLIGIBLE
-    ]
-    gx = sum(q * g[0] for q, g, _, _ in terms)
-    gy = sum(q * g[1] for q, g, _, _ in terms)
-    ball = sum(q * r for q, _, _, r in terms)
+    gx, gy, ball, terms = _derivatives(pieces, weights, total, x)
     if math.hypot(gx, gy) <= ball:
         return None
     hxx = hxy = hyy = 0.0
-    for q, g, h, _ in terms:
-        dx, dy = g[0] - gx, g[1] - gy
-        hxx += q * (h[0] + dx * dx / tau)
-        hxy += q * (h[1] + dx * dy / tau)
-        hyy += q * (h[2] + dy * dy / tau)
+    for q, dgx, dgy, dxx, dxy, dyy in terms:
+        dx, dy = dgx - gx, dgy - gy
+        hxx += q * (dxx + dx * dx / tau)
+        hxy += q * (dxy + dx * dy / tau)
+        hyy += q * (dyy + dy * dy / tau)
     det = hxx * hyy - hxy * hxy
     sx, sy = -gx, -gy
     if hxx > 0.0 and det > 0.0:
@@ -261,66 +289,90 @@ def minimize_max(
 
     Passes after the first few stages skip the pieces whose softmax weight
     would underflow to 0.0, found by the Lipschitz screen of the module
-    docstring; the result is the same, bit for bit, as with every piece
+    docstring, and no pass evaluates a piece again at a point where one
+    already has; the result is the same, bit for bit, as with every piece
     evaluated on every pass.
     """
     if not pieces:
         raise ValueError("minimize_max needs at least one piece")
+    n = len(pieces)
     lipschitz = max(2.0 / p[2] for p in pieces)
     # The anchor: the point and piece values of the last full pass at which
     # at least half of the weights underflowed, and the piece indices by
     # value there, highest first.  While ranked is None, passes are full.
     anchor, anchor_vals, ranked = x0, [], None
 
-    def smoothed(y: Point, tau: float) -> tuple[float, float, Sequence[Piece], list[float]]:
-        """(phi_tau, max f, pieces, their unnormalized softmax weights) at y.
-        The pieces are those evaluated, in index order: every piece of
-        positive weight is among them."""
+    # The piece values found so far at each point passed over: a list of
+    # them all after a full pass there, else a dict by piece index.
+    found: dict[Point, list[float] | dict[int, float]] = {}
+
+    def completed(y: Point) -> list[float]:
+        """Every piece's value at y, each evaluated unless found before."""
+        known = found.get(y)
+        if isinstance(known, list):
+            return known
+        if known is None:
+            vals = [_value(p, y) for p in pieces]
+        else:
+            vals = [known[i] if i in known else _value(p, y) for i, p in enumerate(pieces)]
+        found[y] = vals
+        return vals
+
+    def smoothed(y: Point, tau: float) -> tuple[float, float, Sequence[Piece], list[float], float]:
+        """(phi_tau, max f, pieces, their unnormalized softmax weights, the
+        weights' sum) at y.  The pieces are those evaluated, in index order:
+        every piece of positive weight is among them.  Values found at y by
+        an earlier pass are read, not evaluated again."""
         nonlocal iterations, anchor, anchor_vals, ranked
         iterations += 1
         if ranked is None:  # a full pass
             live = pieces
-            vals = [_piece_value(p, y) for p in pieces]
+            vals = completed(y)
             top = max(vals)
             weights = [math.exp((v - top) / tau) for v in vals]
-            if 2 * weights.count(0.0) >= len(pieces):
+            if 2 * weights.count(0.0) >= n:
                 anchor, anchor_vals = y, vals
-                ranked = sorted(range(len(pieces)), key=vals.__getitem__, reverse=True)
+                ranked = sorted(range(n), key=vals.__getitem__, reverse=True)
         else:  # a screened pass
             reach = (
                 lipschitz * math.hypot(y[0] - anchor[0], y[1] - anchor[1])
                 + _UNDERFLOW_MARGIN * tau
             )
+            vals = {}
+            known = found.setdefault(y, vals)
+            if isinstance(known, list):  # a full pass found them all
+                known = dict(enumerate(known))
             top = -math.inf
-            seen = []
             for i in ranked:
                 if anchor_vals[i] + reach < top:
                     break  # this piece and every later one end below top - margin
-                v = _piece_value(pieces[i], y)
-                seen.append((i, v))
+                v = vals[i] = known[i] if i in known else _value(pieces[i], y)
                 if v > top:
                     top = v
-            if 2 * len(seen) > len(pieces):
+            if known is not vals:
+                known.update(vals)  # for a later pass at y
+            if 2 * len(vals) > n:
                 ranked = None
-            seen.sort()
-            live = [pieces[i] for i, _ in seen]
-            weights = [math.exp((v - top) / tau) for _, v in seen]
-        return top + tau * math.log(sum(weights)), top, live, weights
-
-    def at_floor(f: float, tol: float) -> bool:
-        return value_floor is not None and f <= value_floor + tol
+            order = sorted(vals)
+            live = [pieces[i] for i in order]
+            weights = [math.exp((vals[i] - top) / tau) for i in order]
+        total = left_sum(weights)
+        return top + tau * math.log(total), top, live, weights, total
 
     x = x0
-    f = max(_piece_value(p, x) for p in pieces)
+    f = max(completed(x))
     iterations = 1
     unit = max(1.0, abs(f))
+    # Reaching the value floor, up to rounding, ends the search.
+    stop = -math.inf if value_floor is None else value_floor + _ROUNDING * unit
     for stage in range(_STAGES):
-        if at_floor(f, _ROUNDING * unit):
+        if f <= stop:
             break
+        last = stage == _STAGES - 1
         tau = _TAU_START * unit * 0.1**stage
-        phi, f, live, weights = smoothed(x, tau)
+        phi, f, live, weights, total = smoothed(x, tau)
         for _ in range(_NEWTON_STEPS):
-            direction = _direction(live, weights, x, tau)
+            direction = _direction(live, weights, total, x, tau)
             if direction is None:
                 break
             sx, sy, slope = direction
@@ -332,7 +384,7 @@ def minimize_max(
             t = t0 = min(1.0, _LEAP * tau / -slope)
             for _ in range(_HALVINGS):
                 y = (x[0] + t * sx, x[1] + t * sy)
-                phi_y, f_y, live_y, w_y = smoothed(y, tau)
+                phi_y, f_y, live_y, w_y, total_y = smoothed(y, tau)
                 if rounding or phi_y <= phi + _ARMIJO * t * slope:
                     break
                 t *= 0.5
@@ -341,26 +393,29 @@ def minimize_max(
             if t < t0:
                 # A step cut short often runs into a focus, a kink the Newton
                 # model cannot see; the focus itself may be the better point.
-                gap, c = min(
-                    (math.hypot(c[0] - y[0], c[1] - y[1]), c)
-                    for p, w in zip(live, weights)
-                    if w > _NEGLIGIBLE
-                    for c in p[:2]
-                )
+                # The nearest focus of a piece with weight; of foci equally
+                # near, the least.
+                near = None
+                for p, w in zip(live, weights):
+                    if w > _NEGLIGIBLE:
+                        for c in p[:2]:
+                            gap_c = (math.hypot(c[0] - y[0], c[1] - y[1]), c)
+                            if near is None or gap_c < near:
+                                near = gap_c
+                gap, c = near
                 if gap < t * math.hypot(sx, sy):
-                    phi_c, f_c, live_c, w_c = smoothed(c, tau)
+                    phi_c, f_c, live_c, w_c, total_c = smoothed(c, tau)
                     if phi_c <= phi_y:
-                        y, phi_y, f_y, live_y, w_y = c, phi_c, f_c, live_c, w_c
-            moved = math.hypot(y[0] - x[0], y[1] - x[1])
-            x, phi, f, live, weights = y, phi_y, f_y, live_y, w_y
-            if at_floor(f, _ROUNDING * unit):
-                break
+                        y, phi_y, f_y, live_y, w_y, total_y = c, phi_c, f_c, live_c, w_c, total_c
             # Middle stages only seed the next one; the last runs to rounding.
-            if (moved <= 1e-14) if stage == _STAGES - 1 else (-slope <= 0.1 * tau):
+            done = math.hypot(y[0] - x[0], y[1] - x[1]) <= 1e-14 if last else -slope <= 0.1 * tau
+            x, phi, f, live, weights, total = y, phi_y, f_y, live_y, w_y, total_y
+            if done or f <= stop:
                 break
 
-    f, active, coeffs, residual = _certificate(pieces, x)
+    f, active, coeffs, residual = _certificate(pieces, x, completed(x))
     iterations += 1
+    at_floor = value_floor is not None and f <= value_floor + _FLOOR_TOL
     return MinimaxResult(
         x,
         f,
@@ -368,5 +423,5 @@ def minimize_max(
         tuple(coeffs),
         residual,
         iterations,
-        residual <= EPS_CERT or at_floor(f, _FLOOR_TOL),
+        residual <= EPS_CERT or at_floor,
     )

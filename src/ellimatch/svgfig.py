@@ -2,9 +2,11 @@
 witness point.
 
 Figures use the mathematical y-up convention via a flip transform, with a
-viewBox fitted to the data plus a 10% margin.  Each matched edge gets the
-ellipse whose foci are its endpoints and whose distance sum is
-(2/sqrt(3)) times the edge length (eccentricity sqrt(3)/2).
+viewBox fitted to the data plus a 10% margin.  The box and the flip are
+written with every digit, so that a figure far from the origin or at a tiny
+scale is placed exactly.  Each matched edge gets the ellipse whose foci are
+its endpoints and whose distance sum is (2/sqrt(3)) times the edge length
+(eccentricity sqrt(3)/2).
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ def render_svg(
         ys.append(o[1])
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
-    extent = max(maxx - minx, maxy - miny, 1e-9)
+    extent = max(maxx - minx, maxy - miny)
+    if extent == 0.0:  # every point coincides: a box at the coordinates' scale
+        extent = 1e-9 * max(1.0, abs(minx), abs(miny))
     pad = 0.1 * extent
     # Ellipses overhang their edges; widen the box so they stay visible.
     if m is not None and m.pairs:
@@ -56,10 +60,10 @@ def render_svg(
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PIXEL_SIZE}" '
-        f'height="{_PIXEL_SIZE * vh / vw:.6g}" viewBox="{vx:.9g} {vy:.9g} {vw:.9g} {vh:.9g}">\n',
+        f'height="{_PIXEL_SIZE * vh / vw:.6g}" viewBox="{vx!r} {vy!r} {vw!r} {vh!r}">\n',
         _STYLE,
         # y-up: flip the y axis about the viewBox center line.
-        f'  <g transform="translate(0,{(2 * vy + vh):.9g}) scale(1,-1)">\n',
+        f'  <g transform="translate(0,{2 * vy + vh!r}) scale(1,-1)">\n',
     ]
 
     if m is not None:

@@ -20,7 +20,7 @@ import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from .geom import Frame, Point, dist, edge_lengths, norm
+from .geom import Frame, Point, dist, edge_lengths, left_sum, norm
 from .matching import Matching, PointSet, validate_pairs
 from .minimax import EPS_CERT, MinimaxResult, Piece, _certificate, minimize_max
 
@@ -114,8 +114,8 @@ def solve_in_frame(
         raise ValueError("no edges to minimize over")
     pieces, npts, frame = _frame_pieces(s, pairs, piece)
     x0 = (
-        sum(npts[i][0] + npts[j][0] for i, j in pairs) / (2.0 * len(pairs)),
-        sum(npts[i][1] + npts[j][1] for i, j in pairs) / (2.0 * len(pairs)),
+        left_sum(npts[i][0] + npts[j][0] for i, j in pairs) / (2.0 * len(pairs)),
+        left_sum(npts[i][1] + npts[j][1] for i, j in pairs) / (2.0 * len(pairs)),
     )
     return minimize_max(pieces, x0, value_floor=value_floor), frame
 
@@ -238,7 +238,7 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
     frame = Frame.of(s.points)
     pts = [frame.to(p) for p in s]
     n = len(pts)
-    y = (sum(p[0] for p in pts) / n, sum(p[1] for p in pts) / n)
+    y = (left_sum(p[0] for p in pts) / n, left_sum(p[1] for p in pts) / n)
     converged = False
     for _ in range(STAR_MAX_ITERS):
         at, rx, ry, wx, wy, winv, near = _pull(pts, y)
@@ -258,5 +258,5 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
                 y = y2
                 break
             y = y2
-    total = sum(math.hypot(y[0] - p[0], y[1] - p[1]) for p in pts)
+    total = left_sum(math.hypot(y[0] - p[0], y[1] - p[1]) for p in pts)
     return frame.back(y), frame.scale * total, converged

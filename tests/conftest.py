@@ -10,6 +10,7 @@ from pathlib import Path
 from hypothesis import settings
 
 from ellimatch import Matching, PointSet, h_ratio
+from ellimatch.minimax import _derivatives
 
 # Fixed example sequences and no example database: runs are reproducible and
 # leave no .hypothesis/ directory behind.
@@ -59,6 +60,37 @@ def random_perfect_matching(s: PointSet, rng) -> Matching:
     idx = list(range(len(s)))
     rng.shuffle(idx)
     return Matching.from_pairs(s, [(idx[k], idx[k + 1]) for k in range(0, len(idx), 2)])
+
+
+def piece_derivatives(piece, x):
+    """Gradient, Hessian (xx, xy, yy) and focus-ball radius of one minimizer
+    piece at x, from the code the Newton step runs: ``_derivatives`` with
+    the piece alone, at weight 1."""
+    _, _, ball, [(_, gx, gy, hxx, hxy, hyy)] = _derivatives([piece], [1.0], 1.0, x)
+    return (gx, gy), (hxx, hxy, hyy), ball
+
+
+def compensated_sum(values, start=0):
+    """sum() as Python 3.12 and later compute it: once the total is a float,
+    each float term's rounding error is carried along (Neumaier) and added
+    at the end."""
+    it = iter(values)
+    total = start
+    for v in it:
+        total = total + v
+        if isinstance(total, float):
+            break
+    else:
+        return total
+    c = 0.0
+    for v in it:
+        t = total + v
+        if abs(total) >= abs(v):
+            c += (total - t) + v
+        else:
+            c += (v - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
 
 
 def count_calls(monkeypatch, *functions):

@@ -14,6 +14,7 @@ from conftest import (
     DOUBLED_TRIANGLE,
     TRIANGLE_CENTROID,
     max_ratio,
+    piece_derivatives,
     random_perfect_matching,
     triangle_sides,
 )
@@ -37,7 +38,7 @@ from ellimatch import (
     steiner_star,
 )
 from ellimatch.geom import norm
-from ellimatch.minimax import _derivatives, _piece_value
+from ellimatch.minimax import _value
 
 SIZES = (4, 6, 8, 10, 12)
 
@@ -93,8 +94,8 @@ def _central_differences(f, x, step):
 
 def test_criterion_4_gradient_correctness():
     # The ratio of edge ab is the minimizer's piece (a, b, |ab|, 0): the
-    # gradient and Hessian checked here are those its Newton steps and its
-    # certificate use.
+    # gradient and Hessian checked here come from the code its Newton steps
+    # and its certificate run, against differences of its value code.
     rng = random.Random(12345)
     step = 1e-6
     checked = 0
@@ -107,14 +108,14 @@ def test_criterion_4_gradient_correctness():
             continue
         s = dist(a, b)
         piece = (a, b, s, 0.0)
-        g, (hxx, hxy, hyy), ball = _derivatives(piece, x)
+        g, (hxx, hxy, hyy), ball = piece_derivatives(piece, x)
         assert ball == 0.0
-        (fx,), (fy,) = _central_differences(lambda y: (_piece_value(piece, y),), x, step)
+        (fx,), (fy,) = _central_differences(lambda y: (_value(piece, y),), x, step)
         rel = math.hypot(g[0] - fx, g[1] - fy) / max(1e-12, math.hypot(*g))
         assert rel <= 1e-6, (a, b, x, rel)
         # The gradient's differences along x and along y are the Hessian's rows.
         (dxx, dxy), (dyx, dyy) = _central_differences(
-            lambda y: _derivatives(piece, y)[0], x, step
+            lambda y: piece_derivatives(piece, y)[0], x, step
         )
         err = math.hypot(hxx - dxx, hxy - dxy, hxy - dyx, hyy - dyy)
         rel_h = err / max(1e-12, math.hypot(hxx, hxy, hxy, hyy))
@@ -123,7 +124,7 @@ def test_criterion_4_gradient_correctness():
         # from the other focus to c, over s.  The focus adds a ball of
         # radius 1/s.
         for c, other in ((a, b), (b, a)):
-            gc, _, ball = _derivatives(piece, c)
+            gc, _, ball = piece_derivatives(piece, c)
             expected = ((c[0] - other[0]) / s / s, (c[1] - other[1]) / s / s)
             assert math.hypot(gc[0] - expected[0], gc[1] - expected[1]) <= 1e-12 / s
             assert ball == 1.0 / s

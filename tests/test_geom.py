@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import compensated_sum, piece_derivatives
+import ellimatch
 from ellimatch import (
     RATIO_BOUND,
     DegenerateEdgeError,
@@ -22,8 +26,7 @@ from ellimatch import (
     h_ratio,
     in_lens,
 )
-from ellimatch.geom import Frame, edge_lengths, norm
-from ellimatch.minimax import _derivatives
+from ellimatch.geom import Frame, edge_lengths, left_sum, norm
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coord, coord)
@@ -42,9 +45,35 @@ def vectors_apart(min_norm=1e-3):
 
 
 def grad_h(a, b, x):
-    """Gradient of ``h_ratio(a, b, .)`` at x, as the minimizer computes it:
-    the ratio is the piece ``(a, b, |ab|, 0)``."""
-    return _derivatives((a, b, dist(a, b), 0.0), x)[0]
+    """Gradient of ``h_ratio(a, b, .)`` at x, from the code the minimizer's
+    Newton steps run: the ratio is the piece ``(a, b, |ab|, 0)``."""
+    return piece_derivatives((a, b, dist(a, b), 0.0), x)[0]
+
+
+class TestLeftSum:
+    def test_adds_left_to_right(self):
+        # A compensated sum, Python 3.12's sum(), recovers the two 1.0s.
+        values = [1.0, 1e100, 1.0, -1e100]
+        assert left_sum(values) == 0.0
+        assert compensated_sum(values) == 2.0
+
+    def test_empty_total_is_that_of_sum(self):
+        assert left_sum([]) == 0 and isinstance(left_sum([]), int)
+        assert left_sum(iter([0.5, 0.25])) == 0.75
+
+    def test_package_calls_no_builtin_sum(self):
+        # Float totals go through left_sum, so results and JSON bytes do not
+        # depend on the Python version.
+        for path in sorted(Path(ellimatch.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            calls = [
+                node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+            ]
+            assert not calls, (path.name, calls)
 
 
 class TestFrame:

@@ -1,14 +1,25 @@
-"""The minimizer's underflow screen: the same results as evaluating every
-piece on every pass, from a fraction of the evaluations."""
+"""The minimizer: a golden bank of results recorded bit for bit, and the
+underflow screen, which gives the same results as evaluating every piece on
+every pass from a fraction of the evaluations."""
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import count_calls, random_perfect_matching
+from conftest import (
+    DOUBLED_TRIANGLE,
+    SQUARE,
+    compensated_sum,
+    random_perfect_matching,
+    square_diagonals,
+    triangle_sides,
+)
 from ellimatch import (
     InstanceSpec,
     PointSet,
@@ -39,8 +50,9 @@ def _near_duplicate_pairs(n: int, seed: int) -> PointSet:
 def _solves(run) -> tuple[list, list]:
     """What every minimize_max call made by run() computes, once screened
     and once with an infinite margin, under which every pass evaluates every
-    piece: each Newton direction with its point, tau and pieces of positive
-    weight with their weights, then the result."""
+    piece not yet evaluated at its point: each Newton direction with its
+    point, tau, weight sum and pieces of positive weight with their weights,
+    then the result."""
     record: list = []
     minimize_max, direction = minimax.minimize_max, minimax._direction
 
@@ -48,9 +60,9 @@ def _solves(run) -> tuple[list, list]:
         record.append(minimize_max(*args, **kwargs))
         return record[-1]
 
-    def recorded_direction(pieces, weights, x, tau):
+    def recorded_direction(pieces, weights, total, x, tau):
         positive = tuple((p, w) for p, w in zip(pieces, weights) if w > 0.0)
-        record.append((x, tau, positive, direction(pieces, weights, x, tau)))
+        record.append((x, tau, total, positive, direction(pieces, weights, total, x, tau)))
         return record[-1][-1]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -127,10 +139,131 @@ def test_screen_keeps_pieces_just_below_the_max():
     assert screened == full
 
 
+def _evaluations(run) -> list[list]:
+    """For every minimize_max call made by run(), the (point, piece) pair of
+    each piece evaluation, in order.  Pieces are told apart by identity."""
+    solves: list = []
+    value, minimize_max = minimax._value, minimax.minimize_max
+
+    def counted_value(p, x):
+        solves[-1].append((x, id(p)))
+        return value(p, x)
+
+    def recorded_solve(*args, **kwargs):
+        solves.append([])
+        return minimize_max(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax, "_value", counted_value)
+        mp.setattr(minimax, "minimize_max", recorded_solve)
+        mp.setattr(witness, "minimize_max", recorded_solve)
+        run()
+    return solves
+
+
 def test_screen_skips_most_evaluations(monkeypatch):
     s, m = _two_opt(200, 3)
-    counts = count_calls(monkeypatch, minimax._piece_value)
-    w = minimize_h(s, m)
     k = len(m.pairs)
+    w = minimize_h(s, m)
+    [screened] = _evaluations(lambda: minimize_h(s, m))
     # Every piece on every pass would be k * iterations evaluations.
-    assert counts["_piece_value"] <= 0.4 * k * w.iterations, (counts, w.iterations)
+    assert len(screened) <= 0.4 * k * w.iterations, (len(screened), w.iterations)
+    # Without the screen the same bound fails, so the count sees the
+    # evaluations that the screen saves.
+    monkeypatch.setattr(minimax, "_UNDERFLOW_MARGIN", math.inf)
+    w_full = minimize_h(s, m)
+    [full] = _evaluations(lambda: minimize_h(s, m))
+    assert len(full) > 0.4 * k * w_full.iterations, (len(full), w_full.iterations)
+
+
+@pytest.mark.parametrize("run", list(_cases()))
+def test_no_piece_evaluated_twice_at_a_point(run):
+    solves = _evaluations(run)
+    assert solves and all(solves)
+    for evaluated in solves:
+        assert len(set(evaluated)) == len(evaluated)
+
+
+# ---------------------------------------------------------------- golden bank
+
+GOLDEN = Path(__file__).with_name("minimax_golden.json")
+
+
+def _encode(r: minimax.MinimaxResult) -> list:
+    """Every field of a result, the floats as float.hex."""
+    return [
+        [c.hex() for c in r.x],
+        r.value.hex(),
+        list(r.active),
+        [c.hex() for c in r.coefficients],
+        r.residual.hex(),
+        r.iterations,
+        r.converged,
+    ]
+
+
+def _results(run) -> list:
+    """The encoded result of every minimize_max call made by run()."""
+    out: list = []
+    minimize_max = minimax.minimize_max
+
+    def recorded_solve(*args, **kwargs):
+        r = minimize_max(*args, **kwargs)
+        out.append(_encode(r))
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax, "minimize_max", recorded_solve)
+        mp.setattr(witness, "minimize_max", recorded_solve)
+        run()
+    return out
+
+
+def _golden_runs():
+    """(name, run) of the bank.  The inputs are built from seeds as the bank
+    runs, so a bank run under a patched sum() builds them under it too."""
+    for seed in range(4):
+        s = generate(InstanceSpec("uniform-square", 20, seed))
+        m = random_perfect_matching(s, random.Random(seed))
+        yield f"descend n=20 seed {seed}", lambda s=s, m=m: minimize_h(s, m)
+    s, m = _two_opt(200, 3)
+    yield "two-opt n=200", lambda: minimize_h(s, m)
+    for generator in ("uniform-square", "gaussian", "clustered"):
+        for seed in (0, 2):
+            s_g, m_g = _exact(generator, 12, seed)
+            yield f"{generator} n=12 seed {seed}", lambda s=s_g, m=m_g: minimize_h(s, m)
+    s_h, m_h = _exact("gaussian", 12, 5)
+    for k in (2, 3):
+        yield f"helly {k} edges", lambda k=k: minimize_h_over_edges(s_h, m_h.pairs[:k])
+    s_d, m_d = _exact("uniform-square", 12, 2)
+    yield "disks", lambda: check_tverberg_disks(s_d, m_d)
+    near = _near_duplicate_pairs(12, 1)
+    m_near = exact_max_sum(near)
+    yield "near-duplicate pairs", lambda: minimize_h(near, m_near)
+    cluster = generate(InstanceSpec("clustered", 12, 4))
+    far = PointSet.of([(1e12 + x, 1e12 + y) for x, y in cluster])
+    m_far = exact_max_sum(far)
+    yield "offset 1e12", lambda: minimize_h(far, m_far)
+    yield "doubled triangle", lambda: minimize_h(DOUBLED_TRIANGLE, triangle_sides())
+    # Both diagonals pass through the center, where the ratio floor 1 ends
+    # the solve.
+    yield "square at the value floor", lambda: minimize_h(SQUARE, square_diagonals())
+
+
+def _golden_bank() -> dict[str, list]:
+    return {name: _results(run) for name, run in _golden_runs()}
+
+
+def test_golden_bank():
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _golden_bank() == expected
+
+
+def test_golden_bank_under_compensated_sum(monkeypatch):
+    # Python 3.12's sum() rounds float totals differently from 3.11's; a
+    # package float total written as sum() would change bits here.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ellimatch":
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert _golden_bank() == expected

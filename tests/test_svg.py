@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import DOUBLED_TRIANGLE, SQUARE, triangle_sides
-from ellimatch import exact_max_sum, minimize_h, render_svg
+from ellimatch import PointSet, exact_max_sum, minimize_h, render_svg
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -60,3 +60,52 @@ class TestRenderSvg:
         vx, vy, vw, vh = (float(t) for t in tree.get("viewBox").split())
         assert vx < 0 and vy < 0
         assert vx + vw > 1 and vy + vh > 1
+
+
+def _placement(doc):
+    """The viewBox, the y translation of the flip, and every site circle as
+    (cx, cy, r), read back as floats."""
+    tree = ET.fromstring(doc)
+    box = tuple(float(t) for t in tree.get("viewBox").split())
+    flip = tree.find(f"{NS}g").get("transform")
+    shift = float(flip.split("translate(0,")[1].split(")")[0])
+    sites = [
+        (float(c.get("cx")), float(c.get("cy")), float(c.get("r")))
+        for c in tree.findall(f".//{NS}circle")
+    ]
+    return box, shift, sites
+
+
+@pytest.mark.parametrize(
+    "scale, offset", [(1.0, 0.0), (2.0**-40, 0.0), (1.0, 1e12)], ids=["unit", "2^-40", "+1e12"]
+)
+def test_viewbox_follows_the_data(scale, offset):
+    # A similarity of the data moves the box by the same similarity, and
+    # the flipped sites stay inside it, at any offset and scale.
+    def similar(p):
+        return (scale * p[0] + offset, scale * p[1] + offset)
+
+    moved = PointSet.of([similar(p) for p in SQUARE])
+    box, shift, sites = _placement(render_svg(moved))
+    unit_box, _, _ = _placement(render_svg(SQUARE))
+    expected = (*similar(unit_box[:2]), scale * unit_box[2], scale * unit_box[3])
+    for got, want in zip(box, expected):
+        assert abs(got - want) <= 1e-12 * max(abs(want), scale), (box, expected)
+    vx, vy, vw, vh = box
+    # The flip maps y to shift - y and the box's y range onto itself.
+    assert abs(shift - (2 * vy + vh)) <= 1e-12 * max(abs(shift), scale)
+    for cx, cy, r in sites:
+        fy = shift - cy
+        assert vx <= cx - r and cx + r <= vx + vw, (cx, r, box)
+        assert vy <= fy - r and fy + r <= vy + vh, (fy, r, box)
+
+
+@pytest.mark.parametrize("at", [0.0, 1e12], ids=["origin", "+1e12"])
+def test_coincident_points_get_a_box(at):
+    # With no extent to scale by, the box takes the coordinates' scale, so
+    # that it stays wider than their rounding.
+    box, shift, sites = _placement(render_svg(PointSet.of([(at, at)] * 2)))
+    vx, vy, vw, vh = box
+    assert vw > 0.0 and vh > 0.0 and vx + vw > vx and vy + vh > vy
+    for cx, cy, r in sites:
+        assert vx < cx < vx + vw and vy < shift - cy < vy + vh
