@@ -42,6 +42,7 @@ from .matching import (
     exact_max_sum,
     local_search,
 )
+from .minimax import GAP_REL
 from .report import Report
 from .svgfig import render_svg
 from .verify import (
@@ -53,7 +54,6 @@ from .verify import (
     check_tverberg_disks,
 )
 from .witness import (
-    EPS_CERT,
     CertificateResult,
     WitnessResult,
     caratheodory_support,

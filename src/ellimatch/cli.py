@@ -60,8 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--generator", choices=GENERATORS, default="uniform-square")
     g.add_argument("--n", type=int, required=True, help="number of points (even)")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True)
-    g.add_argument("--format", choices=("csv", "json"))
+    g.add_argument("--out", required=True, help="point file, JSON if it ends in .json else CSV")
 
     sv = sub.add_parser("solve", help="compute a max-sum matching")
     sv.add_argument("--points", required=True)
@@ -175,7 +174,7 @@ def _theorem_tol(flag: float | None) -> float:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     s = generate(InstanceSpec(args.generator, args.n, args.seed))
-    save_points(s, args.out, args.format)
+    save_points(s, args.out)
     return EXIT_OK
 
 

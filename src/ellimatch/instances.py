@@ -66,30 +66,27 @@ def generate(spec: InstanceSpec) -> PointSet:
     return PointSet.of(pts)
 
 
-def _infer_format(path: Path, fmt: str | None) -> str:
-    if fmt is not None:
-        if fmt not in ("csv", "json"):
-            raise ValueError(f"unknown point format {fmt!r}")
-        return fmt
-    return "json" if path.suffix.lower() == ".json" else "csv"
+def _is_json(path: Path) -> bool:
+    return path.suffix.lower() == ".json"
 
 
-def save_points(s: PointSet, path: str | Path, fmt: str | None = None) -> None:
-    """Write points as CSV ("x,y" per line) or JSON ({"points": [[x, y], ...]}).
+def save_points(s: PointSet, path: str | Path) -> None:
+    """Write points as JSON ({"points": [[x, y], ...]}) when the suffix is
+    ``.json``, else as CSV ("x,y" per line), the format
+    :func:`load_points` reads back by the same rule.
 
     Floats are printed with their shortest round-trip representation, so
     ``load_points(save_points(s)) == s`` bit for bit.
     """
     path = Path(path)
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
-        body = "".join(f"{x!r},{y!r}\n" for x, y in s)
-        path.write_text(body, encoding="utf-8", newline="\n")
-    else:
+    if _is_json(path):
         path.write_text(
             json.dumps({"points": [[x, y] for x, y in s]}, indent=2) + "\n",
             encoding="utf-8",
         )
+    else:
+        body = "".join(f"{x!r},{y!r}\n" for x, y in s)
+        path.write_text(body, encoding="utf-8", newline="\n")
 
 
 def load_points(path: str | Path) -> PointSet:
@@ -97,10 +94,7 @@ def load_points(path: str | Path) -> PointSet:
     is ``.json`` and CSV otherwise; the count must be even."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
-    if _infer_format(path, None) == "csv":
-        pts = _parse_csv(text)
-    else:
-        pts = _parse_json(text)
+    pts = _parse_json(text) if _is_json(path) else _parse_csv(text)
     if not pts:
         raise PointParseError(f"{path}: no points found")
     if len(pts) % 2:

@@ -44,11 +44,20 @@ certificate mostly read values instead of computing them.  A value is the
 same float however often it is computed, so nothing else changes, and a
 pass that reads values still counts in ``iterations``.
 
-The result is certified by the classical optimality condition for maxima of
-convex functions: at a minimizer, the origin lies in the convex hull of the
-active pieces' gradients.  ``min_norm_point`` gives the distance to that
-hull and the convex weights attaining it.  The certificate takes every
-piece's value into account.
+The result is certified by a bracket on the minimum value.  The upper end
+UB is max f at the point x.  ``min_norm_point`` gives the convex weights mu
+over the gradients g_i of the active pieces, those near the max, that bring
+their combination nearest the origin, and its norm, the residual (at a
+focus the gradient drops that focus's term, still a subgradient).  Every
+minimizer x* lies, with x, in each piece's sublevel ellipse at level UB,
+whose major axis is ``s (UB - beta)``, so convexity gives
+``max f(x*) >= sum mu_i f_i(x) - residual * min_i s_i (UB - beta_i)``.  The
+lower end LB is the larger of that and the floor ``max_i min f_i``, which
+is ``max_i (|a_i b_i| / s_i + beta_i)``: 1 for ratio pieces, -min r for
+disk pieces.  The point is certified when UB - LB is at most ``GAP_REL``
+times ``max(1, |UB|)``.  The rule reads no absolute scale of the
+gradients, and a point whose max exceeds the minimum by more than that is
+never certified, however many pieces lie near the max.
 """
 
 from __future__ import annotations
@@ -58,19 +67,17 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
-from .geom import Point, left_sum
+from .geom import Point, dist, left_sum
 
-# Convex-combination certificate residual accepted as "optimal".
-EPS_CERT = 1e-7
+# Relative width of the value bracket, UB - LB <= GAP_REL * max(1, |UB|),
+# accepted as "optimal".
+GAP_REL = 1e-9
 
 # Relative activity tolerance: pieces within ACT_REL * max(1, |f|) of the max.
 ACT_REL = 1e-6
 
 # (a, b, s, beta): f(x) = (|x - a| + |x - b|) / s + beta.
 Piece = tuple[Point, Point, float, float]
-
-# Reaching a proven lower bound of the max within this much certifies it.
-_FLOOR_TOL = 1e-9
 
 # Smoothing parameter of the first stage, relative to max(1, |f(x0)|), and
 # the number of stages, each cutting it tenfold.  The last, 1e-14, keeps the
@@ -109,9 +116,9 @@ class MinimaxResult:
     value: float
     active: tuple[int, ...]
     coefficients: tuple[float, ...]  # convex weights aligned with `active`
-    residual: float
+    residual: float  # norm of the min-norm gradient combination
     iterations: int
-    converged: bool
+    converged: bool  # the value bracket certifies x
 
 
 def _value(p: Piece, x: Point) -> float:
@@ -221,13 +228,21 @@ def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], 
     return p, tuple(coeffs), math.hypot(p[0], p[1])
 
 
+def _floor(pieces: Iterable[Piece]) -> float:
+    """The largest of the pieces' minima, ``max_i (|a_i b_i| / s_i + beta_i)``:
+    no point has a lower max."""
+    return max(dist(a, b) / s + beta for a, b, s, beta in pieces)
+
+
 def _certificate(
     pieces: Sequence[Piece], x: Point, vals: Sequence[float] | None = None
-) -> tuple[float, list[int], tuple[float, ...], float]:
+) -> tuple[float, list[int], tuple[float, ...], float, float, bool]:
     """Evaluate all pieces at x, unless their values ``vals`` there are
-    given, and compute the min-norm certificate over the gradients of the
-    active ones, those within ``ACT_REL * max(1, |f|)`` of the max.
-    Returns (max, active, coeffs over active, residual)."""
+    given, and bracket the minimum of the max (module docstring) with the
+    min-norm certificate over the gradients of the active pieces, those
+    within ``ACT_REL * max(1, |f|)`` of the max.  Returns (max, active,
+    coeffs over active, residual, gap UB - LB, whether the gap certifies
+    x)."""
     if vals is None:
         vals = [_value(p, x) for p in pieces]
     f = max(vals)
@@ -236,7 +251,10 @@ def _certificate(
     _, _, _, terms = _derivatives([pieces[i] for i in active], [1.0] * len(active), 1.0, x)
     grads = [(gx, gy) for _, gx, gy, _, _, _ in terms]
     _, coeffs, residual = min_norm_point(grads)
-    return f, active, coeffs, residual
+    axis = min(s * (f - beta) for _, _, s, beta in pieces)
+    mean = left_sum(mu * vals[i] for i, mu in zip(active, coeffs))
+    gap = f - max(_floor(pieces), mean - residual * axis)
+    return f, active, coeffs, residual, gap, gap <= GAP_REL * max(1.0, abs(f))
 
 
 def _direction(
@@ -274,18 +292,14 @@ def _direction(
     return sx, sy, gx * sx + gy * sy + ball * sn
 
 
-def minimize_max(
-    pieces: Sequence[Piece],
-    x0: Point,
-    *,
-    value_floor: float | None = None,
-) -> MinimaxResult:
-    """Minimize max_i f_i over the plane.
+def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
+    """Minimize max_i f_i over the plane; ``converged`` is the value
+    bracket's verdict at the result (module docstring).
 
-    ``value_floor`` is an optional proven global lower bound of the max (the
-    ratio functions never drop below 1).  Reaching it stops the search, and
-    ending within 1e-9 of it certifies optimality, which covers minima
-    pinned at piece singularities where no gradient combination can cancel.
+    Reaching the pieces' floor, ``max_i min f_i``, up to rounding stops the
+    search: no point is lower.  The bracket's lower end is at least the
+    floor, so that covers minima pinned at piece singularities, such as a
+    duplicated point, where no gradient combination cancels.
 
     Passes after the first few stages skip the pieces whose softmax weight
     would underflow to 0.0, found by the Lipschitz screen of the module
@@ -363,8 +377,8 @@ def minimize_max(
     f = max(completed(x))
     iterations = 1
     unit = max(1.0, abs(f))
-    # Reaching the value floor, up to rounding, ends the search.
-    stop = -math.inf if value_floor is None else value_floor + _ROUNDING * unit
+    # Reaching the floor, up to rounding, ends the search.
+    stop = _floor(pieces) + _ROUNDING * unit
     for stage in range(_STAGES):
         if f <= stop:
             break
@@ -413,15 +427,6 @@ def minimize_max(
             if done or f <= stop:
                 break
 
-    f, active, coeffs, residual = _certificate(pieces, x, completed(x))
+    f, active, coeffs, residual, _, certified = _certificate(pieces, x, completed(x))
     iterations += 1
-    at_floor = value_floor is not None and f <= value_floor + _FLOOR_TOL
-    return MinimaxResult(
-        x,
-        f,
-        tuple(active),
-        tuple(coeffs),
-        residual,
-        iterations,
-        residual <= EPS_CERT or at_floor,
-    )
+    return MinimaxResult(x, f, tuple(active), tuple(coeffs), residual, iterations, certified)

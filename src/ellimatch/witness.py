@@ -3,10 +3,10 @@
 Minimizes the maximum per-edge distance-sum ratio over the plane and
 computes the Steiner-star (geometric median) objective.
 :func:`optimality_certificate` is the one query at a given point: it
-evaluates every edge there, takes the active ones, certifies optimality
-through the convex hull of their gradients and reads the 2- or 3-edge
-support off the certificate's positive weights, by the same rule a witness
-solve uses.
+evaluates every edge there, brackets the minimum of the max ratio through
+the convex hull of the active edges' gradients, by the same rule a witness
+solve ends on, and reads the 2- or 3-edge support off the certificate's
+positive weights.
 
 All solvers map the instance into its unit-square :class:`~ellimatch.geom.Frame`
 first; the ratios are similarity-invariant, so nothing is lost and the
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .geom import Frame, Point, dist, edge_lengths, left_sum, norm
 from .matching import Matching, PointSet, validate_pairs
-from .minimax import EPS_CERT, MinimaxResult, Piece, _certificate, minimize_max
+from .minimax import MinimaxResult, Piece, _certificate, minimize_max
 
 # Above this, a witness is considered strictly off every segment and has a
 # support; below, the witness sits on a segment (ratio 1 regime).
@@ -36,10 +36,11 @@ class WitnessResult:
     """Minimax witness for an edge set.
 
     ``certificate`` pairs each active edge with its convex coefficient in the
-    gradient combination whose norm is ``residual``.  ``support`` is the
+    gradient combination whose norm is ``residual``; ``converged`` is the
+    value bracket's verdict (:mod:`ellimatch.minimax`).  ``support`` is the
     certificate's edges of positive weight (2 or 3, by Caratheodory in the
     plane); it is None when the ratio is 1 within tolerance (witness on a
-    segment) or when the certificate does not hold;
+    segment) or when the bracket does not certify the witness;
     :func:`optimality_certificate` applies the same rule at a given point.
     """
 
@@ -61,24 +62,27 @@ class CertificateResult:
     ``lambda_at`` is the max ratio at the point and ``coefficients`` pairs
     each active edge (ratio within ``ACT_REL * max(1, lambda_at)`` of it)
     with its weight in the min-norm gradient combination, whose norm is
-    ``residual``; ``ok`` is ``residual <= EPS_CERT``.  ``support`` is the
-    edges of positive weight, or None, by the rule of
+    ``residual``.  ``gap`` is the width UB - LB of the value bracket
+    (:mod:`ellimatch.minimax`), and ``ok`` holds when it is at most
+    ``GAP_REL * max(1, lambda_at)``, the rule a witness solve ends on.
+    ``support`` is the edges of positive weight, or None, by the rule of
     :attr:`WitnessResult.support`.
     """
 
     ok: bool
     residual: float
+    gap: float
     lambda_at: float
     coefficients: tuple[tuple[int, float], ...]
     support: tuple[int, ...] | None
 
 
 def _support(
-    lam: float, residual: float, certificate: Sequence[tuple[int, float]]
+    lam: float, certified: bool, certificate: Sequence[tuple[int, float]]
 ) -> tuple[int, ...] | None:
     """The certificate's edges of positive weight, when the value is above
-    the segment regime and the residual certifies the point; else None."""
-    if lam > LAMBDA_SEGMENT and residual <= EPS_CERT:
+    the segment regime and the bracket certifies the point; else None."""
+    if lam > LAMBDA_SEGMENT and certified:
         return tuple(e for e, mu in certificate if mu > 0.0)
     return None
 
@@ -101,11 +105,7 @@ def _frame_pieces(
 
 
 def solve_in_frame(
-    s: PointSet,
-    pairs: Sequence[IndexPair],
-    piece: Callable[[Point, Point, float], Piece],
-    *,
-    value_floor: float | None = None,
+    s: PointSet, pairs: Sequence[IndexPair], piece: Callable[[Point, Point, float], Piece]
 ) -> tuple[MinimaxResult, Frame]:
     """Minimize the max over edges ab of ``piece(a, b, |ab|)`` in the
     unit-square frame of the edges' endpoints, from the mean of the edge
@@ -117,7 +117,7 @@ def solve_in_frame(
         left_sum(npts[i][0] + npts[j][0] for i, j in pairs) / (2.0 * len(pairs)),
         left_sum(npts[i][1] + npts[j][1] for i, j in pairs) / (2.0 * len(pairs)),
     )
-    return minimize_max(pieces, x0, value_floor=value_floor), frame
+    return minimize_max(pieces, x0), frame
 
 
 def minimize_h(s: PointSet, m: Matching) -> WitnessResult:
@@ -129,50 +129,35 @@ def minimize_h(s: PointSet, m: Matching) -> WitnessResult:
 def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessResult:
     """Like :func:`minimize_h` but for an arbitrary edge list (used by the
     Helly check on the witness's certificate edges)."""
-    # The ratio never drops below 1, so 1 is a proven floor; hitting it
-    # certifies optimality even when the witness sits on a duplicated point
-    # where the gradient hull cannot cancel.
-    res, frame = solve_in_frame(s, pairs, _ratio_piece, value_floor=1.0)
-
-    lam = res.value
-    residual = res.residual
-    if res.converged and residual > EPS_CERT:
-        # Certified by the value floor: zero is a genuine subgradient at a
-        # duplicated-point witness (the endpoint ball absorbs the gradient).
-        residual = 0.0
+    res, frame = solve_in_frame(s, pairs, _ratio_piece)
     certificate = tuple(zip(res.active, res.coefficients))
     return WitnessResult(
         o_star=frame.back(res.x),
-        lambda_star=lam,
+        lambda_star=res.value,
         active=res.active,
-        support=_support(lam, res.residual, certificate),
+        support=_support(res.value, res.converged, certificate),
         certificate=certificate,
-        residual=residual,
+        residual=res.residual,
         iterations=res.iterations,
         converged=res.converged,
     )
 
 
 def optimality_certificate(s: PointSet, m: Matching, o: Point) -> CertificateResult:
-    """Check whether o minimizes the max ratio of m: the origin must lie
-    within ``EPS_CERT`` of the convex hull of the active edges' gradients,
-    taken in the unit-square frame of m, where that tolerance is meaningful.
-
-    A passing certificate bounds the value at o only to about
-    ``ACT_REL * max(1, lambda_at)`` (1e-6) above the minimum, not to
-    ``EPS_CERT``: every edge within the activity band counts as active, so
-    a point near, but not at, a vertex of the edges' ratios can pass.
-    """
+    """Check whether o minimizes the max ratio of m: the value bracket,
+    taken in the unit-square frame of m, must put the max ratio at o within
+    ``GAP_REL * max(1, lambda_at)`` of the minimum."""
     validate_pairs(s, m.pairs)
     pieces, _, frame = _frame_pieces(s, m.pairs, _ratio_piece)
-    lam, active, coeffs, residual = _certificate(pieces, frame.to(o))
+    lam, active, coeffs, residual, gap, ok = _certificate(pieces, frame.to(o))
     coefficients = tuple(zip(active, coeffs))
     return CertificateResult(
-        ok=residual <= EPS_CERT,
+        ok=ok,
         residual=residual,
+        gap=gap,
         lambda_at=lam,
         coefficients=coefficients,
-        support=_support(lam, residual, coefficients),
+        support=_support(lam, ok, coefficients),
     )
 
 

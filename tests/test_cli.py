@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,10 +57,23 @@ class TestGenSolveWitness:
 
     def test_gen_json_format_round_trips(self, tmp_path, capsys):
         out = tmp_path / "pts.json"
-        assert main(["gen", "--n", "6", "--seed", "3", "--format", "json", "--out", str(out)]) == 0
+        assert main(["gen", "--n", "6", "--seed", "3", "--out", str(out)]) == 0
         from ellimatch import InstanceSpec, generate, load_points
 
         assert load_points(out).points == generate(InstanceSpec("uniform-square", 6, 3)).points
+
+    def test_gen_then_solve_reads_either_suffix(self, tmp_path, capsys):
+        # The suffix picks the format for both writing and reading, so what
+        # gen writes, solve reads, and both files give the same solve.
+        outs = []
+        for name, first in (("p.json", "{"), ("p.csv", "0.")):
+            pts = tmp_path / name
+            assert main(["gen", "--n", "6", "--seed", "3", "--out", str(pts)]) == 0
+            assert pts.read_text(encoding="utf-8").startswith(first)
+            code, out = run(capsys, "solve", "--points", str(pts))
+            assert code == 0
+            outs.append(json.loads(out)["matching"])
+        assert outs[0] == outs[1]
 
     def test_witness_on_supplied_matching(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
@@ -545,3 +559,22 @@ def test_only_the_cli_reads_the_environment():
             if names & {"environ", "environb", "getenv", "getenvb"}:
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+def test_runtime_imports_only_the_standard_library():
+    # The package declares no dependencies: every import is relative or
+    # names a standard-library module.
+    package = Path(ellimatch.__file__).parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}:{node.lineno}: {name}")
+    assert outside == []

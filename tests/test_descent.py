@@ -371,8 +371,8 @@ class TestDescendDegenerateFamilies:
                 init = random_perfect_matching(s, random.Random(seed))
                 result = descend(s, init)
                 # solver_failure is allowed: the minimizer still fails to
-                # converge on near-duplicate and flat sets, the open
-                # minimizer defect of ROADMAP item 3.
+                # converge on some near-duplicate and flat sets, the open
+                # minimizer defect of ROADMAP item 1.
                 assert result.status not in ("cycle_not_found", "improvement_violation"), (
                     n,
                     seed,
@@ -383,3 +383,14 @@ class TestDescendDegenerateFamilies:
                     assert after > before
                 if result.ok:
                     assert result.witness.lambda_star <= RATIO_BOUND + 1e-6
+
+    def test_twin_edges_matched_together_certify(self):
+        # Two 1e-9 edges matched across each other put lambda* near 8.9e8.
+        # The gradients there are of order 1e9, so the min-norm residual,
+        # 1.5e-7, is far from 0 although the value is minimal to rounding:
+        # the scale-free bracket certifies it.
+        s = _degenerate_family("near-duplicate-pairs", 8, 4)
+        w = minimize_h(s, random_perfect_matching(s, random.Random(4)))
+        assert w.converged
+        assert w.lambda_star == pytest.approx(8.94e8, rel=1e-3)
+        assert w.residual > 1e-7

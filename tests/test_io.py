@@ -161,10 +161,6 @@ class TestPointFiles:
         path.write_text("0,0\n\n  \n1,0\n")
         assert load_points(path).points == ((0.0, 0.0), (1.0, 0.0))
 
-    def test_unknown_save_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown point format"):
-            save_points(SQUARE, tmp_path / "p.csv", "xml")
-
 
 class TestReport:
     def build(self):

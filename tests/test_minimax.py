@@ -128,14 +128,14 @@ def test_screen_keeps_pieces_just_below_the_max():
     s, m = _two_opt(200, 3)
     pieces, _, _ = witness._frame_pieces(s, m.pairs, witness._ratio_piece)
     x0 = (0.5, 0.5)
-    best = minimax.minimize_max(pieces, x0, value_floor=1.0)
+    best = minimax.minimize_max(pieces, x0)
     rng = random.Random(0)
     for e in range(-14, -6):
         for mantissa in (1.0, 3.0):
             c = (rng.random(), rng.random())
             gap = mantissa * 10.0**e + math.hypot(best.x[0] - c[0], best.x[1] - c[1])
             pieces.append((c, c, 2.0, best.value - gap))
-    screened, full = _solves(lambda: minimax.minimize_max(pieces, x0, value_floor=1.0))
+    screened, full = _solves(lambda: minimax.minimize_max(pieces, x0))
     assert screened == full
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 
@@ -19,7 +20,6 @@ from conftest import (
     triangle_sides,
 )
 from ellimatch import (
-    EPS_CERT,
     EPS_GEO,
     RATIO_BOUND,
     InstanceSpec,
@@ -36,6 +36,7 @@ from ellimatch import (
     steiner_star,
 )
 from ellimatch import witness
+from ellimatch.cli import main
 from ellimatch.minimax import minimize_max
 from ellimatch.witness import LAMBDA_SEGMENT
 
@@ -193,7 +194,7 @@ class TestCaratheodorySupport:
         m = triangle_sides()
         # a point far from the true witness has no containing support
         cert = optimality_certificate(DOUBLED_TRIANGLE, m, (0.9, 0.8))
-        assert not cert.ok and cert.residual > EPS_CERT
+        assert not cert.ok and cert.gap > 1e-3
         assert cert.support is None
 
     def test_benchmark_shim_is_the_certificate_support(self):
@@ -248,7 +249,7 @@ class TestCaratheodorySupport:
     def test_unconverged_witness_has_no_support(self, monkeypatch):
         def stalled(*args, **kwargs):
             res = minimize_max(*args, **kwargs)
-            return dataclasses.replace(res, residual=2 * EPS_CERT, converged=False)
+            return dataclasses.replace(res, converged=False)
 
         monkeypatch.setattr(witness, "minimize_max", stalled)
         w = minimize_h(DOUBLED_TRIANGLE, triangle_sides())
@@ -279,6 +280,41 @@ class TestOptimalityCertificate:
         assert len(coeffs) == 3
         for c in coeffs:
             assert c == pytest.approx(1 / 3, abs=1e-6)
+
+    def test_floor_certifies_a_duplicated_point(self, tmp_path, capsys):
+        # Both edges start at (0, 0), where both ratios are 1, the least a
+        # ratio takes.  No gradient combination cancels there (residual
+        # 1/sqrt(2)), so only the bracket's floor certifies the point.
+        s = PointSet.of([(0, 0), (0, 0), (1, 0), (0, 1)])
+        m = Matching.from_pairs(s, [(0, 2), (1, 3)])
+        w = minimize_h(s, m)
+        assert w.converged and w.lambda_star == 1.0 and w.support is None
+        cert = optimality_certificate(s, m, (0.0, 0.0))
+        assert cert.ok and cert.gap == 0.0
+        assert cert.residual == w.residual == math.sqrt(0.5)
+        pts, mfile = tmp_path / "p.csv", tmp_path / "m.json"
+        pts.write_text("0,0\n0,0\n1,0\n0,1\n")
+        mfile.write_text(json.dumps({"pairs": [[0, 2], [1, 3]], "cost": 2.0}))
+        assert main(["witness", "--points", str(pts), "--matching", str(mfile)]) == 0
+        report = json.loads(capsys.readouterr().out)["witness"]
+        assert report["converged"] is True and report["residual"] == math.sqrt(0.5)
+
+    def test_point_above_the_minimum_is_rejected(self):
+        # Points 3e-7 off the witness lie 1.5e-7 to 3.6e-7 above the minimum
+        # while their active edges' gradient hull still holds the origin
+        # (residual below 1e-16); the bracket's gap covers the excess.
+        s = generate(InstanceSpec("uniform-square", 12, 0))
+        m = exact_max_sum(s)
+        w = minimize_h(s, m)
+        assert optimality_certificate(s, m, w.o_star).ok
+        for k in range(8):
+            a = 2 * math.pi * k / 8
+            o = (w.o_star[0] + 3e-7 * math.cos(a), w.o_star[1] + 3e-7 * math.sin(a))
+            cert = optimality_certificate(s, m, o)
+            excess = cert.lambda_at - w.lambda_star
+            assert excess > 1e-7 and cert.residual < 1e-16
+            assert cert.gap >= excess
+            assert cert.ok is False and cert.support is None
 
 
 class TestSteinerStar:
