@@ -10,15 +10,16 @@ command, and passed down as a float: the library reads no environment.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
 import random
 import sys
 from pathlib import Path
+from types import ModuleType
 from typing import Any
 
-from .descent import descend
 from .geom import DEFAULT_THEOREM_TOL
 from .instances import GENERATORS, InstanceSpec, generate, load_points, save_points
 from .matching import Matching, PointSet, SizeCapError, exact_max_sum, local_search
@@ -31,21 +32,56 @@ from .report import (
     verdict_dict,
     witness_dict,
 )
-from .svgfig import render_svg
-from .verify import (
-    CHECK_NAMES,
-    check_fingerhut,
-    check_helly_triples,
-    check_suri,
-    check_theorem,
-    check_tverberg_disks,
-)
 from .witness import minimize_h
+
+
+def _run_on_first_use(name: str) -> ModuleType:
+    """This package's module ``name``, entered in ``sys.modules`` now and
+    run on its first attribute access: a command that never uses it
+    neither compiles nor runs it.  It is entered, not left out, because the
+    benchmark's tracer looks each layer's module up there."""
+    full = f"{__package__}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec(full)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[full] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+descent = _run_on_first_use("descent")
+svgfig = _run_on_first_use("svgfig")
+verify = _run_on_first_use("verify")
+
+# Names this module bound from those three before they ran on first use.
+_DEFERRED = frozenset(
+    {
+        "descend",
+        "render_svg",
+        "check_fingerhut",
+        "check_helly_triples",
+        "check_suri",
+        "check_theorem",
+        "check_tverberg_disks",
+    }
+)
+
+
+def __getattr__(name: str) -> Any:
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(sys.modules[__package__], name)
+
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_SOLVER = 3
+
+CHECK_NAMES = ("fingerhut", "theorem", "helly", "suri", "disks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,12 +182,14 @@ def _start_matching(s: PointSet, seed: int | None) -> Matching:
 
 
 def _parse_sizes(text: str) -> list[int]:
-    sizes: list[int] = []
-    if "-" in text and "," not in text:
-        lo, hi = (int(t) for t in text.split("-", 1))
-        sizes = [n for n in range(lo, hi + 1) if n % 2 == 0]
-    else:
-        sizes = [int(t) for t in text.split(",") if t.strip()]
+    try:
+        if "-" in text and "," not in text:
+            lo, hi = (int(t) for t in text.split("-", 1))
+            sizes = [n for n in range(lo, hi + 1) if n % 2 == 0]
+        else:
+            sizes = [int(t) for t in text.split(",") if t.strip()]
+    except ValueError:  # a bound or an entry that is not an integer
+        sizes = []
     if not sizes or any(n < 2 or n % 2 for n in sizes):
         raise ValueError(f"sizes must be even and >= 2, got {text!r}")
     return sizes
@@ -164,7 +202,10 @@ def _theorem_tol(flag: float | None) -> float:
     raw = flag if flag is not None else os.environ.get("TVERBERG_TOL")
     if raw is None:
         return DEFAULT_THEOREM_TOL
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:  # TVERBERG_TOL is not a number
+        value = math.nan
     if not (math.isfinite(value) and value > 0.0):
         raise ValueError(
             f"tolerance (--tol or TVERBERG_TOL) must be finite and positive, got {raw}"
@@ -218,22 +259,22 @@ def _run_checks(
     w = minimize_h(s, m) if "fingerhut" in names or "helly" in names else None
     if "fingerhut" in names:
         solver_trouble |= not w.converged
-        verdicts["fingerhut"] = verdict_dict(check_fingerhut(s, m, w.o_star, tol=tol))
+        verdicts["fingerhut"] = verdict_dict(verify.check_fingerhut(s, m, w.o_star, tol=tol))
     if "theorem" in names:
         w_exact = w if w is not None and m is exact else minimize_h(s, exact)
-        vd = check_theorem(exact, w_exact, tol=tol)
+        vd = verify.check_theorem(exact, w_exact, tol=tol)
         solver_trouble |= not vd.details["converged"]
         verdicts["theorem"] = verdict_dict(vd)
     if "helly" in names:
-        vd = check_helly_triples(s, m, w, tol=tol)
+        vd = verify.check_helly_triples(s, m, w, tol=tol)
         solver_trouble |= not vd.details["converged"]
         verdicts["helly"] = verdict_dict(vd)
     if "suri" in names:
-        vd = check_suri(s, exact, tol=tol)
+        vd = verify.check_suri(s, exact, tol=tol)
         solver_trouble |= not vd.details["converged"]
         verdicts["suri"] = verdict_dict(vd)
     if "disks" in names:
-        vd = check_tverberg_disks(s, m)
+        vd = verify.check_tverberg_disks(s, m)
         solver_trouble |= not vd.details["converged"]
         verdicts["disks"] = verdict_dict(vd)
     all_pass = all(v["passed"] for v in verdicts.values())
@@ -265,7 +306,7 @@ def _cmd_descend(args: argparse.Namespace) -> int:
         init = _load_matching(args.matching, s)
     else:
         init = _start_matching(s, args.init_seed)
-    result = descend(s, init, max_steps=args.max_steps, tol=_theorem_tol(args.tol))
+    result = descent.descend(s, init, max_steps=args.max_steps, tol=_theorem_tol(args.tol))
     report = Report(
         instance=instance_dict(s),
         matching=matching_dict(result.matching),
@@ -283,7 +324,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     s = load_points(args.points)
     m = _load_matching(args.matching, s) if args.matching else None
     w = minimize_h(s, m) if (m is not None and args.witness) else None
-    render_svg(s, m, w, args.out)
+    svgfig.render_svg(s, m, w, args.out)
     return EXIT_OK
 
 
@@ -292,6 +333,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     per-instance records ordered by index and the minimum margin seen."""
     sizes = _parse_sizes(args.sizes)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    if not checks:
+        raise ValueError("no checks given")
     unknown = [c for c in checks if c not in CHECK_NAMES]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}; available: {list(CHECK_NAMES)}")

@@ -10,12 +10,14 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .descent import DescentStep
 from .matching import Matching, PointSet
-from .verify import Verdict
-from .witness import WitnessResult
+
+if TYPE_CHECKING:
+    from .descent import DescentStep
+    from .verify import Verdict
+    from .witness import WitnessResult
 
 
 @dataclass(frozen=True)

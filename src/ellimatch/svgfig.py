@@ -13,10 +13,13 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .geom import RATIO_BOUND, dist
 from .matching import Matching, PointSet
-from .witness import WitnessResult
+
+if TYPE_CHECKING:
+    from .witness import WitnessResult
 
 _STYLE = (
     "  <style>\n"

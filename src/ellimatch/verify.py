@@ -179,6 +179,3 @@ def check_tverberg_disks(s: PointSet, m: Matching) -> Verdict:
             "converged": res.converged,
         },
     )
-
-
-CHECK_NAMES = ("fingerhut", "theorem", "helly", "suri", "disks")

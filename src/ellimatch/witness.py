@@ -215,9 +215,9 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
     Weiszfeld iteration from the centroid, at most ``STAR_MAX_ITERS`` steps.
     Towards a data point that is itself the median, Weiszfeld crawls at a
     rate close to 1, so every step tests the data point nearest the iterate
-    for vertex optimality and stops there when it passes.  An iterate that
-    lands on any other data point steps along the pull of the remaining
-    points.  The sum of unit vectors is scale-free, so ``STAR_GRAD_TOL``
+    for vertex optimality (each point once) and stops there when it passes.
+    An iterate that lands on any other data point steps along the pull of
+    the remaining points.  The sum of unit vectors is scale-free, so ``STAR_GRAD_TOL``
     certifies the center in any frame.
     """
     frame = Frame.of(s.points)
@@ -225,9 +225,12 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
     n = len(pts)
     y = (left_sum(p[0] for p in pts) / n, left_sum(p[1] for p in pts) / n)
     converged = False
+    vertex_optimal: dict[Point, bool] = {}  # the test reads only the point
     for _ in range(STAR_MAX_ITERS):
         at, rx, ry, wx, wy, winv, near = _pull(pts, y)
-        if _vertex_optimal(pts, near):
+        if near not in vertex_optimal:
+            vertex_optimal[near] = _vertex_optimal(pts, near)
+        if vertex_optimal[near]:
             y, converged = near, True
             break
         rn = math.hypot(rx, ry)

@@ -299,7 +299,9 @@ class TestVerifyAndDescend:
         else:
             argv = [command, "--points", str(self.write_square(tmp_path))]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(
+            "error: tolerance (--tol or TVERBERG_TOL) must be finite and positive, got "
+        )
 
     def test_env_tolerance_is_reported_by_verify_and_suite(
         self, tmp_path, capsys, monkeypatch
@@ -450,7 +452,11 @@ class TestSuite:
         code, _ = run(capsys, "suite", "--checks", "nonsense")
         assert code == 2
 
-    @pytest.mark.parametrize("sizes", ["3,5", "0-0"])
+    def test_empty_check_list_rejected(self, capsys):
+        assert main(["suite", "--count", "1", "--sizes", "4", "--checks", ","]) == 2
+        assert capsys.readouterr() == ("", "error: no checks given\n")
+
+    @pytest.mark.parametrize("sizes", ["3,5", "0-0", "4-", "a-b", "4,x"])
     def test_bad_sizes_rejected(self, capsys, sizes):
         assert main(["suite", "--count", "1", "--sizes", sizes]) == 2
         assert capsys.readouterr().err.startswith("error: sizes must be even")

@@ -317,6 +317,25 @@ class TestOptimalityCertificate:
             assert cert.ok is False and cert.support is None
 
 
+# repr(steiner_star(s)) as the iteration gave it when it tested the nearest
+# data point at every step; testing each point once must keep every bit.
+STAR_BANK = {
+    ("uniform-square", 12, 0): "((0.64415794147201, 0.5735531587400012), 3.849783952650598, True)",
+    ("uniform-square", 12, 1): "((0.5287115334621519, 0.4603817025153378), 5.026833702939144, True)",
+    ("uniform-square", 12, 2): "((0.5255866383024268, 0.3764555658740708), 4.392446279804388, True)",
+    ("gaussian", 12, 0): "((0.14441820107424808, -0.5337455233444928), 16.747541448865057, True)",
+    ("gaussian", 12, 1): "((0.1690578096863813, -0.10218464655326787), 13.175816909234886, True)",
+    ("gaussian", 12, 2): "((-0.2614525838727427, -0.3063463725183473), 14.13519312952884, True)",
+    ("clustered", 12, 0): "((0.5563746377015855, 0.42290068454478624), 2.794905751547131, True)",
+    ("clustered", 12, 1): "((0.5373008984476941, 0.45543271855567036), 3.15879331498222, True)",
+    ("clustered", 12, 2): "((0.7217617637203205, 0.6999305601470642), 5.478007301826888, True)",
+    ("doubled-polygon", 6, 0): "((-5.551115123125783e-17, 1.1102230246251565e-16), 3.464101615137755, True)",
+    ("doubled-polygon", 8, 0): "((0.0, 0.0), 5.656854249492381, True)",
+    ("doubled-polygon", 12, 0): "((0.0, 1.1102230246251565e-16), 12.000000000000004, True)",
+    ("clustered", 4, 42): "((0.6403064537370624, 0.05240883753966584), 0.1997063409452871, True)",
+}
+
+
 class TestSteinerStar:
     def test_equilateral_triangle(self):
         s = PointSet.of(TRIANGLE)
@@ -378,3 +397,32 @@ class TestSteinerStar:
         assert steiner_star(s)[2]
         monkeypatch.setattr(witness, "STAR_MAX_ITERS", 1)
         assert not steiner_star(s)[2]
+
+    @pytest.mark.parametrize("spec", list(STAR_BANK), ids=lambda s: "-".join(map(str, s)))
+    def test_results_match_the_recorded_bank(self, spec):
+        assert repr(steiner_star(generate(InstanceSpec(*spec)))) == STAR_BANK[spec]
+
+    def test_each_data_point_is_tested_once(self, monkeypatch):
+        pull, vertex_optimal = witness._pull, witness._vertex_optimal
+        passes, nearest, tested = [0], set(), []
+
+        def counted_pull(pts, y):
+            passes[0] += 1
+            out = pull(pts, y)
+            nearest.add(out[6])
+            return out
+
+        def counted_vertex_optimal(pts, c):
+            tested.append(c)
+            return vertex_optimal(pts, c)
+
+        monkeypatch.setattr(witness, "_pull", counted_pull)
+        monkeypatch.setattr(witness, "_vertex_optimal", counted_vertex_optimal)
+        for spec in STAR_BANK:
+            passes[0] = 0
+            nearest.clear()
+            tested.clear()
+            steiner_star(generate(InstanceSpec(*spec)))
+            steps = passes[0] - len(tested)
+            assert len(tested) == len(set(tested)), spec
+            assert passes[0] <= steps + len(nearest), spec
