@@ -9,7 +9,10 @@ only the modules that ``descend`` needs.
 from __future__ import annotations
 
 import importlib
-from typing import Any
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 __version__ = "0.1.0"
 

@@ -16,9 +16,6 @@ import math
 import os
 import random
 import sys
-from pathlib import Path
-from types import ModuleType
-from typing import Any
 
 from .geom import DEFAULT_THEOREM_TOL
 from .instances import GENERATORS, InstanceSpec, generate, load_points, save_points
@@ -33,6 +30,11 @@ from .report import (
     witness_dict,
 )
 from .witness import minimize_h
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from types import ModuleType
+    from typing import Any
 
 
 def _run_on_first_use(name: str) -> ModuleType:
@@ -157,20 +159,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
     else:
         print(text)
 
 
 def _load_matching(path: str, s: PointSet) -> Matching:
-    text = Path(path).read_text(encoding="utf-8")
+    """The matching of s in the JSON file at path, bare or under a report's
+    "matching" key; every error names the file."""
     try:
-        data = json.loads(text)
-    except ValueError as e:  # a JSON syntax error, or an integer past the digit limit
+        with open(path, encoding="utf-8") as f:
+            data = json.load(f)
+        if isinstance(data, dict) and "matching" in data:
+            data = data["matching"]
+        return matching_from_dict(data, s)
+    # unreadable, not JSON, an integer past the digit limit, or no matching of s
+    except (OSError, ValueError) as e:
         raise ValueError(f"matching: {path}: {e}") from None
-    if isinstance(data, dict) and "matching" in data:
-        data = data["matching"]
-    return matching_from_dict(data, s)
 
 
 def _start_matching(s: PointSet, seed: int | None) -> Matching:

@@ -10,14 +10,13 @@ at a matching whose ratio is within tolerance of the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .geom import (
     DEFAULT_THEOREM_TOL,
     EPS_GEO,
     DegenerateEdgeError,
     Frame,
     Point,
+    Record,
     dist,
     edge_lengths,
     norm,
@@ -54,8 +53,7 @@ class ImprovementError(RuntimeError):
     """Applying a cycle failed to increase cost: numerical inconsistency."""
 
 
-@dataclass(frozen=True)
-class BicoloredGraph:
+class BicoloredGraph(Record):
     """Graph on the endpoints of selected edges.
 
     Blue edges are the (tight) matching pairs; red edges are strict-inequality
@@ -75,8 +73,7 @@ class BicoloredGraph:
                 raise ValueError(f"edge {e} is both blue and red")
 
 
-@dataclass(frozen=True)
-class AlternatingCycle:
+class AlternatingCycle(Record):
     """Point-id sequence x1 y1 x2 y2 ... closing back to x1; consecutive
     pairs alternate blue (matching) and red."""
 
@@ -224,15 +221,13 @@ def apply_cycle(m: Matching, cycle: AlternatingCycle, s: PointSet) -> Matching:
     return result
 
 
-@dataclass(frozen=True)
-class DescentStep:
+class DescentStep(Record):
     lambda_star: float
     cost: float  # matching cost after the swap
     cycle_length: int
 
 
-@dataclass(frozen=True)
-class DescentResult:
+class DescentResult(Record):
     matching: Matching
     witness: WitnessResult | None
     trace: tuple[DescentStep, ...]
@@ -300,7 +295,7 @@ def descend(
 
     def result(status: str, w: WitnessResult | None) -> DescentResult:
         if w is not None:
-            w = replace(w, o_star=frame.back(w.o_star))
+            w = w.replace(o_star=frame.back(w.o_star))
         return DescentResult(m, w, tuple(trace), status)
 
     for _ in range(max_steps):

@@ -3,13 +3,13 @@
 Points are plain ``(x, y)`` tuples and every function is pure.  Absolute
 tolerances (``EPS_GEO``) are meant for unit-scale data: every solver maps its
 points into the unit-square :class:`Frame` before relying on them.
+:class:`Record` is the base of every result and value type of the package.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 
 Point = tuple[float, float]
 
@@ -30,8 +30,80 @@ def within_bound(lam: float, tol: float) -> bool:
     return RATIO_BOUND - lam >= -tol
 
 
-@dataclass(frozen=True)
-class Frame:
+class FrozenRecordError(AttributeError):
+    """Assignment to or deletion of an attribute of a :class:`Record`."""
+
+
+class Record:
+    """Immutable value with named fields, which behaves as a frozen dataclass
+    does but is built without generating code, so defining one costs no
+    compilation at import.
+
+    The fields are the subclass's annotated names, in order, except those
+    starting with ``_``; a class attribute of that name is the field's
+    default.  Construction is positional or by keyword and ends with
+    ``__post_init__``, which may normalize a field with
+    ``object.__setattr__``.  Instances are equal when of the same class with
+    equal fields, hash their fields, and are copied with :meth:`replace`.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        own = [n for n in cls.__annotations__ if not n.startswith("_")]
+        cls._fields = (*cls._fields, *own)
+        cls._defaults = {**cls._defaults, **{n: cls.__dict__[n] for n in own if n in cls.__dict__}}
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self._fields
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} fields, got {len(args)}")
+        values = dict(zip(names, args))
+        for name in kwargs:
+            if name in values or name not in names:
+                raise TypeError(f"{type(self).__qualname__}: unexpected or repeated field {name!r}")
+        values.update(kwargs)
+        if len(values) < len(names):
+            for name in names:
+                if name not in values:
+                    if name not in self._defaults:
+                        raise TypeError(f"{type(self).__qualname__}: missing field {name!r}")
+                    values[name] = self._defaults[name]
+        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple[object, ...]:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def replace(self, **changes: object) -> Record:
+        """A copy with the given fields changed, built and normalized anew."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenRecordError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenRecordError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frame(Record):
     """Similarity map ``to(p) = (p - offset) / scale`` onto the unit square,
     inverted by ``back``.  The distance-sum ratios do not change under it.
     The frame of an already framed set is the identity."""

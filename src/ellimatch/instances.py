@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
-from dataclasses import dataclass
-from pathlib import Path
-
+from .geom import Record
 from .matching import PointSet
 
 GENERATORS = ("uniform-square", "gaussian", "clustered", "doubled-polygon")
@@ -23,8 +22,7 @@ class OddCountError(ValueError):
     """A point file holds an odd number of points."""
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(Record):
     """Recipe for a deterministic instance: same spec, same points."""
 
     generator: str
@@ -66,11 +64,11 @@ def generate(spec: InstanceSpec) -> PointSet:
     return PointSet.of(pts)
 
 
-def _is_json(path: Path) -> bool:
-    return path.suffix.lower() == ".json"
+def _is_json(path: str | os.PathLike[str]) -> bool:
+    return os.path.splitext(path)[1].lower() == ".json"
 
 
-def save_points(s: PointSet, path: str | Path) -> None:
+def save_points(s: PointSet, path: str | os.PathLike[str]) -> None:
     """Write points as JSON ({"points": [[x, y], ...]}) when the suffix is
     ``.json``, else as CSV ("x,y" per line), the format
     :func:`load_points` reads back by the same rule.
@@ -78,22 +76,21 @@ def save_points(s: PointSet, path: str | Path) -> None:
     Floats are printed with their shortest round-trip representation, so
     ``load_points(save_points(s)) == s`` bit for bit.
     """
-    path = Path(path)
     if _is_json(path):
-        path.write_text(
-            json.dumps({"points": [[x, y] for x, y in s]}, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        body = json.dumps({"points": [[x, y] for x, y in s]}, indent=2) + "\n"
+        newline = None
     else:
         body = "".join(f"{x!r},{y!r}\n" for x, y in s)
-        path.write_text(body, encoding="utf-8", newline="\n")
+        newline = "\n"
+    with open(path, "w", encoding="utf-8", newline=newline) as f:
+        f.write(body)
 
 
-def load_points(path: str | Path) -> PointSet:
+def load_points(path: str | os.PathLike[str]) -> PointSet:
     """Read a point file written by :func:`save_points`, JSON when the suffix
     is ``.json`` and CSV otherwise; the count must be even."""
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
     pts = _parse_json(text) if _is_json(path) else _parse_csv(text)
     if not pts:
         raise PointParseError(f"{path}: no points found")

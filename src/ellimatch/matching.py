@@ -6,9 +6,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Sequence, Sized
-from dataclasses import dataclass
 
-from .geom import Point, dist, left_sum
+from .geom import Point, Record, dist, left_sum
 
 # Size caps (number of points) for the exact solvers.
 EXACT_CAP = 24
@@ -26,8 +25,7 @@ class SizeCapError(ValueError):
     """Instance exceeds the solver's configured size cap."""
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Record):
     """Indexed list of planar points.  Duplicates are allowed (the input is
     a multiset in effect); matching operations additionally require an even
     count."""
@@ -88,8 +86,7 @@ def validate_pairs(s: Sized, pairs: Sequence[tuple[int, int]]) -> None:
         raise ValueError(f"unmatched point indices: {missing}")
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(Record):
     """Perfect pairing of point indices with its cached total edge length."""
 
     pairs: tuple[tuple[int, int], ...]

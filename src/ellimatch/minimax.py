@@ -65,9 +65,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 
-from .geom import Point, dist, left_sum
+from .geom import Point, Record, dist, left_sum
 
 # Relative width of the value bracket, UB - LB <= GAP_REL * max(1, |UB|),
 # accepted as "optimal".
@@ -102,8 +101,7 @@ _NEGLIGIBLE = 1e-30  # softmax weight below which a piece is skipped
 _UNDERFLOW_MARGIN = 760.0
 
 
-@dataclass(frozen=True)
-class MinimaxResult:
+class MinimaxResult(Record):
     """Minimizer of the max of the pieces.
 
     ``iterations`` counts passes over the piece list, each at one point,

@@ -9,24 +9,30 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
 
+from .geom import Record
 from .matching import Matching, PointSet
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from typing import Any
+
     from .descent import DescentStep
     from .verify import Verdict
     from .witness import WitnessResult
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     instance: dict[str, Any]
     matching: dict[str, Any] | None = None
     witness: dict[str, Any] | None = None
-    verdicts: dict[str, Any] = field(default_factory=dict)
+    # None stands for a fresh {} per report, set by __post_init__
+    verdicts: dict[str, Any] = None  # type: ignore[assignment]
     trace: list[dict[str, Any]] | None = None
+
+    def __post_init__(self) -> None:
+        if self.verdicts is None:
+            object.__setattr__(self, "verdicts", {})
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"instance": self.instance, "verdicts": self.verdicts}
@@ -61,10 +67,10 @@ def matching_from_dict(data: Any, s: PointSet) -> Matching:
     be a JSON integer (not a bool) in range; any other shape or value raises
     ValueError, so a malformed file is an input error."""
     if not isinstance(data, dict) or "pairs" not in data:
-        raise ValueError('matching: expected a JSON object with a "pairs" key')
+        raise ValueError('expected a JSON object with a "pairs" key')
     raw = data["pairs"]
     if not isinstance(raw, list):
-        raise ValueError('matching: "pairs" must be a list of [i, j] index pairs')
+        raise ValueError('"pairs" must be a list of [i, j] index pairs')
     n = len(s)
     for idx, item in enumerate(raw):
         if (
@@ -73,7 +79,7 @@ def matching_from_dict(data: Any, s: PointSet) -> Matching:
             or not all(type(k) is int and 0 <= k < n for k in item)
         ):
             raise ValueError(
-                f"matching: pairs[{idx}]: expected [i, j] with integer indices "
+                f"pairs[{idx}]: expected [i, j] with integer indices "
                 f"in 0..{n - 1}, got {item!r}"
             )
     return Matching.from_pairs(s, raw)

@@ -12,13 +12,14 @@ its endpoints and whose distance sum is (2/sqrt(3)) times the edge length
 from __future__ import annotations
 
 import math
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .geom import RATIO_BOUND, dist
 from .matching import Matching, PointSet
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from os import PathLike
+
     from .witness import WitnessResult
 
 _STYLE = (
@@ -37,7 +38,7 @@ def render_svg(
     s: PointSet,
     m: Matching | None = None,
     witness: WitnessResult | None = None,
-    path: str | Path | None = None,
+    path: str | PathLike[str] | None = None,
 ) -> str:
     """Build the SVG document and, when ``path`` is given, write it there."""
     o = witness.o_star if witness is not None else None
@@ -104,5 +105,6 @@ def render_svg(
     parts.append("  </g>\n</svg>\n")
     doc = "".join(parts)
     if path is not None:
-        Path(path).write_text(doc, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(doc)
     return doc

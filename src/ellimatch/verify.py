@@ -14,15 +14,13 @@ bound, ``DEFAULT_THEOREM_TOL`` unless the caller passes one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from .geom import (
     DEFAULT_THEOREM_TOL,
     EPS_GEO,
     RATIO_BOUND,
     Frame,
     Point,
+    Record,
     dist,
     edge_lengths,
     within_bound,
@@ -31,9 +29,12 @@ from .matching import Matching, PointSet, validate_pairs
 from .minimax import Piece
 from .witness import WitnessResult, minimize_h_over_edges, solve_in_frame, steiner_star
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(Record):
     """Named check outcome; ``passed`` holds exactly when
     ``margin >= -tolerance``."""
 

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 
-from .geom import Frame, Point, dist, edge_lengths, left_sum, norm
+from .geom import Frame, Point, Record, dist, edge_lengths, left_sum, norm
 from .matching import Matching, PointSet, validate_pairs
 from .minimax import MinimaxResult, Piece, _certificate, minimize_max
 
@@ -31,8 +30,7 @@ LAMBDA_SEGMENT = 1.0 + 1e-9
 IndexPair = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class WitnessResult:
+class WitnessResult(Record):
     """Minimax witness for an edge set.
 
     ``certificate`` pairs each active edge with its convex coefficient in the
@@ -54,8 +52,7 @@ class WitnessResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class CertificateResult:
+class CertificateResult(Record):
     """Optimality check of a matching at a given point; failure is a
     verdict, not an exception.
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import dataclasses
 import json
 import math
 import sys
@@ -150,7 +149,7 @@ class TestVerifyAndDescend:
         monkeypatch.setattr(
             verify,
             "minimize_h_over_edges",
-            lambda s, pairs: dataclasses.replace(solve(s, pairs), converged=False),
+            lambda s, pairs: solve(s, pairs).replace(converged=False),
         )
         pts = self.write_square(tmp_path)
         code, out = run(capsys, "verify", "--points", str(pts), "--helly")
@@ -184,7 +183,7 @@ class TestVerifyAndDescend:
 
         solve = cli.minimize_h
         monkeypatch.setattr(
-            cli, "minimize_h", lambda s, m: dataclasses.replace(solve(s, m), converged=False)
+            cli, "minimize_h", lambda s, m: solve(s, m).replace(converged=False)
         )
         pts = self.write_square(tmp_path)
         code, out = run(capsys, "verify", "--points", str(pts), "--theorem")
@@ -279,7 +278,7 @@ class TestVerifyAndDescend:
 
         solve = descent.minimize_h
         monkeypatch.setattr(
-            descent, "minimize_h", lambda s, m: dataclasses.replace(solve(s, m), converged=False)
+            descent, "minimize_h", lambda s, m: solve(s, m).replace(converged=False)
         )
         pts = self.write_square(tmp_path)
         code, out = run(capsys, "descend", "--points", str(pts))
@@ -466,7 +465,7 @@ class TestSuite:
 
         solve = cli.minimize_h
         monkeypatch.setattr(
-            cli, "minimize_h", lambda s, m: dataclasses.replace(solve(s, m), converged=False)
+            cli, "minimize_h", lambda s, m: solve(s, m).replace(converged=False)
         )
         code, out = run(capsys, "suite", "--count", "2", "--sizes", "4", "--checks", "theorem")
         assert code == 3
@@ -544,7 +543,31 @@ class TestExitCodes:
         bad.write_text(content)
         argv = [command, "--points", str(pts), "--matching", str(bad)]
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: matching: ")
+        assert capsys.readouterr().err.startswith(f"error: matching: {bad}: ")
+
+    @pytest.mark.parametrize("command", ["witness", "verify", "descend", "render"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"pairs": [[0, 1], [0, 1], [2, 3]]}', "point index 0 matched twice"),
+            ('{"pairs": [[0, 1], [2, 3]]}', "unmatched point indices: [4, 5]"),
+            ('{"matching": {"pairs": [[1, 1], [2, 3], [4, 5]]}}', "point index 1 matched twice"),
+            (None, "No such file or directory"),
+        ],
+        ids=["twice", "unmatched", "in-a-report", "missing-file"],
+    )
+    def test_matching_that_is_no_perfect_matching_names_the_file(
+        self, tmp_path, capsys, command, content, message
+    ):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n2,1\n1,2\n0,2\n-1,1\n")
+        bad = tmp_path / "m.json"
+        if content is not None:
+            bad.write_text(content)
+        argv = [command, "--points", str(pts), "--matching", str(bad)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: matching: {bad}: ") and message in err
 
 
 def test_only_the_cli_reads_the_environment():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -232,14 +231,14 @@ class TestApplyCycle:
         w = minimize_h(SQUARE, square_sides())
         assert w.support is not None
         assert _find_improving_cycle(SQUARE, square_sides(), w) is not None
-        no_support = dataclasses.replace(w, support=None)
+        no_support = w.replace(support=None)
         assert _find_improving_cycle(SQUARE, square_sides(), no_support) is None
 
     def test_witness_on_a_support_vertex_gives_no_cycle(self):
         # build_graph rejects the graph (a vertex at the witness), and the
         # search reports no cycle instead of raising
         w = minimize_h(SQUARE, square_sides())
-        on_vertex = dataclasses.replace(w, o_star=SQUARE[0])
+        on_vertex = w.replace(o_star=SQUARE[0])
         assert _find_improving_cycle(SQUARE, square_sides(), on_vertex) is None
 
 
@@ -298,9 +297,7 @@ class TestDescend:
         # theorem verdict's "RATIO_BOUND - lam >= -tol" does not.  Descent
         # and the verdict must agree that it is not within the bound.
         lam = RATIO_BOUND + 1e-9
-        w = dataclasses.replace(
-            minimize_h(SQUARE, square_sides()), lambda_star=lam, support=None
-        )
+        w = minimize_h(SQUARE, square_sides()).replace(lambda_star=lam, support=None)
         monkeypatch.setattr(descent, "minimize_h", lambda s, m: w)
         assert descend(SQUARE, square_sides(), tol=1e-9).status == "cycle_not_found"
         assert not check_theorem(square_sides(), w, tol=1e-9).passed

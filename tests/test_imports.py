@@ -3,10 +3,12 @@ its defining module, and a command runs only the modules it needs.
 
 Which module files run is read in a fresh interpreter from the ``exec``
 audit event, which the import system raises for each module body it runs.
+No command loads the standard library's slow-to-import modules.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import os
@@ -125,3 +127,80 @@ def test_a_module_run_on_use_is_the_one_imported():
     import ellimatch.descent
 
     assert cli.descent is ellimatch.descent is sys.modules["ellimatch.descent"]
+
+
+# Standard-library modules that cost milliseconds to import and that the
+# package needs only in annotations, if at all.
+SLOW_STDLIB = {"dataclasses", "inspect", "typing", "pathlib"}
+
+_NEW_MODULES_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import ellimatch.cli
+code = ellimatch.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        [],
+        ["witness", "--points", "{pts}"],
+        ["verify", "--points", "{pts}"],
+        ["descend", "--points", "{pts}", "--init-seed", "1"],
+        ["render", "--points", "{pts}", "--out", "{dir}/f.svg"],
+    ],
+    ids=lambda v: v[0] if v else "import",
+)
+def test_no_command_loads_a_slow_stdlib_module(tmp_path, command):
+    # -I -S: no site hook or environment loads anything before the diff
+    pts = tmp_path / "p.csv"
+    pts.write_text("0,0\n1,0\n2,1\n1,2\n0,2\n-1,1\n")
+    argv = [a.format(pts=pts, dir=tmp_path) for a in command]
+    argv += ["--out", str(tmp_path / "out.json")] if argv and "--out" not in argv else []
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _NEW_MODULES_PROBE, str(PACKAGE_DIR.parent), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out[0] == "0"
+    assert "ellimatch.cli" in out
+    assert not SLOW_STDLIB & set(out)
+
+
+def _is_type_checking_block(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+    )
+
+
+def slow_imports(node: ast.AST) -> list[str]:
+    """Modules of SLOW_STDLIB imported anywhere in node but in the body of an
+    ``if TYPE_CHECKING:`` block, which runs only under a type checker."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] in SLOW_STDLIB]
+    if isinstance(node, ast.ImportFrom):
+        return [node.module] if not node.level and node.module.split(".")[0] in SLOW_STDLIB else []
+    children = node.orelse if _is_type_checking_block(node) else ast.iter_child_nodes(node)
+    return [m for child in children for m in slow_imports(child)]
+
+
+def test_slow_stdlib_modules_are_imported_for_type_checkers_only():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert slow_imports(tree) == [], path.name
+    guarded = ast.parse("TYPE_CHECKING = False\nif TYPE_CHECKING:\n    from typing import Any\n")
+    assert slow_imports(guarded) == []
+    for source in (
+        "import typing",
+        "from dataclasses import dataclass",
+        "def f():\n    import inspect",
+        "if TYPE_CHECKING:\n    pass\nelse:\n    import pathlib",
+        "if TYPE_CHECKING or True:\n    from typing import Any",
+    ):
+        assert slow_imports(ast.parse(source)), source

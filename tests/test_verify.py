@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import pytest
@@ -221,7 +220,7 @@ class TestCheckHellyTriples:
     def test_over_reported_lambda_caught(self):
         s = generate(InstanceSpec("uniform-square", 12, 0))
         m = exact_max_sum(s)
-        w = dataclasses.replace(minimize_h(s, m), lambda_star=1.3)
+        w = minimize_h(s, m).replace(lambda_star=1.3)
         v = check_helly_triples(s, m, w)
         assert not v.passed
         assert v.details["support_lambda"] <= RATIO_BOUND < v.details["lambda_star"]

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import random
@@ -249,7 +248,7 @@ class TestCaratheodorySupport:
     def test_unconverged_witness_has_no_support(self, monkeypatch):
         def stalled(*args, **kwargs):
             res = minimize_max(*args, **kwargs)
-            return dataclasses.replace(res, converged=False)
+            return res.replace(converged=False)
 
         monkeypatch.setattr(witness, "minimize_max", stalled)
         w = minimize_h(DOUBLED_TRIANGLE, triangle_sides())
