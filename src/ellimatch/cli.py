@@ -3,8 +3,9 @@ verdict checks, descend, render figures, and batch suites.
 
 Exit codes: 0 success, 1 verdict/descent failure, 2 input error, 3 solver
 non-convergence.  Identical command lines (same seeds) produce byte-identical
-JSON output.  The tolerance on the ratio bound is resolved here, once per
-command, and passed down as a float: the library reads no environment.
+JSON output, strict JSON written by :func:`report.dumps`.  The tolerance on
+the ratio bound is resolved here, once per command, and passed down as a
+float: the library reads no environment.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ import sys
 from .geom import DEFAULT_THEOREM_TOL
 from .instances import GENERATORS, InstanceSpec, generate, load_points, save_points
 from .matching import Matching, PointSet, SizeCapError, exact_max_sum, local_search
-from .report import (
-    Report,
-    instance_dict,
-    matching_dict,
-    matching_from_dict,
-    trace_list,
-    verdict_dict,
-    witness_dict,
-)
+from .report import Report, dumps, matching_from_dict
 from .witness import minimize_h
 
 TYPE_CHECKING = False
@@ -231,7 +224,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         m = local_search(s, _start_matching(s, args.init_seed))
     else:
         m = exact_max_sum(s)
-    _emit(json.dumps({"matching": matching_dict(m)}, indent=2, sort_keys=True), args.out)
+    _emit(dumps({"matching": m}), args.out)
     return EXIT_OK
 
 
@@ -239,24 +232,18 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     s = load_points(args.points)
     m = _load_matching(args.matching, s) if args.matching else exact_max_sum(s)
     w = minimize_h(s, m)
-    report = Report(
-        instance=instance_dict(s),
-        matching=matching_dict(m),
-        witness=witness_dict(w),
-    )
-    _emit(report.to_json(), args.out)
+    _emit(Report(instance=s, matching=m, witness=w).to_json(), args.out)
     return EXIT_OK if w.converged else EXIT_SOLVER
 
 
 def _run_checks(
     s: PointSet, m: Matching | None, names: list[str], tol: float
-) -> tuple[dict[str, Any], Matching | None, bool, bool]:
-    """Run the named checks; returns (verdict dicts, matching used, all
-    passed, any solver trouble).  Theorem and suri judge the exact max-sum
-    matching, the others ``m`` (the exact one when None); each matching and
-    its witness are solved once."""
-    verdicts: dict[str, Any] = {}
-    solver_trouble = False
+) -> tuple[dict[str, verify.Verdict], Matching | None, bool]:
+    """Run the named checks; returns (verdicts by name, matching used, any
+    solver trouble).  Theorem and suri judge the exact max-sum matching, the
+    others ``m`` (the exact one when None); each matching and its witness
+    are solved once."""
+    verdicts: dict[str, verify.Verdict] = {}
     exact = None
     if m is None and any(n in names for n in ("fingerhut", "helly", "disks")):
         m = exact = exact_max_sum(s)
@@ -264,27 +251,20 @@ def _run_checks(
         exact = exact_max_sum(s)
     w = minimize_h(s, m) if "fingerhut" in names or "helly" in names else None
     if "fingerhut" in names:
-        solver_trouble |= not w.converged
-        verdicts["fingerhut"] = verdict_dict(verify.check_fingerhut(s, m, w.o_star, tol=tol))
+        verdicts["fingerhut"] = verify.check_fingerhut(s, m, w.o_star, tol=tol)
     if "theorem" in names:
         w_exact = w if w is not None and m is exact else minimize_h(s, exact)
-        vd = verify.check_theorem(exact, w_exact, tol=tol)
-        solver_trouble |= not vd.details["converged"]
-        verdicts["theorem"] = verdict_dict(vd)
+        verdicts["theorem"] = verify.check_theorem(exact, w_exact, tol=tol)
     if "helly" in names:
-        vd = verify.check_helly_triples(s, m, w, tol=tol)
-        solver_trouble |= not vd.details["converged"]
-        verdicts["helly"] = verdict_dict(vd)
+        verdicts["helly"] = verify.check_helly_triples(s, m, w, tol=tol)
     if "suri" in names:
-        vd = verify.check_suri(s, exact, tol=tol)
-        solver_trouble |= not vd.details["converged"]
-        verdicts["suri"] = verdict_dict(vd)
+        verdicts["suri"] = verify.check_suri(s, exact, tol=tol)
     if "disks" in names:
-        vd = verify.check_tverberg_disks(s, m)
-        solver_trouble |= not vd.details["converged"]
-        verdicts["disks"] = verdict_dict(vd)
-    all_pass = all(v["passed"] for v in verdicts.values())
-    return verdicts, m, all_pass, solver_trouble
+        verdicts["disks"] = verify.check_tverberg_disks(s, m)
+    # fingerhut judges the point it is given; the solve that found it is w's
+    solved = [v.details["converged"] for v in verdicts.values() if v.name != "fingerhut"]
+    solver_trouble = ("fingerhut" in names and not w.converged) or not all(solved)
+    return verdicts, m, solver_trouble
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -294,16 +274,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         names = list(CHECK_NAMES)
     m = _load_matching(args.matching, s) if args.matching else None
     tol = _theorem_tol(args.tol)  # rejected even when no named check reads it
-    verdicts, m_used, all_pass, trouble = _run_checks(s, m, names, tol)
-    report = Report(
-        instance=instance_dict(s),
-        matching=matching_dict(m_used) if m_used is not None else None,
-        verdicts=verdicts,
-    )
-    _emit(report.to_json(), args.out)
+    verdicts, m_used, trouble = _run_checks(s, m, names, tol)
+    _emit(Report(instance=s, matching=m_used, verdicts=verdicts).to_json(), args.out)
     if trouble:
         return EXIT_SOLVER
-    return EXIT_OK if all_pass else EXIT_VERDICT
+    return EXIT_OK if all(v.passed for v in verdicts.values()) else EXIT_VERDICT
 
 
 def _cmd_descend(args: argparse.Namespace) -> int:
@@ -314,11 +289,11 @@ def _cmd_descend(args: argparse.Namespace) -> int:
         init = _start_matching(s, args.init_seed)
     result = descent.descend(s, init, max_steps=args.max_steps, tol=_theorem_tol(args.tol))
     report = Report(
-        instance=instance_dict(s),
-        matching=matching_dict(result.matching),
-        witness=witness_dict(result.witness) if result.witness else None,
+        instance=s,
+        matching=result.matching,
+        witness=result.witness,
         verdicts={"descent": {"status": result.status, "steps": len(result.trace)}},
-        trace=trace_list(result.trace),
+        trace=result.trace,
     )
     _emit(report.to_json(), args.out)
     if result.ok:
@@ -336,7 +311,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_suite(args: argparse.Namespace) -> int:
     """Generate -> solve -> check over seeded instances; the aggregate keeps
-    per-instance records ordered by index and the minimum margin seen."""
+    per-instance records ordered by index and the minimum margin seen.  An
+    instance over the exact solver's cap is recorded as skipped; a suite
+    that judged no instance is an input error."""
     sizes = _parse_sizes(args.sizes)
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     if not checks:
@@ -354,29 +331,22 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     if args.include_doubled:
         specs.append(InstanceSpec("doubled-polygon", 6, args.seed))
     records = []
-    min_margin: float | None = None
-    all_pass = True
+    judged: list[verify.Verdict] = []  # the verdicts on every instance checked
     trouble = False
     for spec in specs:
-        s = generate(spec)
-        rec: dict[str, Any] = {
-            "generator": spec.generator,
-            "seed": spec.seed,
-            "count": spec.count,
-        }
+        rec: dict[str, Any] = {"generator": spec.generator, "seed": spec.seed, "count": spec.count}
+        records.append(rec)
         try:
-            verdicts, _, ok, bad = _run_checks(s, None, checks, tol)
+            verdicts, _, bad = _run_checks(generate(spec), None, checks, tol)
         except SizeCapError as e:
             rec["skipped"] = str(e)
-            records.append(rec)
             continue
         rec["verdicts"] = verdicts
-        records.append(rec)
-        all_pass &= ok
+        judged += verdicts.values()
         trouble |= bad
-        for v in verdicts.values():
-            if min_margin is None or v["margin"] < min_margin:
-                min_margin = v["margin"]
+    if not judged:
+        raise ValueError(f"suite judged no instance: each was skipped ({records[0]['skipped']})")
+    all_pass = all(v.passed for v in judged)
     aggregate = {
         "suite": {
             "count": args.count,
@@ -387,10 +357,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
             "tolerance": tol,
         },
         "instances": records,
-        "min_margin": min_margin,
+        "min_margin": min(v.margin for v in judged),
         "all_passed": all_pass,
     }
-    _emit(json.dumps(aggregate, indent=2, sort_keys=True), args.out)
+    _emit(dumps(aggregate), args.out)
     if trouble:
         return EXIT_SOLVER
     return EXIT_OK if all_pass else EXIT_VERDICT

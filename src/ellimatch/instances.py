@@ -8,6 +8,7 @@ import os
 import random
 from .geom import Record
 from .matching import PointSet
+from .report import dumps
 
 GENERATORS = ("uniform-square", "gaussian", "clustered", "doubled-polygon")
 
@@ -77,7 +78,7 @@ def save_points(s: PointSet, path: str | os.PathLike[str]) -> None:
     ``load_points(save_points(s)) == s`` bit for bit.
     """
     if _is_json(path):
-        body = json.dumps({"points": [[x, y] for x, y in s]}, indent=2) + "\n"
+        body = dumps(s) + "\n"  # {"points": [[x, y], ...]}
         newline = None
     else:
         body = "".join(f"{x!r},{y!r}\n" for x, y in s)

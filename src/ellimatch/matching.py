@@ -7,7 +7,7 @@ import itertools
 import math
 from collections.abc import Iterable, Sequence, Sized
 
-from .geom import Point, Record, dist, left_sum
+from .geom import Frame, Point, Record, dist, left_sum
 
 # Size caps (number of points) for the exact solvers.
 EXACT_CAP = 24
@@ -28,7 +28,11 @@ class SizeCapError(ValueError):
 class PointSet(Record):
     """Indexed list of planar points.  Duplicates are allowed (the input is
     a multiset in effect); matching operations additionally require an even
-    count."""
+    count.
+
+    Coordinates must be finite, and so must ``4 * n * span``, span being the
+    longer side of the bounding box: every distance sum the package forms
+    over n points stays below that, so no result overflows to infinity."""
 
     points: tuple[Point, ...]
 
@@ -41,6 +45,12 @@ class PointSet(Record):
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"non-finite coordinate at index {i}: {p}")
             cleaned.append((x, y))
+        span = Frame.of(cleaned).scale
+        if not math.isfinite(4.0 * len(cleaned) * span):
+            raise ValueError(
+                f"coordinates span {span!r}, too wide for {len(cleaned)} points: "
+                "4 * n * span must be finite, or distance sums overflow"
+            )
         object.__setattr__(self, "points", tuple(cleaned))
 
     @classmethod

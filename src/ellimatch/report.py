@@ -1,14 +1,20 @@
-"""Serializable run reports with lossless JSON round-tripping.
+"""The package's JSON format, and its one writer.
 
-Top-level keys: instance, matching, witness, verdicts, trace.  Values are
-plain JSON types; floats survive serialize/parse exactly because Python's
-JSON encoder emits shortest round-trip decimals.
+:func:`dumps` writes every JSON byte the package emits: reports, ``solve``
+and ``suite`` output, and point files.  A :class:`~geom.Record` is written
+as the object of its fields and a tuple as a list, with sorted keys and a
+two-space indent.  Floats are shortest round-trip decimals, so they read
+back bit for bit.  Any other object raises TypeError, so nothing is
+written by accident, and a NaN or an infinity raises ValueError: the
+output is strict JSON, which every reader accepts.
+
+A :class:`Report` holds the records of one run and writes the top-level
+keys instance, matching, witness, verdicts and trace.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 
 from .geom import Record
 from .matching import Matching, PointSet
@@ -18,24 +24,40 @@ if TYPE_CHECKING:
     from typing import Any
 
     from .descent import DescentStep
-    from .verify import Verdict
     from .witness import WitnessResult
 
 
+def _fields(obj: object) -> dict[str, object]:
+    if isinstance(obj, Record):
+        return vars(obj)  # a record's __dict__ holds exactly its fields
+    raise TypeError(f"{type(obj).__name__} has no JSON form")
+
+
+def dumps(obj: object) -> str:
+    """``obj`` as strict JSON, records as their fields, keys sorted."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_fields)
+
+
 class Report(Record):
-    instance: dict[str, Any]
-    matching: dict[str, Any] | None = None
-    witness: dict[str, Any] | None = None
-    # None stands for a fresh {} per report, set by __post_init__
+    """The records of one run, written by :meth:`to_json`."""
+
+    instance: PointSet
+    matching: Matching | None = None
+    witness: WitnessResult | None = None
+    # Verdicts by name.  None stands for a fresh {} per report, set by
+    # __post_init__
     verdicts: dict[str, Any] = None  # type: ignore[assignment]
-    trace: list[dict[str, Any]] | None = None
+    trace: tuple[DescentStep, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.verdicts is None:
             object.__setattr__(self, "verdicts", {})
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"instance": self.instance, "verdicts": self.verdicts}
+        s = self.instance
+        # "generator" and "seed" stay, always null, so every report keeps its bytes
+        instance = {"generator": None, "seed": None, "count": len(s), "points": s.points}
+        out: dict[str, Any] = {"instance": instance, "verdicts": self.verdicts}
         if self.matching is not None:
             out["matching"] = self.matching
         if self.witness is not None:
@@ -45,21 +67,7 @@ class Report(Record):
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def instance_dict(s: PointSet) -> dict[str, Any]:
-    # "generator" and "seed" stay, always null, so every report keeps its bytes
-    return {
-        "generator": None,
-        "seed": None,
-        "count": len(s),
-        "points": [[x, y] for x, y in s],
-    }
-
-
-def matching_dict(m: Matching) -> dict[str, Any]:
-    return {"pairs": [[i, j] for i, j in m.pairs], "cost": m.cost}
+        return dumps(self.to_dict())
 
 
 def matching_from_dict(data: Any, s: PointSet) -> Matching:
@@ -83,33 +91,3 @@ def matching_from_dict(data: Any, s: PointSet) -> Matching:
                 f"in 0..{n - 1}, got {item!r}"
             )
     return Matching.from_pairs(s, raw)
-
-
-def witness_dict(w: WitnessResult) -> dict[str, Any]:
-    return {
-        "o_star": [w.o_star[0], w.o_star[1]],
-        "lambda_star": w.lambda_star,
-        "active": list(w.active),
-        "support": list(w.support) if w.support is not None else None,
-        "certificate": [[e, c] for e, c in w.certificate],
-        "residual": w.residual,
-        "iterations": w.iterations,
-        "converged": w.converged,
-    }
-
-
-def verdict_dict(v: Verdict) -> dict[str, Any]:
-    return {
-        "name": v.name,
-        "passed": v.passed,
-        "margin": v.margin,
-        "tolerance": v.tolerance,
-        "details": v.details,
-    }
-
-
-def trace_list(steps: Sequence[DescentStep]) -> list[dict[str, Any]]:
-    return [
-        {"lambda_star": st.lambda_star, "cost": st.cost, "cycle_length": st.cycle_length}
-        for st in steps
-    ]

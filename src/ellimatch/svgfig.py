@@ -50,10 +50,9 @@ def render_svg(
         ys.append(o[1])
     minx, maxx = min(xs), max(xs)
     miny, maxy = min(ys), max(ys)
-    extent = max(maxx - minx, maxy - miny)
-    if extent == 0.0:  # every point coincides: a box at the coordinates' scale
-        extent = 1e-9 * max(1.0, abs(minx), abs(miny))
-    pad = 0.1 * extent
+    pad = 0.1 * max(maxx - minx, maxy - miny)
+    if pad == 0.0:  # the points coincide, or nearly: a box at the coordinates' scale
+        pad = 0.1 * (1e-9 * max(1.0, abs(minx), abs(miny)))
     # Ellipses overhang their edges; widen the box so they stay visible.
     if m is not None and m.pairs:
         pad += 0.35 * max(dist(s[i], s[j]) for i, j in m.pairs)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
@@ -113,6 +114,15 @@ def count_calls(monkeypatch, *functions):
                 if value is f:
                     monkeypatch.setattr(module, key, wrapper)
     return counts
+
+
+def _refuse(token: str) -> None:
+    raise ValueError(f"not strict JSON: {token}")
+
+
+def strict_json(text: str):
+    """text parsed as a strict JSON reader does: NaN and Infinity refused."""
+    return json.loads(text, parse_constant=_refuse)
 
 
 def load_perfbench(stem: str):

@@ -411,21 +411,18 @@ class TestSuite:
         assert data["min_margin"] <= 1e-7  # extremal instance is tight
 
     def test_cap_violating_sizes_recorded_as_skips(self, capsys):
-        code, out = run(
-            capsys,
-            "suite",
-            "--count",
-            "2",
-            "--sizes",
-            "26",
-            "--seed",
-            "0",
-            "--checks",
-            "theorem",
-        )
+        code, out = run(capsys, "suite", "--count", "2", "--sizes", "4,26", "--checks", "theorem")
         assert code == 0
         data = json.loads(out)
-        assert all("skipped" in rec for rec in data["instances"])
+        assert ["skipped" in rec for rec in data["instances"]] == [False, True]
+        assert data["all_passed"] is True
+        assert data["min_margin"] == data["instances"][0]["verdicts"]["theorem"]["margin"]
+        # A suite that judged no instance shows nothing: an input error.
+        assert main(["suite", "--count", "2", "--sizes", "26", "--checks", "theorem"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: suite judged no instance")
+        assert "exceeds the exact-solver cap of 24" in captured.err
 
     def test_sizes_up_to_the_cap_get_verdicts(self, capsys):
         code, out = run(

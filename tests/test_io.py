@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 
-from conftest import DOUBLED_TRIANGLE, SQUARE, triangle_sides
+from conftest import DOUBLED_TRIANGLE, SQUARE, strict_json, triangle_sides
 from ellimatch import (
+    DescentStep,
     InstanceSpec,
     OddCountError,
     PointParseError,
+    PointSet,
     Report,
     dist,
     exact_max_sum,
@@ -21,13 +24,8 @@ from ellimatch import (
     save_points,
 )
 from ellimatch.cli import main
-from ellimatch.report import (
-    instance_dict,
-    matching_dict,
-    matching_from_dict,
-    verdict_dict,
-    witness_dict,
-)
+from ellimatch.geom import Record
+from ellimatch.report import dumps, matching_from_dict
 from ellimatch.verify import check_theorem
 
 
@@ -162,6 +160,27 @@ class TestPointFiles:
         assert load_points(path).points == ((0.0, 0.0), (1.0, 0.0))
 
 
+def assert_same(parsed, value):
+    """parsed, read back from JSON, is value bit for bit: a record as the
+    object of exactly its fields, a tuple or list as a list, and every float
+    with the same bits."""
+    if isinstance(value, Record):
+        value = {name: getattr(value, name) for name in value._fields}
+    if isinstance(value, dict):
+        assert isinstance(parsed, dict) and set(parsed) == set(value)
+        for key in value:
+            assert_same(parsed[key], value[key])
+    elif isinstance(value, (tuple, list)):
+        assert isinstance(parsed, list) and len(parsed) == len(value)
+        for p, v in zip(parsed, value):
+            assert_same(p, v)
+    else:
+        assert type(parsed) is type(value)
+        assert parsed == value
+        if isinstance(value, float):
+            assert parsed.hex() == value.hex()
+
+
 class TestReport:
     def build(self):
         s = DOUBLED_TRIANGLE
@@ -169,27 +188,95 @@ class TestReport:
         w = minimize_h(s, m)
         exact = exact_max_sum(s)
         return Report(
-            instance=instance_dict(s),
-            matching=matching_dict(m),
-            witness=witness_dict(w),
-            verdicts={"theorem": verdict_dict(check_theorem(exact, minimize_h(s, exact)))},
-            trace=[{"lambda_star": w.lambda_star, "cost": m.cost, "cycle_length": 0}],
+            instance=s,
+            matching=m,
+            witness=w,
+            verdicts={"theorem": check_theorem(exact, minimize_h(s, exact))},
+            trace=(DescentStep(w.lambda_star, m.cost, 0),),
         )
 
     def test_json_round_trip_identical(self):
         report = self.build()
-        assert json.loads(report.to_json()) == report.to_dict()
+        assert_same(json.loads(report.to_json()), report.to_dict())
+        instance = json.loads(report.to_json())["instance"]
+        assert instance["generator"] is None and instance["seed"] is None
+        assert instance["count"] == len(report.instance)
+        assert_same(instance["points"], report.instance.points)
 
     def test_top_level_keys(self):
         data = self.build().to_dict()
         assert set(data) == {"instance", "matching", "witness", "verdicts", "trace"}
 
     def test_trace_omitted_when_absent(self):
-        r = Report(instance=instance_dict(SQUARE))
+        r = Report(instance=SQUARE)
         assert "trace" not in r.to_dict()
 
     def test_matching_round_trip(self):
         m = exact_max_sum(SQUARE)
-        again = matching_from_dict(matching_dict(m), SQUARE)
+        again = matching_from_dict(json.loads(dumps(m)), SQUARE)
         assert again.pairs == m.pairs
         assert again.cost == m.cost
+
+
+class TestDumps:
+    def test_a_tuple_is_written_as_a_list(self):
+        assert dumps({"b": (1, (2.5, 3)), "a": None}) == dumps({"a": None, "b": [1, [2.5, 3]]})
+
+    def test_an_object_that_is_not_a_record_is_refused(self):
+        with pytest.raises(TypeError, match="set has no JSON form"):
+            dumps({"pairs": {1, 2}})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_float_is_refused(self, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dumps({"cost": value})
+
+    def test_point_file_bytes(self, tmp_path):
+        path = tmp_path / "pts.json"
+        save_points(PointSet.of([(0.1, -2), (3, 4.5)]), path)
+        assert path.read_text() == '{\n  "points": [\n    [\n      0.1,\n      -2.0\n    ],\n' + (
+            '    [\n      3.0,\n      4.5\n    ]\n  ]\n}\n'
+        )
+
+
+class TestSpanRule:
+    """4 * n * span must be finite: every distance sum over n points stays
+    below it, so no result can overflow."""
+
+    EDGE = sys.float_info.max / 8  # 4 * 2 * EDGE is the largest float
+
+    def test_the_largest_span_is_accepted(self, tmp_path, capsys):
+        s = PointSet.of([(0.0, 0.0), (self.EDGE, 0.0)])
+        assert math.isfinite(4 * len(s) * self.EDGE)
+        path = tmp_path / "edge.csv"
+        save_points(s, path)
+        for command in ("solve", "witness", "verify"):
+            assert main([command, "--points", str(path)]) == 0
+            strict_json(capsys.readouterr().out)
+
+    def test_one_step_wider_is_rejected(self, tmp_path, capsys):
+        wider = math.nextafter(self.EDGE, math.inf)
+        with pytest.raises(ValueError, match=r"4 \* n \* span must be finite"):
+            PointSet.of([(0.0, 0.0), (wider, 0.0)])
+        path = tmp_path / "wide.csv"
+        path.write_text(f"0,0\n{wider!r},0\n")
+        assert main(["witness", "--points", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: coordinates span")
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("witness", "0.5,-1\n1e308,3\n-1e308,1\n-1e308,1e308\n"),
+            ("solve --local-search", "1e308,0\n-1e308,0\n0,1\n0,-1\n"),
+            ("verify", "1e16,3\n-1e308,1e16\n0,1e308\n0.5,0.5\n"),
+        ],
+        ids=["witness-no-augmenting-column", "solve-infinite-cost", "verify-nan-margin"],
+    )
+    def test_finite_points_whose_distances_overflow(self, tmp_path, capsys, command, content):
+        path = tmp_path / "far.csv"
+        path.write_text(content)
+        assert main([*command.split(), "--points", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coordinates span")
+        assert "4 * n * span must be finite" in captured.err

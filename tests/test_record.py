@@ -23,7 +23,7 @@ from ellimatch.geom import Frame, FrozenRecordError, Record
 from ellimatch.instances import InstanceSpec, generate
 from ellimatch.matching import Matching, PointSet, exact_max_sum
 from ellimatch.minimax import MinimaxResult
-from ellimatch.report import Report, instance_dict, matching_dict, witness_dict
+from ellimatch.report import Report
 from ellimatch.verify import Verdict, check_theorem
 from ellimatch.witness import (
     CertificateResult,
@@ -65,7 +65,7 @@ def _samples() -> list[Record]:
         m,
         MinimaxResult((0.5, 0.25), 1.1, (0, 2), (0.5, 0.5), 0.0, 7, True),
         s,
-        Report(instance=instance_dict(s), matching=matching_dict(m), witness=witness_dict(w)),
+        Report(instance=s, matching=m, witness=w),
         check_theorem(m, w),
         w,
     ]
@@ -137,9 +137,10 @@ def test_fields_are_frozen(r):
 def test_defaults_and_a_fresh_verdicts_dict():
     assert InstanceSpec("gaussian", 4) == InstanceSpec("gaussian", 4, seed=0)
     assert repr(InstanceSpec("gaussian", 4)) == repr(twin(InstanceSpec)("gaussian", 4))
-    a, b = Report(instance={}), Report(instance={})
+    s = PointSet.of([(0.0, 0.0), (1.0, 0.0)])
+    a, b = Report(instance=s), Report(instance=s)
     assert a.verdicts == {} and a.verdicts is not b.verdicts
-    assert repr(a) == repr(twin(Report)(instance={}))
+    assert repr(a) == repr(twin(Report)(instance=s))
     assert '"verdicts": {}' in a.to_json()
     assert a.replace(verdicts={"x": 1}).verdicts == {"x": 1}
 

@@ -100,11 +100,16 @@ def test_viewbox_follows_the_data(scale, offset):
         assert vy <= fy - r and fy + r <= vy + vh, (fy, r, box)
 
 
-@pytest.mark.parametrize("at", [0.0, 1e12], ids=["origin", "+1e12"])
-def test_coincident_points_get_a_box(at):
-    # With no extent to scale by, the box takes the coordinates' scale, so
-    # that it stays wider than their rounding.
-    box, shift, sites = _placement(render_svg(PointSet.of([(at, at)] * 2)))
+@pytest.mark.parametrize(
+    "points",
+    [[(0.0, 0.0)] * 2, [(1e12, 1e12)] * 2, [(0.0, 0.0), (0.0, 5e-324)]],
+    ids=["origin", "+1e12", "a-subnormal-apart"],
+)
+def test_coincident_points_get_a_box(points):
+    # With no extent to scale by, or one whose tenth underflows to 0, the
+    # box takes the coordinates' scale, so that it stays wider than their
+    # rounding.
+    box, shift, sites = _placement(render_svg(PointSet.of(points)))
     vx, vy, vw, vh = box
     assert vw > 0.0 and vh > 0.0 and vx + vw > vx and vy + vh > vy
     for cx, cy, r in sites:
