@@ -231,7 +231,7 @@ class DescentResult(Record):
     matching: Matching
     witness: WitnessResult | None
     trace: tuple[DescentStep, ...]
-    status: str  # ok | cycle_not_found | solver_failure | degenerate_edges
+    status: str  # ok | cycle_not_found | solver_failure
     #             | improvement_violation | step_limit; cycle_not_found also
     #             covers a witness above the bound with no support
 
@@ -271,9 +271,11 @@ def descend(
     strictly increases cost, so the loop terminates.  Each cycle is sought
     only in the graph on the witness's reported 2- or 3-edge support; a
     witness above the bound without a support stops the loop as
-    ``cycle_not_found``.  All failure modes come back as flagged statuses,
-    never exceptions; a ``max_steps`` below 1 is an input error
-    (ValueError).
+    ``cycle_not_found``.  Every failure of the descent comes back as a
+    flagged status, never an exception.  Input errors raise ValueError: a
+    ``max_steps`` below 1, and a zero-length edge that local search from the
+    start matching leaves in place (:class:`DegenerateEdgeError`, as the
+    witness raises on it).
     """
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps}")
@@ -285,10 +287,7 @@ def descend(
         edge_lengths(fs.points, m.pairs)
     except DegenerateEdgeError:
         m = local_search(s, m)
-        try:
-            edge_lengths(fs.points, m.pairs)
-        except DegenerateEdgeError:
-            return DescentResult(m, None, (), "degenerate_edges")
+        edge_lengths(fs.points, m.pairs)
 
     trace: list[DescentStep] = []
     witness: WitnessResult | None = None

@@ -36,14 +36,6 @@ so is the result.  A screened pass that evaluates more than half of the
 pieces makes the next pass a full one again.  A smaller ``tau`` only
 tightens the screen, so the anchor carries across stages.
 
-No piece is evaluated twice at one point within a solve.  The solver keeps
-the values each pass finds, by point; a later pass at a point already passed
-over reads them and evaluates only the pieces not yet evaluated there.  So
-each stage's opening pass, at the point the last stage ended on, and the
-certificate mostly read values instead of computing them.  A value is the
-same float however often it is computed, so nothing else changes, and a
-pass that reads values still counts in ``iterations``.
-
 The result is certified by a bracket on the minimum value.  The upper end
 UB is max f at the point x.  ``min_norm_point`` gives the convex weights mu
 over the gradients g_i of the active pieces, those near the max, that bring
@@ -58,6 +50,14 @@ disk pieces.  The point is certified when UB - LB is at most ``GAP_REL``
 times ``max(1, |UB|)``.  The rule reads no absolute scale of the
 gradients, and a point whose max exceeds the minimum by more than that is
 never certified, however many pieces lie near the max.
+
+At a vertex the gradients' hull may hold the origin in more than one way:
+with four active pieces, two triangles can lie equally near it up to
+rounding.  Among the combinations within rounding of the nearest, the one
+with the fewest pieces is taken, then the one whose bound above is highest,
+then the nearest.  So a piece that is active but lies below the max, within
+``ACT_REL``, gets no weight that would lower LB where a combination without
+it does as well.
 """
 
 from __future__ import annotations
@@ -105,9 +105,8 @@ class MinimaxResult(Record):
     """Minimizer of the max of the pieces.
 
     ``iterations`` counts passes over the piece list, each at one point,
-    whether it evaluates every piece, screens out those without weight, or
-    reads values found at its point by an earlier pass, as the opening pass
-    of a stage and the certificate mostly do.
+    whether it evaluates every piece or screens out those without weight;
+    the start value and the certificate count one pass each.
     """
 
     x: Point
@@ -120,8 +119,7 @@ class MinimaxResult(Record):
 
 
 def _value(p: Piece, x: Point) -> float:
-    """The value of piece p at x: the one copy of the piece formula, called
-    once per piece and point within a solve."""
+    """The value of piece p at x: the one copy of the piece formula."""
     a, b, s, beta = p
     return (math.hypot(x[0] - a[0], x[1] - a[1]) + math.hypot(x[0] - b[0], x[1] - b[1])) / s + beta
 
@@ -199,15 +197,22 @@ def _hull_candidates(
         yield (i, j, k), (alpha, beta, gamma), (px, py)
 
 
-def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], float]:
-    """Closest point to the origin in the convex hull of 2-D vectors.
+def min_norm_point(
+    vectors: Sequence[Point], values: Sequence[float], axis: float
+) -> tuple[tuple[float, ...], float, float]:
+    """Closest point to the origin in the convex hull of the gradients
+    ``vectors`` of pieces worth ``values``, and the lower end of the value
+    bracket that it gives (module docstring).
 
     Exhausts supports of size 1, 2 and 3 (sufficient in the plane) and
-    returns (point, convex coefficients over the inputs, norm of the point).
-    Candidates whose norm is within rounding (``_ROUNDING`` times the
-    longest vector) of the smallest are tied; among them the one with the
-    fewest indices wins, then the nearer.  So on a symmetric tie a triangle
-    with a weight at rounding level does not displace the exact segment.
+    returns (convex coefficients mu over the inputs, norm of the point,
+    lower end ``sum mu_i values_i - norm * axis``).  Candidates whose norm is
+    within rounding (``_ROUNDING`` times the longest vector) of the smallest
+    are tied; among them the one with the fewest indices wins, then the
+    highest lower end, then the nearer.  So on a symmetric tie a triangle
+    with a weight at rounding level does not displace the exact segment,
+    and of two triangles equally near the origin the one that puts less
+    weight on a piece below the max wins.
     """
     if not vectors:
         raise ValueError("min_norm_point needs at least one vector")
@@ -217,13 +222,16 @@ def min_norm_point(vectors: Sequence[Point]) -> tuple[Point, tuple[float, ...], 
         for c in itertools.chain(singletons, _hull_candidates(vectors))
     ]
     tie = min(r for r, _ in candidates) + _ROUNDING * max(math.hypot(*v) for v in vectors)
-    _, (indices, weights, p) = min(
-        (c for c in candidates if c[0] <= tie), key=lambda c: (len(c[1][0]), c[0])
-    )
+    tied = []
+    for r, (indices, weights, _) in candidates:
+        if r <= tie:
+            lower = left_sum(w * values[i] for i, w in zip(indices, weights)) - r * axis
+            tied.append((len(indices), -lower, r, indices, weights))
+    _, neg_lower, r, indices, weights = min(tied)
     coeffs = [0.0] * len(vectors)
     for i, w in zip(indices, weights):
         coeffs[i] = w
-    return p, tuple(coeffs), math.hypot(p[0], p[1])
+    return tuple(coeffs), r, -neg_lower
 
 
 def _floor(pieces: Iterable[Piece]) -> float:
@@ -233,25 +241,22 @@ def _floor(pieces: Iterable[Piece]) -> float:
 
 
 def _certificate(
-    pieces: Sequence[Piece], x: Point, vals: Sequence[float] | None = None
+    pieces: Sequence[Piece], x: Point
 ) -> tuple[float, list[int], tuple[float, ...], float, float, bool]:
-    """Evaluate all pieces at x, unless their values ``vals`` there are
-    given, and bracket the minimum of the max (module docstring) with the
-    min-norm certificate over the gradients of the active pieces, those
-    within ``ACT_REL * max(1, |f|)`` of the max.  Returns (max, active,
-    coeffs over active, residual, gap UB - LB, whether the gap certifies
-    x)."""
-    if vals is None:
-        vals = [_value(p, x) for p in pieces]
+    """Evaluate all pieces at x and bracket the minimum of the max (module
+    docstring) with the min-norm certificate over the gradients of the
+    active pieces, those within ``ACT_REL * max(1, |f|)`` of the max.
+    Returns (max, active, coeffs over active, residual, gap UB - LB, whether
+    the gap certifies x)."""
+    vals = [_value(p, x) for p in pieces]
     f = max(vals)
     tol = ACT_REL * max(1.0, abs(f))
     active = [i for i, v in enumerate(vals) if v >= f - tol]
     _, _, _, terms = _derivatives([pieces[i] for i in active], [1.0] * len(active), 1.0, x)
     grads = [(gx, gy) for _, gx, gy, _, _, _ in terms]
-    _, coeffs, residual = min_norm_point(grads)
     axis = min(s * (f - beta) for _, _, s, beta in pieces)
-    mean = left_sum(mu * vals[i] for i, mu in zip(active, coeffs))
-    gap = f - max(_floor(pieces), mean - residual * axis)
+    coeffs, residual, lower = min_norm_point(grads, [vals[i] for i in active], axis)
+    gap = f - max(_floor(pieces), lower)
     return f, active, coeffs, residual, gap, gap <= GAP_REL * max(1.0, abs(f))
 
 
@@ -301,8 +306,7 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
 
     Passes after the first few stages skip the pieces whose softmax weight
     would underflow to 0.0, found by the Lipschitz screen of the module
-    docstring, and no pass evaluates a piece again at a point where one
-    already has; the result is the same, bit for bit, as with every piece
+    docstring; the result is the same, bit for bit, as with every piece
     evaluated on every pass.
     """
     if not pieces:
@@ -314,32 +318,15 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
     # value there, highest first.  While ranked is None, passes are full.
     anchor, anchor_vals, ranked = x0, [], None
 
-    # The piece values found so far at each point passed over: a list of
-    # them all after a full pass there, else a dict by piece index.
-    found: dict[Point, list[float] | dict[int, float]] = {}
-
-    def completed(y: Point) -> list[float]:
-        """Every piece's value at y, each evaluated unless found before."""
-        known = found.get(y)
-        if isinstance(known, list):
-            return known
-        if known is None:
-            vals = [_value(p, y) for p in pieces]
-        else:
-            vals = [known[i] if i in known else _value(p, y) for i, p in enumerate(pieces)]
-        found[y] = vals
-        return vals
-
     def smoothed(y: Point, tau: float) -> tuple[float, float, Sequence[Piece], list[float], float]:
         """(phi_tau, max f, pieces, their unnormalized softmax weights, the
         weights' sum) at y.  The pieces are those evaluated, in index order:
-        every piece of positive weight is among them.  Values found at y by
-        an earlier pass are read, not evaluated again."""
+        every piece of positive weight is among them."""
         nonlocal iterations, anchor, anchor_vals, ranked
         iterations += 1
         if ranked is None:  # a full pass
             live = pieces
-            vals = completed(y)
+            vals = [_value(p, y) for p in pieces]
             top = max(vals)
             weights = [math.exp((v - top) / tau) for v in vals]
             if 2 * weights.count(0.0) >= n:
@@ -351,18 +338,13 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
                 + _UNDERFLOW_MARGIN * tau
             )
             vals = {}
-            known = found.setdefault(y, vals)
-            if isinstance(known, list):  # a full pass found them all
-                known = dict(enumerate(known))
             top = -math.inf
             for i in ranked:
                 if anchor_vals[i] + reach < top:
                     break  # this piece and every later one end below top - margin
-                v = vals[i] = known[i] if i in known else _value(pieces[i], y)
+                v = vals[i] = _value(pieces[i], y)
                 if v > top:
                     top = v
-            if known is not vals:
-                known.update(vals)  # for a later pass at y
             if 2 * len(vals) > n:
                 ranked = None
             order = sorted(vals)
@@ -372,7 +354,7 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
         return top + tau * math.log(total), top, live, weights, total
 
     x = x0
-    f = max(completed(x))
+    f = max(_value(p, x) for p in pieces)
     iterations = 1
     unit = max(1.0, abs(f))
     # Reaching the floor, up to rounding, ends the search.
@@ -425,6 +407,6 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
             if done or f <= stop:
                 break
 
-    f, active, coeffs, residual, _, certified = _certificate(pieces, x, completed(x))
+    f, active, coeffs, residual, _, certified = _certificate(pieces, x)
     iterations += 1
     return MinimaxResult(x, f, tuple(active), tuple(coeffs), residual, iterations, certified)

@@ -10,7 +10,8 @@ the changed command lines (this script prints them) in CHANGES.md:
     PYTHONPATH=src python tests/cli_bank.py
 
 The bank holds the benchmark's seed-1 operations (a prefix of the two
-slowest workloads), every command on three generators at n = 6, 12 and 20,
+slowest workloads) and the operations of other seeds that once failed,
+every command on three generators at n = 6, 12 and 20,
 the doubled polygons (tied matchings), six degenerate families, suites (one
 with every check) and the input errors whose message is the package's own.
 The benchmark's operations are read from ``perfbench/workloads.py``, so a
@@ -47,6 +48,8 @@ FAMILIES = (
 # The benchmark's workloads and how many of their seed-1 operations the bank
 # takes, from the first: every one of the two fast workloads.
 BENCHMARK_OPS = (("certify-n12", None), ("exact-dp", None), ("descend-n20", 16), ("twoopt-n200", 2))
+# Benchmark operations that once failed, as (workload, run seed, operation).
+FAILED_OPS = (("twoopt-n200", 511, 18),)
 
 # Finite inputs whose distances or distance sums overflow a float.
 OVERFLOW = {
@@ -122,6 +125,9 @@ def _benchmark_ops():
         work = wl.WORKLOADS[name]
         for op, inst in enumerate(work.inputs(random.Random(1))[:take]):
             yield work, op, inst
+    for name, seed, op in FAILED_OPS:
+        work = wl.WORKLOADS[name]
+        yield work, op, work.inputs(random.Random(seed))[op]
 
 
 def inputs() -> dict[str, str]:

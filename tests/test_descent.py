@@ -288,8 +288,8 @@ class TestDescend:
     def test_all_coincident_flagged_degenerate(self):
         s = PointSet.of([(1, 1)] * 4)
         init = Matching.from_pairs(s, [(0, 1), (2, 3)])
-        result = descend(s, init)
-        assert result.status == "degenerate_edges"
+        with pytest.raises(DegenerateEdgeError, match="zero-length edge"):
+            descend(s, init)
 
     def test_stop_rule_is_the_theorem_verdict(self, monkeypatch):
         # fl(RATIO_BOUND + 1e-9) exceeds RATIO_BOUND by a little more than
