@@ -4,8 +4,8 @@ verdict checks, descend, render figures, and batch suites.
 Exit codes: 0 success, 1 verdict/descent failure, 2 input error, 3 solver
 non-convergence.  Identical command lines (same seeds) produce byte-identical
 JSON output, strict JSON written by :func:`report.dumps`.  The tolerance on
-the ratio bound is resolved here, once per command, and passed down as a
-float: the library reads no environment.
+the ratio bound is ``--tol``, checked here once per command and passed down
+as a float: no command reads the environment.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import argparse
 import importlib.util
 import json
 import math
-import os
 import random
 import sys
 
@@ -77,6 +76,7 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 CHECK_NAMES = ("fingerhut", "theorem", "helly", "suri", "disks")
+_TOL = {"type": float, "default": DEFAULT_THEOREM_TOL, "help": "tolerance on the ratio bound"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,14 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--matching", help="matching JSON (default: solve exactly)")
     for name in CHECK_NAMES:
         v.add_argument(f"--{name}", action="store_true", help=f"run the {name} check")
-    v.add_argument("--tol", type=float, help="override the theorem tolerance")
+    v.add_argument("--tol", **_TOL)
     v.add_argument("--out")
 
     d = sub.add_parser("descend", help="alternating-cycle improvement loop")
     d.add_argument("--points", required=True)
     d.add_argument("--matching", help="initial matching JSON")
     d.add_argument("--init-seed", type=int, help="seed for a random initial matching")
-    d.add_argument("--tol", type=float)
+    d.add_argument("--tol", **_TOL)
     d.add_argument("--max-steps", type=int, default=500)
     d.add_argument("--out")
 
@@ -144,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append the doubled-triangle extremal instance",
     )
-    st.add_argument("--tol", type=float)
+    st.add_argument("--tol", **_TOL)
     st.add_argument("--out")
 
     return p
@@ -194,21 +194,10 @@ def _parse_sizes(text: str) -> list[int]:
     return sizes
 
 
-def _theorem_tol(flag: float | None) -> float:
-    """The tolerance on the ratio bound: ``--tol``, else the TVERBERG_TOL
-    environment variable, else DEFAULT_THEOREM_TOL.  Either source must
-    give a finite positive value."""
-    raw = flag if flag is not None else os.environ.get("TVERBERG_TOL")
-    if raw is None:
-        return DEFAULT_THEOREM_TOL
-    try:
-        value = float(raw)
-    except ValueError:  # TVERBERG_TOL is not a number
-        value = math.nan
+def _theorem_tol(value: float) -> float:
+    """``--tol``, which must be finite and positive."""
     if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(
-            f"tolerance (--tol or TVERBERG_TOL) must be finite and positive, got {raw}"
-        )
+        raise ValueError(f"tolerance (--tol) must be finite and positive, got {value}")
     return value
 
 

@@ -229,7 +229,7 @@ class DescentStep(Record):
 
 class DescentResult(Record):
     matching: Matching
-    witness: WitnessResult | None
+    witness: WitnessResult
     trace: tuple[DescentStep, ...]
     status: str  # ok | cycle_not_found | solver_failure
     #             | improvement_violation | step_limit; cycle_not_found also
@@ -290,11 +290,9 @@ def descend(
         edge_lengths(fs.points, m.pairs)
 
     trace: list[DescentStep] = []
-    witness: WitnessResult | None = None
 
-    def result(status: str, w: WitnessResult | None) -> DescentResult:
-        if w is not None:
-            w = w.replace(o_star=frame.back(w.o_star))
+    def result(status: str, w: WitnessResult) -> DescentResult:
+        w = w.replace(o_star=frame.back(w.o_star))
         return DescentResult(m, w, tuple(trace), status)
 
     for _ in range(max_steps):

@@ -1,17 +1,21 @@
 """SVG rendering of instances, matchings, per-edge ratio ellipses, and the
 witness point.
 
-Figures use the mathematical y-up convention via a flip transform, with a
-viewBox fitted to the data plus a 10% margin.  The box and the flip are
-written with every digit, so that a figure far from the origin or at a tiny
-scale is placed exactly.  Each matched edge gets the ellipse whose foci are
-its endpoints and whose distance sum is (2/sqrt(3)) times the edge length
-(eccentricity sqrt(3)/2).
+Figures use the mathematical y-up convention: a ``scale(1,-1)`` group maps
+y to -y, and the viewBox is the data's box plus a 10% margin, flipped the
+same way, with its corners kept within float range.  The box is written with
+every digit, so that a figure far from the origin or at a tiny scale is
+placed exactly.  Negation is exact and no written number is a sum of
+coordinates (the witness marker is drawn in relative path steps), so every
+number in a figure of a valid point set is finite.  Each matched edge gets
+the ellipse whose foci are its endpoints and whose distance sum is
+(2/sqrt(3)) times the edge length (eccentricity sqrt(3)/2).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from .geom import RATIO_BOUND, dist
 from .matching import Matching, PointSet
@@ -56,24 +60,26 @@ def render_svg(
     # Ellipses overhang their edges; widen the box so they stay visible.
     if m is not None and m.pairs:
         pad += 0.35 * max(dist(s[i], s[j]) for i, j in m.pairs)
-    vx, vy = minx - pad, miny - pad
+    # The box's corners stay within float range; a corner clamped there
+    # still lies beyond every point.
+    vx, top = max(minx - pad, -sys.float_info.max), min(maxy + pad, sys.float_info.max)
     vw, vh = (maxx - minx) + 2 * pad, (maxy - miny) + 2 * pad
 
     sw = max(vw, vh) / 250.0  # stroke width in data units
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_PIXEL_SIZE}" '
-        f'height="{_PIXEL_SIZE * vh / vw:.6g}" viewBox="{vx!r} {vy!r} {vw!r} {vh!r}">\n',
+        f'height="{_PIXEL_SIZE * (vh / vw):.6g}" viewBox="{vx!r} {-top!r} {vw!r} {vh!r}">\n',
         _STYLE,
-        # y-up: flip the y axis about the viewBox center line.
-        f'  <g transform="translate(0,{2 * vy + vh!r}) scale(1,-1)">\n',
+        # y-up: y maps to -y, which the box's y range -top .. -top + vh holds.
+        '  <g transform="scale(1,-1)">\n',
     ]
 
     if m is not None:
         for i, j in m.pairs:
             a, b = s[i], s[j]
             d = dist(a, b)
-            cx, cy = (a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0
+            cx, cy = a[0] / 2.0 + b[0] / 2.0, a[1] / 2.0 + b[1] / 2.0  # no sum overflows
             rx = RATIO_BOUND * d / 2.0
             ry = (d / 2.0) * math.sqrt(RATIO_BOUND * RATIO_BOUND - 1.0)
             angle = math.degrees(math.atan2(b[1] - a[1], b[0] - a[0]))
@@ -97,8 +103,7 @@ def render_svg(
         c = 2.5 * sw
         parts.append(
             f'    <path class="witness" stroke-width="{sw:.9g}" d="'
-            f"M {o[0] - c!r} {o[1]!r} L {o[0] + c!r} {o[1]!r} "
-            f'M {o[0]!r} {o[1] - c!r} L {o[0]!r} {o[1] + c!r}"/>\n'
+            f'M {o[0]!r} {o[1]!r} m {-c!r} 0 l {2 * c!r} 0 m {-c!r} {-c!r} l 0 {2 * c!r}"/>\n'
         )
 
     parts.append("  </g>\n</svg>\n")

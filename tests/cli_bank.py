@@ -274,7 +274,6 @@ def run_bank(directory: Path) -> dict[str, str]:
 def main() -> None:
     import tempfile
 
-    os.environ.pop("TVERBERG_TOL", None)
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = run_bank(Path(tmp))

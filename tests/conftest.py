@@ -5,7 +5,9 @@ from __future__ import annotations
 import importlib.util
 import json
 import math
+import re
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 from hypothesis import settings
@@ -123,6 +125,20 @@ def _refuse(token: str) -> None:
 def strict_json(text: str):
     """text parsed as a strict JSON reader does: NaN and Infinity refused."""
     return json.loads(text, parse_constant=_refuse)
+
+
+def svg_numbers(doc: str) -> list[float]:
+    """Every number in the attributes of the SVG document doc, parsed as a
+    float; a token such as ``inf`` or ``nan`` counts as a number."""
+    numbers = []
+    for element in ET.fromstring(doc).iter():
+        for value in element.attrib.values():
+            for token in re.split(r"[\s,()]+", value):
+                try:
+                    numbers.append(float(token))
+                except ValueError:  # a name, a path command or a URL
+                    pass
+    return numbers
 
 
 def load_perfbench(stem: str):

@@ -12,7 +12,7 @@ import pytest
 
 import ellimatch
 from conftest import count_calls
-from ellimatch import exact_max_sum, minimize_h
+from ellimatch import DEFAULT_THEOREM_TOL, exact_max_sum, minimize_h
 from ellimatch.cli import main
 
 
@@ -223,20 +223,13 @@ class TestVerifyAndDescend:
         assert "matching" not in json.loads(out)
 
     @pytest.mark.parametrize(
-        "extra, env",
-        [
-            (["--tol", "-1"], None),
-            (["--tol", "nan"], None),
-            ([], "nan"),
-            (["--disks", "--tol", "-1"], None),
-        ],
-        ids=["tol-1", "tol-nan", "env-nan", "disks-tol-1"],
+        "extra",
+        [["--tol", "-1"], ["--tol", "nan"], ["--disks", "--tol", "-1"]],
+        ids=["tol-1", "tol-nan", "disks-tol-1"],
     )
-    def test_invalid_tolerance_is_input_error(self, tmp_path, capsys, monkeypatch, extra, env):
+    def test_invalid_tolerance_is_input_error(self, tmp_path, capsys, extra):
         pts = tmp_path / "col.csv"
         pts.write_text("0,0\n1,0\n2,0\n3,0\n")
-        if env is not None:
-            monkeypatch.setenv("TVERBERG_TOL", env)
         assert main(["verify", "--points", str(pts), *extra]) == 2
 
     @pytest.mark.parametrize(
@@ -287,36 +280,33 @@ class TestVerifyAndDescend:
         assert data["verdicts"]["descent"]["status"] == "solver_failure"
         assert data["witness"]["converged"] is False
 
-    @pytest.mark.parametrize("env", ["bad", "-3", "nan"])
+    @pytest.mark.parametrize("tol", ["-3", "nan"])
     @pytest.mark.parametrize("command", ["verify", "descend", "suite"])
-    def test_invalid_env_tolerance_is_input_error(
-        self, tmp_path, capsys, monkeypatch, command, env
-    ):
-        monkeypatch.setenv("TVERBERG_TOL", env)
+    def test_invalid_tolerance_names_the_flag(self, tmp_path, capsys, command, tol):
         if command == "suite":
             argv = ["suite", "--count", "1", "--sizes", "4"]
         else:
             argv = [command, "--points", str(self.write_square(tmp_path))]
-        assert main(argv) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: tolerance (--tol or TVERBERG_TOL) must be finite and positive, got "
+        assert main([*argv, "--tol", tol]) == 2
+        assert capsys.readouterr().err == (
+            f"error: tolerance (--tol) must be finite and positive, got {float(tol)}\n"
         )
 
-    def test_env_tolerance_is_reported_by_verify_and_suite(
+    def test_tolerance_flag_is_reported_by_verify_and_suite(self, tmp_path, capsys):
+        pts = self.write_square(tmp_path)
+        _, out = run(capsys, "verify", "--points", str(pts), "--theorem", "--tol", "0.25")
+        assert json.loads(out)["verdicts"]["theorem"]["tolerance"] == 0.25
+        _, out = run(capsys, "suite", "--count", "1", "--sizes", "4", "--tol", "0.25")
+        assert json.loads(out)["suite"]["tolerance"] == 0.25
+        _, out = run(capsys, "suite", "--count", "1", "--sizes", "4")
+        assert json.loads(out)["suite"]["tolerance"] == DEFAULT_THEOREM_TOL
+
+    def test_cli_ignores_the_tolerance_environment_variable(
         self, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setenv("TVERBERG_TOL", "0.25")
-        pts = self.write_square(tmp_path)
-        _, out = run(capsys, "verify", "--points", str(pts), "--theorem")
-        assert json.loads(out)["verdicts"]["theorem"]["tolerance"] == 0.25
-        _, out = run(capsys, "suite", "--count", "1", "--sizes", "4")
-        assert json.loads(out)["suite"]["tolerance"] == 0.25
-        _, out = run(capsys, "suite", "--count", "1", "--sizes", "4", "--tol", "0.5")
-        assert json.loads(out)["suite"]["tolerance"] == 0.5
-
-    def test_env_tolerance_reaches_descend(self, tmp_path, capsys, monkeypatch):
         # The sides of the square are within 1.0 of the bound, so descend
-        # stops at once; --tol takes precedence over the variable.
+        # stops at once under --tol 1.0, and takes a step under the default
+        # tolerance whatever TVERBERG_TOL says.
         pts = self.write_square(tmp_path)
         mfile = tmp_path / "m.json"
         mfile.write_text(json.dumps({"pairs": [[0, 1], [2, 3]], "cost": 2.0}))
@@ -324,20 +314,18 @@ class TestVerifyAndDescend:
         argv = ["descend", "--points", str(pts), "--matching", str(mfile)]
         code, out = run(capsys, *argv)
         assert code == 0
-        assert json.loads(out)["verdicts"]["descent"] == {"status": "ok", "steps": 0}
-        code, out = run(capsys, *argv, "--tol", "1e-6")
-        assert code == 0
         assert json.loads(out)["verdicts"]["descent"] == {"status": "ok", "steps": 1}
+        code, out = run(capsys, *argv, "--tol", "1.0")
+        assert code == 0
+        assert json.loads(out)["verdicts"]["descent"] == {"status": "ok", "steps": 0}
 
-    def test_env_tolerance_override(self, tmp_path, capsys, monkeypatch):
+    def test_tolerance_flag_reaches_fingerhut(self, tmp_path, capsys):
         pts = self.write_square(tmp_path)
         mfile = tmp_path / "m.json"
         mfile.write_text(json.dumps({"pairs": [[0, 1], [2, 3]], "cost": 2.0}))
-        monkeypatch.setenv("TVERBERG_TOL", "1.0")
-        code, _ = run(
-            capsys, "verify", "--points", str(pts), "--matching", str(mfile), "--fingerhut"
-        )
-        assert code == 0
+        argv = ["verify", "--points", str(pts), "--matching", str(mfile), "--fingerhut"]
+        assert run(capsys, *argv)[0] == 1
+        assert run(capsys, *argv, "--tol", "1.0")[0] == 0
 
 
 class TestOutFiles:
@@ -567,14 +555,12 @@ class TestExitCodes:
         assert err.startswith(f"error: matching: {bad}: ") and message in err
 
 
-def test_only_the_cli_reads_the_environment():
-    # Library functions take every setting as an argument; the CLI alone
-    # turns environment variables into arguments.
+def test_no_module_reads_the_environment():
+    # Every setting is an argument, so identical command lines give
+    # identical bytes whatever the environment holds.
     package = Path(ellimatch.__file__).parent
     readers = []
     for path in sorted(package.glob("*.py")):
-        if path.name == "cli.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module == "os":
                 names = {a.name for a in node.names}

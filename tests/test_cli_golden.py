@@ -8,8 +8,7 @@ import json
 from cli_bank import GOLDEN, run_bank
 
 
-def test_every_command_gives_its_recorded_bytes(tmp_path, monkeypatch):
-    monkeypatch.delenv("TVERBERG_TOL", raising=False)
+def test_every_command_gives_its_recorded_bytes(tmp_path):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     table = run_bank(tmp_path)
     assert sorted(table) == sorted(golden), "the bank's command lines differ from the recorded ones"

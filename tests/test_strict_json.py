@@ -1,19 +1,20 @@
 """Every command, on point files of 2 to 12 points mixing +-1e308,
 subnormals, duplicates and collinear sets, exits with a documented code and
-prints JSON that a strict reader accepts; no theorem or suri verdict fails
-on a converged solve."""
+prints JSON that a strict reader accepts, and every number of a figure it
+draws is finite; no theorem or suri verdict fails on a converged solve."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import strict_json
+from conftest import strict_json, svg_numbers
 from ellimatch.cli import main
 
 EXTREMES = [0.0, -0.0, 0.5, 1.0, -1.0, 3.0, 1e16, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308]
@@ -50,6 +51,10 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 @settings(max_examples=100, deadline=None)
 @given(point_sets())
+# Sets whose figure height, y flip or box corner overflows when formed as a sum.
+@example([(0.0, 0.0), (0.0, 1e306)])
+@example([(0.0, -1.5e308), (1.0, -1.5e308)])
+@example([(-1.79e308, 0.0), (-1.79e308 + 1e307, 0.0)])
 def test_every_command_exits_0_to_3_with_strict_json(points):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.csv")
@@ -63,13 +68,19 @@ def test_every_command_exits_0_to_3_with_strict_json(points):
             ["witness", "--points", path, "--matching", matching],
             ["verify", "--points", path],
             ["descend", "--points", path, "--init-seed", "0"],
-            ["render", "--points", path, "--matching", matching, "--out", os.path.join(tmp, "f.svg")],
+            ["render", "--points", path, "--out", os.path.join(tmp, "p.svg")],
+            ["render", "--points", path, "--matching", matching, "--out", os.path.join(tmp, "m.svg")],
         ]
         for argv in commands:
             if "--matching" in argv and not os.path.exists(matching):
                 continue  # the set was rejected, so no matching was written
             code, out = run(argv)
-            if code == 2 or argv[0] == "render":
+            if code == 2:
+                continue
+            if argv[0] == "render":
+                with open(argv[-1], encoding="utf-8") as f:
+                    numbers = svg_numbers(f.read())
+                assert all(math.isfinite(x) for x in numbers), (points, argv)
                 continue
             if argv[-2] == "--out":
                 with open(argv[-1], encoding="utf-8") as f:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from conftest import DOUBLED_TRIANGLE, SQUARE, triangle_sides
-from ellimatch import PointSet, exact_max_sum, minimize_h, render_svg
+from conftest import DOUBLED_TRIANGLE, SQUARE, svg_numbers, triangle_sides
+from ellimatch import Matching, PointSet, exact_max_sum, minimize_h, render_svg
 
 NS = "{http://www.w3.org/2000/svg}"
 
@@ -55,25 +56,23 @@ class TestRenderSvg:
             assert ecc == pytest.approx(math.sqrt(3) / 2, abs=1e-9)
 
     def test_viewbox_includes_margin(self):
-        doc = render_svg(SQUARE)
-        tree = ET.fromstring(doc)
-        vx, vy, vw, vh = (float(t) for t in tree.get("viewBox").split())
+        (vx, vy, vw, vh), _ = _placement(render_svg(SQUARE))
         assert vx < 0 and vy < 0
         assert vx + vw > 1 and vy + vh > 1
 
 
 def _placement(doc):
-    """The viewBox, the y translation of the flip, and every site circle as
-    (cx, cy, r), read back as floats."""
+    """The viewBox in data coordinates and every site circle as (cx, cy, r),
+    read back as floats.  The flip maps y to -y, so the box's y range
+    by .. by + bh holds the data's -(by + bh) .. -by."""
     tree = ET.fromstring(doc)
-    box = tuple(float(t) for t in tree.get("viewBox").split())
-    flip = tree.find(f"{NS}g").get("transform")
-    shift = float(flip.split("translate(0,")[1].split(")")[0])
+    bx, by, bw, bh = (float(t) for t in tree.get("viewBox").split())
+    assert tree.find(f"{NS}g").get("transform") == "scale(1,-1)"
     sites = [
         (float(c.get("cx")), float(c.get("cy")), float(c.get("r")))
         for c in tree.findall(f".//{NS}circle")
     ]
-    return box, shift, sites
+    return (bx, -(by + bh), bw, bh), sites
 
 
 @pytest.mark.parametrize(
@@ -86,18 +85,15 @@ def test_viewbox_follows_the_data(scale, offset):
         return (scale * p[0] + offset, scale * p[1] + offset)
 
     moved = PointSet.of([similar(p) for p in SQUARE])
-    box, shift, sites = _placement(render_svg(moved))
-    unit_box, _, _ = _placement(render_svg(SQUARE))
+    box, sites = _placement(render_svg(moved))
+    unit_box, _ = _placement(render_svg(SQUARE))
     expected = (*similar(unit_box[:2]), scale * unit_box[2], scale * unit_box[3])
     for got, want in zip(box, expected):
         assert abs(got - want) <= 1e-12 * max(abs(want), scale), (box, expected)
     vx, vy, vw, vh = box
-    # The flip maps y to shift - y and the box's y range onto itself.
-    assert abs(shift - (2 * vy + vh)) <= 1e-12 * max(abs(shift), scale)
     for cx, cy, r in sites:
-        fy = shift - cy
         assert vx <= cx - r and cx + r <= vx + vw, (cx, r, box)
-        assert vy <= fy - r and fy + r <= vy + vh, (fy, r, box)
+        assert vy <= cy - r and cy + r <= vy + vh, (cy, r, box)
 
 
 @pytest.mark.parametrize(
@@ -109,8 +105,36 @@ def test_coincident_points_get_a_box(points):
     # With no extent to scale by, or one whose tenth underflows to 0, the
     # box takes the coordinates' scale, so that it stays wider than their
     # rounding.
-    box, shift, sites = _placement(render_svg(PointSet.of(points)))
+    box, sites = _placement(render_svg(PointSet.of(points)))
     vx, vy, vw, vh = box
     assert vw > 0.0 and vh > 0.0 and vx + vw > vx and vy + vh > vy
     for cx, cy, r in sites:
-        assert vx < cx < vx + vw and vy < shift - cy < vy + vh
+        assert vx < cx < vx + vw and vy < cy < vy + vh
+
+
+MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("matched", [False, True], ids=["points", "matched"])
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0.0, 0.0), (0.0, 1e306)],
+        [(0.0, -1.5e308), (1.0, -1.5e308)],
+        [(-1.79e308, 0.0), (-1.79e308 + 1e307, 0.0)],
+        [(1e308, 0.0), (1e308, 1.0)],
+        [(MAX, 0.0), (MAX, 1e300)],
+    ],
+    ids=["tall", "far-below", "at-the-left-limit", "edge-at-1e308", "witness-at-max"],
+)
+def test_far_sets_write_only_finite_numbers(points, matched):
+    # The height, the flipped box, its clamped corners, the ellipse centres
+    # and the witness marker would each overflow if written as a sum.
+    s = PointSet.of(points)
+    m = Matching.from_pairs(s, [(0, 1)]) if matched else None
+    doc = render_svg(s, m, minimize_h(s, m) if matched else None)
+    assert all(math.isfinite(x) for x in svg_numbers(doc)), doc
+    (vx, vy, vw, vh), sites = _placement(doc)
+    assert -MAX <= vx and vy + vh <= MAX
+    for cx, cy, _ in sites:
+        assert vx <= cx <= vx + vw and vy <= cy <= vy + vh

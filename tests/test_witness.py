@@ -315,6 +315,28 @@ class TestOptimalityCertificate:
             assert cert.gap >= excess
             assert cert.ok is False and cert.support is None
 
+    @pytest.mark.parametrize(
+        "offset",
+        [
+            1e6,
+            pytest.param(
+                1e9,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="ROADMAP item 1: o_star in input coordinates cannot hold the "
+                    "frame point the solve certified; the certificate's gap is 4.4e-8",
+                ),
+            ),
+        ],
+    )
+    def test_converged_witness_far_from_the_origin_is_certified(self, offset):
+        s = generate(InstanceSpec("clustered", 12, 0))
+        s = PointSet.of([(x + offset, y + offset) for x, y in s])
+        m = exact_max_sum(s)
+        w = minimize_h(s, m)
+        assert w.converged
+        assert optimality_certificate(s, m, w.o_star).ok
+
 
 # repr(steiner_star(s)) as the iteration gave it when it tested the nearest
 # data point at every step; testing each point once must keep every bit.
