@@ -6,7 +6,11 @@ Hessian: a distance-sum ratio is ``(a, b, |ab|, 0)`` and a disk slack
 ``|x - c| - r`` is ``(c, c, 2, -r)``.  Pieces are given in the unit-square
 :class:`~ellimatch.geom.Frame` of their points, so lengths are at unit scale
 and the minimizer takes no ``diameter`` argument: steps are capped at 1 and
-the last stage stops on moves below 1e-14.
+the last stage stops on moves below 1e-14.  A piece's value is computed as
+``(math.dist(x, a) + math.dist(x, b)) / s + beta``: ``math.dist`` takes the
+same norm of the same coordinate differences as ``math.hypot(x[0] - a[0],
+x[1] - a[1])``, so the floats are the same, with no Python-level
+subtraction.  A full pass computes all of them in one comprehension.
 
 One method: damped Newton on the log-sum-exp smoothing
 ``phi_tau(x) = max f + tau * log sum_i exp((f_i - max f) / tau)``, which
@@ -119,9 +123,17 @@ class MinimaxResult(Record):
 
 
 def _value(p: Piece, x: Point) -> float:
-    """The value of piece p at x: the one copy of the piece formula."""
+    """The value of piece p at x: the piece formula, which :func:`_values`
+    repeats for a whole pass."""
     a, b, s, beta = p
-    return (math.hypot(x[0] - a[0], x[1] - a[1]) + math.hypot(x[0] - b[0], x[1] - b[1])) / s + beta
+    return (math.dist(x, a) + math.dist(x, b)) / s + beta
+
+
+def _values(pieces: Iterable[Piece], x: Point) -> list[float]:
+    """The values of all pieces at x, the floats :func:`_value` gives, from
+    one comprehension rather than a call per piece."""
+    dist = math.dist
+    return [(dist(x, a) + dist(x, b)) / s + beta for a, b, s, beta in pieces]
 
 
 def _derivatives(
@@ -248,7 +260,7 @@ def _certificate(
     active pieces, those within ``ACT_REL * max(1, |f|)`` of the max.
     Returns (max, active, coeffs over active, residual, gap UB - LB, whether
     the gap certifies x)."""
-    vals = [_value(p, x) for p in pieces]
+    vals = _values(pieces, x)
     f = max(vals)
     tol = ACT_REL * max(1.0, abs(f))
     active = [i for i, v in enumerate(vals) if v >= f - tol]
@@ -326,7 +338,7 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
         iterations += 1
         if ranked is None:  # a full pass
             live = pieces
-            vals = [_value(p, y) for p in pieces]
+            vals = _values(pieces, y)
             top = max(vals)
             weights = [math.exp((v - top) / tau) for v in vals]
             if 2 * weights.count(0.0) >= n:
@@ -354,7 +366,7 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
         return top + tau * math.log(total), top, live, weights, total
 
     x = x0
-    f = max(_value(p, x) for p in pieces)
+    f = max(_values(pieces, x))
     iterations = 1
     unit = max(1.0, abs(f))
     # Reaching the floor, up to rounding, ends the search.
@@ -370,6 +382,8 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
             if direction is None:
                 break
             sx, sy, slope = direction
+            if not slope < 0.0:
+                break  # the slope underflowed to zero: no descent left at this tau
             # Below the rounding level of phi, values cannot judge a step:
             # there the full Newton step, computed from gradients, is taken.
             rounding = -slope <= _ROUNDING * unit

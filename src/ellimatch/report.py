@@ -8,19 +8,29 @@ back bit for bit.  Any other object raises TypeError, so nothing is
 written by accident, and a NaN or an infinity raises ValueError: the
 output is strict JSON, which every reader accepts.
 
+The writer here owns those bytes.  They are the bytes of
+``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+default=_fields)``, which the tests use as the oracle, but json is not
+used to write them: on Python 3.10 to 3.13, any ``indent`` makes json
+skip its C encoder and run a chain of pure-Python generators, which took
+twice as long as this writer on a 200-point report.  Only json's C string
+escaper is borrowed.
+
 A :class:`Report` holds the records of one run and writes the top-level
 keys instance, matching, witness, verdicts and trace.
 """
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
 
 from .geom import Record
 from .matching import Matching, PointSet
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
     from typing import Any
 
     from .descent import DescentStep
@@ -35,7 +45,83 @@ def _fields(obj: object) -> dict[str, object]:
 
 def dumps(obj: object) -> str:
     """``obj`` as strict JSON, records as their fields, keys sorted."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=_fields)
+    return _write(obj, "\n")
+
+
+def _float(x: float) -> str:
+    if not isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+# Writers of the values that hold no other value, by exact type.
+_SCALARS = {
+    str: _string,
+    float: _float,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+_NUMBERS = {int, float}
+_SEQUENCES = {list, tuple}
+
+
+def _write(obj: object, nl: str) -> str:
+    """obj as JSON; ``nl`` is the newline and indent of obj's own line, and
+    nested lines are indented two spaces further.  The JSON types are told
+    apart by exact type: anything else, a subclass of one of them too, must
+    be a record."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = nl + "  "
+    sep = "," + inner
+    if type(obj) in _SEQUENCES:
+        if not obj:
+            return "[]"
+        body = _numbers(obj, sep)
+        if body is None:
+            body = _pairs(obj, inner, sep)
+        if body is None:
+            body = sep.join([_write(v, inner) for v in obj])
+        return "[" + inner + body + nl + "]"
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        if set(map(type, obj)) != {str}:
+            raise TypeError("JSON object keys must be str")
+        return "{" + inner + sep.join([_string(k) + ": " + _write(obj[k], inner) for k in sorted(obj)]) + nl + "}"
+    return _write(_fields(obj), nl)
+
+
+def _checked(text: str, numbers: Iterable[object]) -> str:
+    """text, which holds the reprs of the ints and floats ``numbers``; a
+    number that is not finite raises ValueError.  The repr of a finite
+    number has no letter n, and those of nan, inf and -inf do."""
+    if "n" in text:
+        for x in numbers:
+            if type(x) is float:
+                _float(x)
+    return text
+
+
+def _numbers(items: Sequence[object], sep: str) -> str | None:
+    """The body of a list of ints and floats (not bools), or None."""
+    if not set(map(type, items)) <= _NUMBERS:
+        return None
+    return _checked(sep.join(map(repr, items)), items)
+
+
+def _pairs(items: Sequence[object], inner: str, sep: str) -> str | None:
+    """The body of a list of 2-item lists of ints and floats, or None."""
+    if not set(map(type, items)) <= _SEQUENCES or set(map(len, items)) != {2}:
+        return None
+    flat = [x for pair in items for x in pair]
+    if not set(map(type, flat)) <= _NUMBERS:
+        return None
+    nested = inner + "  "
+    pair = "[" + nested + "%r," + nested + "%r" + inner + "]"
+    return _checked(sep.join([pair % (a, b) for a, b in items]), flat)
 
 
 class Report(Record):

@@ -45,7 +45,7 @@ def modules_run(*argv: str) -> tuple[int, set[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_DIR.parent), env.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", _PROBE, *argv],
+        [sys.executable, "-B", "-c", _PROBE, *argv],
         env=env,
         capture_output=True,
         text=True,
@@ -155,13 +155,15 @@ print(code, *sorted(set(sys.modules) - before))
     ids=lambda v: v[0] if v else "import",
 )
 def test_no_command_loads_a_slow_stdlib_module(tmp_path, command):
-    # -I -S: no site hook or environment loads anything before the diff
+    # -I -S: no site hook or environment loads anything before the diff.
+    # -B: -I ignores PYTHONDONTWRITEBYTECODE, and no run writes bytecode
+    # into the tree.
     pts = tmp_path / "p.csv"
     pts.write_text("0,0\n1,0\n2,1\n1,2\n0,2\n-1,1\n")
     argv = [a.format(pts=pts, dir=tmp_path) for a in command]
     argv += ["--out", str(tmp_path / "out.json")] if argv and "--out" not in argv else []
     out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _NEW_MODULES_PROBE, str(PACKAGE_DIR.parent), *argv],
+        [sys.executable, "-B", "-I", "-S", "-c", _NEW_MODULES_PROBE, str(PACKAGE_DIR.parent), *argv],
         capture_output=True,
         text=True,
         check=True,

@@ -7,6 +7,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DOUBLED_TRIANGLE, SQUARE, strict_json, triangle_sides
 from ellimatch import (
@@ -23,6 +25,7 @@ from ellimatch import (
     minimize_h,
     save_points,
 )
+from ellimatch import report
 from ellimatch.cli import main
 from ellimatch.geom import Record
 from ellimatch.report import dumps, matching_from_dict
@@ -218,7 +221,59 @@ class TestReport:
         assert again.cost == m.cost
 
 
+class Box(Record):
+    """A record holding any values, for the writer's tests."""
+
+    a: object
+    b: object = None
+
+
+NUMBERS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 0.1, 2.0**53]),
+)
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    NUMBERS,
+    st.text(),
+    st.sampled_from(["é", "\u2603", "\U0001f600", '"\\\n\x00']),
+)
+# The writer's fast paths take lists of numbers and lists of number pairs;
+# a list that mixes in anything else must leave them.
+LEAVES = st.one_of(
+    SCALARS,
+    st.lists(NUMBERS),
+    st.lists(st.tuples(NUMBERS, NUMBERS)),
+    st.lists(st.lists(NUMBERS, min_size=2, max_size=2)),
+    st.lists(st.one_of(NUMBERS, st.booleans(), st.text(max_size=2))),
+    st.lists(st.lists(st.one_of(NUMBERS, st.booleans()), max_size=3)),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.builds(Box, children, children),
+    ),
+    max_leaves=12,
+)
+
+
 class TestDumps:
+    @settings(max_examples=300, deadline=None)
+    @given(TREES)
+    @example([1, True])
+    @example([2.0, "a"])
+    @example([[1, 2], [3]])
+    @example([[1, 2], (3.5, -0.0)])
+    @example({"b": Box(a=[(0.1, 2)], b={"k": []}), "a": {}})
+    def test_the_bytes_are_json_dumps_bytes(self, obj):
+        expected = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False, default=report._fields)
+        assert dumps(obj) == expected
+
     def test_a_tuple_is_written_as_a_list(self):
         assert dumps({"b": (1, (2.5, 3)), "a": None}) == dumps({"a": None, "b": [1, [2.5, 3]]})
 
@@ -226,10 +281,20 @@ class TestDumps:
         with pytest.raises(TypeError, match="set has no JSON form"):
             dumps({"pairs": {1, 2}})
 
+    def test_a_key_that_is_not_a_string_is_refused(self):
+        with pytest.raises(TypeError, match="keys must be str"):
+            dumps({"a": {1: 2.0}})
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_float_is_refused(self, value):
         with pytest.raises(ValueError, match="not JSON compliant"):
             dumps({"cost": value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_float_in_a_list_of_numbers_or_pairs_is_refused(self, value):
+        for obj in ([10**400, value], [(0.0, 1), (2, value)]):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                dumps(obj)
 
     def test_point_file_bytes(self, tmp_path):
         path = tmp_path / "pts.json"

@@ -141,26 +141,31 @@ def test_screen_keeps_pieces_just_below_the_max():
     assert screened == full
 
 
-def _evaluations(run) -> list[list]:
-    """For every minimize_max call made by run(), the (point, piece) pair of
-    each piece evaluation, in order.  Pieces are told apart by identity."""
-    solves: list = []
-    value, minimize_max = minimax._value, minimax.minimize_max
-
-    def counted_value(p, x):
-        solves[-1].append((x, id(p)))
-        return value(p, x)
+def _evaluations(run) -> list[int]:
+    """For every minimize_max call made by run(), its number of piece
+    evaluations.  Each evaluation takes two distances with ``math.dist``, so
+    they are counted from the profiler's ``c_call`` events of it."""
+    calls: list[int] = []
+    minimize_max = minimax.minimize_max
 
     def recorded_solve(*args, **kwargs):
-        solves.append([])
+        calls.append(0)
         return minimize_max(*args, **kwargs)
 
+    def profile(frame, event, arg):
+        if event == "c_call" and arg is math.dist and calls:
+            calls[-1] += 1
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(minimax, "_value", counted_value)
         mp.setattr(minimax, "minimize_max", recorded_solve)
         mp.setattr(witness, "minimize_max", recorded_solve)
-        run()
-    return solves
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+    assert all(c % 2 == 0 for c in calls), calls
+    return [c // 2 for c in calls]
 
 
 def test_screen_skips_most_evaluations(monkeypatch):
@@ -169,13 +174,28 @@ def test_screen_skips_most_evaluations(monkeypatch):
     w = minimize_h(s, m)
     [screened] = _evaluations(lambda: minimize_h(s, m))
     # Every piece on every pass would be k * iterations evaluations.
-    assert len(screened) <= 0.4 * k * w.iterations, (len(screened), w.iterations)
+    assert screened <= 0.4 * k * w.iterations, (screened, w.iterations)
     # Without the screen the same bound fails, so the count sees the
     # evaluations that the screen saves.
     monkeypatch.setattr(minimax, "_UNDERFLOW_MARGIN", math.inf)
     w_full = minimize_h(s, m)
     [full] = _evaluations(lambda: minimize_h(s, m))
-    assert len(full) > 0.4 * k * w_full.iterations, (len(full), w_full.iterations)
+    assert full > 0.4 * k * w_full.iterations, (full, w_full.iterations)
+
+
+def test_a_slope_that_underflows_to_zero_ends_the_stage():
+    # The disk pieces that the disks check builds, in its frame, for the
+    # points 0,0 0,0 0,0.5 0,0.5 0,1 -5e-324,1.  At the start, a minimizer,
+    # the gradient is 1e-323 and its product with the step underflows, so
+    # the slope is 0.0; dividing by it raised ZeroDivisionError.
+    pieces = [
+        ((5e-324, 0.25), (5e-324, 0.25), 2.0, -0.25),
+        ((5e-324, 0.5), (5e-324, 0.5), 2.0, -0.5),
+        ((0.0, 0.75), (0.0, 0.75), 2.0, -0.25),
+    ]
+    r = minimax.minimize_max(pieces, (5e-324, 0.5))
+    assert r.value == 0.0
+    assert r.converged
 
 
 # ---------------------------------------------------------------- golden bank
@@ -251,6 +271,37 @@ def _golden_bank() -> dict[str, list]:
 def test_golden_bank():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert _golden_bank() == expected
+
+
+def test_full_pass_values_are_the_piece_formula_bit_for_bit():
+    # A full pass evaluates its pieces in one comprehension, _values; it
+    # must give _value's floats, and those of the two hypots of coordinate
+    # differences that math.dist stands for.
+    solves: list = []
+    minimize_max = minimax.minimize_max
+
+    def recorded_solve(pieces, x0):
+        r = minimize_max(pieces, x0)
+        solves.append((pieces, [x0, r.x]))
+        return r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax, "minimize_max", recorded_solve)
+        mp.setattr(witness, "minimize_max", recorded_solve)
+        for _, run in _golden_runs():
+            run()
+    rng = random.Random(0)
+    for pieces, points in solves:
+        points += [c for p in pieces for c in p[:2]]
+        points += [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(20)]
+        for y in points:
+            by_pass = [v.hex() for v in minimax._values(pieces, y)]
+            by_piece = [minimax._value(p, y).hex() for p in pieces]
+            by_hypot = [
+                ((math.hypot(y[0] - a[0], y[1] - a[1]) + math.hypot(y[0] - b[0], y[1] - b[1])) / s + beta).hex()
+                for a, b, s, beta in pieces
+            ]
+            assert by_pass == by_piece == by_hypot, (pieces, y)
 
 
 def test_golden_bank_under_compensated_sum(monkeypatch):

@@ -1,12 +1,15 @@
 """Every command, on point files of 2 to 12 points mixing +-1e308,
 subnormals, duplicates and collinear sets, exits with a documented code and
-prints JSON that a strict reader accepts, and every number of a figure it
-draws is finite; no theorem or suri verdict fails on a converged solve."""
+prints JSON that a strict reader accepts, in its canonical form (what
+``json.dumps`` writes with a two-space indent and sorted keys), and every
+number of a figure it draws is finite; no theorem or suri verdict fails on
+a converged solve."""
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import os
 import tempfile
@@ -55,6 +58,8 @@ def run(argv: list[str]) -> tuple[int, str]:
 @example([(0.0, 0.0), (0.0, 1e306)])
 @example([(0.0, -1.5e308), (1.0, -1.5e308)])
 @example([(-1.79e308, 0.0), (-1.79e308 + 1e307, 0.0)])
+# A set on which the disks check's Newton slope underflowed to 0.0.
+@example([(0.0, 0.0), (0.0, 0.0), (0.0, 0.5), (0.0, 0.5), (0.0, 1.0), (-5e-324, 1.0)])
 def test_every_command_exits_0_to_3_with_strict_json(points):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "p.csv")
@@ -86,6 +91,7 @@ def test_every_command_exits_0_to_3_with_strict_json(points):
                 with open(argv[-1], encoding="utf-8") as f:
                     out = f.read()
             data = strict_json(out)
+            assert out == json.dumps(data, indent=2, sort_keys=True) + "\n", (points, argv)
             for name in ("theorem", "suri") if argv[0] == "verify" else ():
                 v = data["verdicts"][name]
                 assert v["passed"] or not v["details"]["converged"], (points, name, v)
