@@ -124,13 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("render", help="render an SVG figure")
     r.add_argument("--points", required=True)
-    r.add_argument("--matching")
-    r.add_argument(
-        "--witness",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="draw the witness (computed when a matching is present)",
-    )
+    r.add_argument("--matching", help="matching JSON, drawn with its witness")
     r.add_argument("--out", required=True)
 
     st = sub.add_parser("suite", help="batch experiment over seeded instances")
@@ -170,6 +164,8 @@ def _load_matching(path: str, s: PointSet) -> Matching:
     # unreadable, not JSON, an integer past the digit limit, or no matching of s
     except (OSError, ValueError) as e:
         raise ValueError(f"matching: {path}: {e}") from None
+    except RecursionError:  # arrays or objects nested past the decoder's limit
+        raise ValueError(f"matching: {path}: invalid JSON: nested too deeply") from None
 
 
 def _start_matching(s: PointSet, seed: int | None) -> Matching:
@@ -293,7 +289,7 @@ def _cmd_descend(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     s = load_points(args.points)
     m = _load_matching(args.matching, s) if args.matching else None
-    w = minimize_h(s, m) if (m is not None and args.witness) else None
+    w = minimize_h(s, m) if m is not None else None
     svgfig.render_svg(s, m, w, args.out)
     return EXIT_OK
 
@@ -372,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     # the point-file, size-cap and JSON decode errors are all ValueErrors
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -10,6 +10,8 @@ at a matching whose ratio is within tolerance of the bound.
 
 from __future__ import annotations
 
+import math
+
 from .geom import (
     DEFAULT_THEOREM_TOL,
     EPS_GEO,
@@ -19,7 +21,6 @@ from .geom import (
     Record,
     dist,
     edge_lengths,
-    norm,
     within_bound,
 )
 from .matching import (
@@ -125,7 +126,7 @@ def build_graph(
     local = {pid: k for k, pid in enumerate(ids)}
     lengths = edge_lengths(dict(zip(ids, verts)), edges, scale)
     for k, v in enumerate(verts):
-        if norm(v) <= EPS_GEO * scale:
+        if math.hypot(*v) <= EPS_GEO * scale:
             raise VertexAtOriginError(
                 f"point {ids[k]} coincides with the witness; ratio should be 1"
             )
@@ -134,7 +135,7 @@ def build_graph(
     blue = []
     for (i, j), d in zip(edges, lengths):
         u, v = verts[local[i]], verts[local[j]]
-        if abs(norm(u) + norm(v) - lam * d) > blue_tol:
+        if abs(math.hypot(*u) + math.hypot(*v) - lam * d) > blue_tol:
             raise GraphColorError(
                 f"edge ({i}, {j}) is not tight at lambda={lam} within {blue_tol}"
             )
@@ -148,7 +149,7 @@ def build_graph(
             if (a, b) in blue_set:
                 continue
             d = dist(verts[a], verts[b])
-            if lam * d - (norm(verts[a]) + norm(verts[b])) > red_margin:
+            if lam * d - (math.hypot(*verts[a]) + math.hypot(*verts[b])) > red_margin:
                 red.append((a, b))
 
     return BicoloredGraph(
@@ -180,9 +181,7 @@ def find_alternating_cycle(g: BicoloredGraph) -> AlternatingCycle | None:
                 return list(path)
             if w in used:
                 continue
-            p = partner[w]
-            if p in used:
-                continue
+            p = partner[w]  # unused too: partners enter and leave used together
             path.extend((w, p))
             used.update((w, p))
             found = dfs(path, used)

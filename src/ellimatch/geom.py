@@ -1,6 +1,8 @@
 """Planar primitives for distance-sum ratio analysis.
 
-Points are plain ``(x, y)`` tuples and every function is pure.  Absolute
+Points are plain ``(x, y)`` tuples and every function is pure.  ``dist`` is
+:func:`math.dist`, which rounds exactly like ``math.hypot(a[0] - b[0],
+a[1] - b[1])``, and a vector's length is ``math.hypot(*v)``.  Absolute
 tolerances (``EPS_GEO``) are meant for unit-scale data: every solver maps its
 points into the unit-square :class:`Frame` before relying on them.
 :class:`Record` is the base of every result and value type of the package.
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Mapping, Sequence
+from math import dist
 
 Point = tuple[float, float]
 
@@ -146,11 +149,6 @@ class ZeroVectorError(ValueError):
     """Angle or bisector requested for the zero vector."""
 
 
-def dist(a: Point, b: Point) -> float:
-    """Euclidean distance between two points."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
 def edge_lengths(
     points: Sequence[Point] | Mapping[int, Point],
     pairs: Sequence[tuple[int, int]],
@@ -166,11 +164,6 @@ def edge_lengths(
             raise DegenerateEdgeError(f"zero-length edge between indices {i} and {j}")
         lengths.append(d)
     return lengths
-
-
-def norm(x: Point) -> float:
-    """Euclidean length of a vector."""
-    return math.hypot(x[0], x[1])
 
 
 def _require_nonzero(v: Point) -> None:
@@ -210,8 +203,8 @@ def bisector_point(x: Point, y: Point) -> Point:
     """
     _require_nonzero(x)
     _require_nonzero(y)
-    nx = norm(x)
-    ny = norm(y)
+    nx = math.hypot(*x)
+    ny = math.hypot(*y)
     s = nx + ny
     return ((ny * x[0] + nx * y[0]) / s, (ny * x[1] + nx * y[1]) / s)
 
@@ -223,7 +216,7 @@ def f_ratio(x: Point, y: Point) -> float:
     d = dist(x, y)
     if d == 0.0:
         raise DegenerateEdgeError(f"coincident arguments: {x}, {y}")
-    return (norm(x) + norm(y)) / d
+    return (math.hypot(*x) + math.hypot(*y)) / d
 
 
 def in_lens(x: Point, y: Point, alpha: float, z: Point) -> bool:

@@ -134,6 +134,8 @@ def _parse_json(text: str) -> list[tuple[float, float]]:
         raise PointParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError as e:  # an integer past the interpreter's digit limit
         raise PointParseError(f"invalid JSON: {e}") from None
+    except RecursionError:  # arrays or objects nested past the decoder's limit
+        raise PointParseError("invalid JSON: nested too deeply") from None
     if not isinstance(data, dict) or "points" not in data:
         raise PointParseError('expected a JSON object with a "points" key')
     raw = data["points"]

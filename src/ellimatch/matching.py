@@ -125,12 +125,11 @@ def _require_even(s: PointSet) -> None:
 
 def _distance_table(pts: Sequence[Point]) -> list[list[float]]:
     """Row lists d[i][j] = |p_i p_j|, each unordered pair computed once.
-    ``math.dist`` rounds exactly like :func:`geom.dist` (one hypot of the
-    coordinate differences) and ``math.dist(p, q) == math.dist(q, p)`` bit
-    for bit, so every entry equals ``dist(p_i, p_j)``.  Row i is computed
-    from the diagonal on; its first i cells are column i of the rows above,
-    the same float objects, so the table holds n(n + 1)/2 floats: 0.81 MB
-    at n = 200 and 20 MB at n = 1000, measured with tracemalloc."""
+    ``geom.dist`` is ``math.dist``, which is symmetric bit for bit, so every
+    entry equals ``dist(p_i, p_j)``.  Row i is computed from the diagonal
+    on; its first i cells are column i of the rows above, the same float
+    objects, so the table holds n(n + 1)/2 floats: 0.81 MB at n = 200 and
+    20 MB at n = 1000, measured with tracemalloc."""
     n = len(pts)
     rows = [
         [0.0] * i + list(map(math.dist, itertools.repeat(p, n - i), pts[i:]))

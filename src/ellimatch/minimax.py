@@ -7,10 +7,11 @@ Hessian: a distance-sum ratio is ``(a, b, |ab|, 0)`` and a disk slack
 :class:`~ellimatch.geom.Frame` of their points, so lengths are at unit scale
 and the minimizer takes no ``diameter`` argument: steps are capped at 1 and
 the last stage stops on moves below 1e-14.  A piece's value is computed as
-``(math.dist(x, a) + math.dist(x, b)) / s + beta``: ``math.dist`` takes the
-same norm of the same coordinate differences as ``math.hypot(x[0] - a[0],
-x[1] - a[1])``, so the floats are the same, with no Python-level
-subtraction.  A full pass computes all of them in one comprehension.
+``(math.dist(x, a) + math.dist(x, b)) / s + beta``.  ``math.dist`` is
+``geom.dist`` and rounds as ``math.hypot(x[0] - a[0], x[1] - a[1])`` does,
+bit for bit (``tests/test_geom.py`` checks this on extremes), with no
+Python-level subtraction.  A full pass computes all of them in one
+comprehension.
 
 One method: damped Newton on the log-sum-exp smoothing
 ``phi_tau(x) = max f + tau * log sum_i exp((f_i - max f) / tau)``, which

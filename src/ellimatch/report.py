@@ -79,9 +79,7 @@ def _write(obj: object, nl: str) -> str:
     if type(obj) in _SEQUENCES:
         if not obj:
             return "[]"
-        body = _numbers(obj, sep)
-        if body is None:
-            body = _pairs(obj, inner, sep)
+        body = _pairs(obj, inner, sep)
         if body is None:
             body = sep.join([_write(v, inner) for v in obj])
         return "[" + inner + body + nl + "]"
@@ -103,13 +101,6 @@ def _checked(text: str, numbers: Iterable[object]) -> str:
             if type(x) is float:
                 _float(x)
     return text
-
-
-def _numbers(items: Sequence[object], sep: str) -> str | None:
-    """The body of a list of ints and floats (not bools), or None."""
-    if not set(map(type, items)) <= _NUMBERS:
-        return None
-    return _checked(sep.join(map(repr, items)), items)
 
 
 def _pairs(items: Sequence[object], inner: str, sep: str) -> str | None:

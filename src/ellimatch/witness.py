@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 
-from .geom import Frame, Point, Record, dist, edge_lengths, left_sum, norm
+from .geom import Frame, Point, Record, dist, edge_lengths, left_sum
 from .matching import Matching, PointSet, validate_pairs
 from .minimax import MinimaxResult, Piece, _certificate, minimize_max
 
@@ -239,7 +239,7 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
                 converged = True
                 break  # subgradient certificate
             y2 = (wx / winv, wy / winv)
-            if dist(y, y2) <= 1e-16 * (1.0 + norm(y)):
+            if dist(y, y2) <= 1e-16 * (1.0 + math.hypot(*y)):
                 y = y2
                 break
             y = y2

@@ -69,6 +69,7 @@ BAD_POINTS = {
     "shape.json": '{"points": 5}\n',
     "list.json": "[[0, 0], [1, 1]]\n",
     "empty.csv": "\n",
+    "deep.json": "[" * 100_000,
 }
 # Matching files of the unit square, every one but the last an input error.
 MATCHINGS = {
@@ -78,6 +79,7 @@ MATCHINGS = {
     "m-bool.json": '{"pairs": [[0, true], [2, 3]]}\n',
     "m-range.json": '{"pairs": [[0, 1], [2, 9]]}\n',
     "m-nokey.json": '{"matching": {"edges": []}}\n',
+    "m-deep.json": "[" * 100_000,
     "m-report.json": '{"matching": {"pairs": [[0, 2], [1, 3]], "cost": 0}}\n',
 }
 

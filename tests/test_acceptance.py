@@ -37,7 +37,6 @@ from ellimatch import (
     minimize_h,
     steiner_star,
 )
-from ellimatch.geom import norm
 from ellimatch.minimax import _value
 
 SIZES = (4, 6, 8, 10, 12)
@@ -201,7 +200,7 @@ def test_criterion_8_interior_point_monotonicity():
         x = (rng.uniform(-3, 3), rng.uniform(-3, 3))
         y = (rng.uniform(-3, 3), rng.uniform(-3, 3))
         cross = x[0] * y[1] - x[1] * y[0]
-        if norm(x) < 1e-2 or norm(y) < 1e-2 or abs(cross) < 1e-3:
+        if math.hypot(*x) < 1e-2 or math.hypot(*y) < 1e-2 or abs(cross) < 1e-3:
             continue
         t = rng.uniform(1e-3, 1 - 1e-3)
         z = (x[0] + t * (y[0] - x[0]), x[1] + t * (y[1] - x[1]))

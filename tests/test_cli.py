@@ -374,6 +374,17 @@ class TestRender:
         assert code == 0
         assert out.read_text(encoding="utf-8").startswith("<?xml")
 
+    def test_render_draws_the_witness_whenever_a_matching_is_given(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        m = tmp_path / "m.json"
+        m.write_text('{"pairs": [[0, 2], [1, 3]]}')
+        bare, drawn = tmp_path / "bare.svg", tmp_path / "drawn.svg"
+        assert main(["render", "--points", str(pts), "--out", str(bare)]) == 0
+        assert main(["render", "--points", str(pts), "--matching", str(m), "--out", str(drawn)]) == 0
+        assert 'class="witness"' not in bare.read_text(encoding="utf-8")
+        assert 'class="witness"' in drawn.read_text(encoding="utf-8")
+
 
 class TestSuite:
     def test_small_suite_passes_and_is_deterministic(self, tmp_path, capsys):
@@ -501,6 +512,20 @@ class TestExitCodes:
         bad.write_text('{"pairs": [[0, 1], [2, 3]')
         assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: matching: {bad}: ")
+
+    def test_points_nested_past_the_decoder_limit_is_input_error(self, tmp_path, capsys):
+        pts = tmp_path / "p.json"
+        pts.write_text("[" * 100_000)
+        assert main(["witness", "--points", str(pts)]) == 2
+        assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+
+    def test_matching_nested_past_the_decoder_limit_is_input_error(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        bad = tmp_path / "m.json"
+        bad.write_text("[" * 100_000)
+        assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: matching: {bad}: invalid JSON: nested too deeply\n"
 
     def test_odd_count_is_input_error(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"

@@ -26,7 +26,7 @@ from ellimatch import (
     h_ratio,
     in_lens,
 )
-from ellimatch.geom import Frame, edge_lengths, left_sum, norm
+from ellimatch.geom import Frame, edge_lengths, left_sum
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False, allow_infinity=False)
 points = st.tuples(coord, coord)
@@ -41,7 +41,7 @@ def shrunk(p):
 
 
 def vectors_apart(min_norm=1e-3):
-    return points.filter(lambda p: norm(p) > min_norm)
+    return points.filter(lambda p: math.hypot(*p) > min_norm)
 
 
 def grad_h(a, b, x):
@@ -101,6 +101,25 @@ class TestDist:
 
     def test_sqrt2(self):
         assert dist((0, 0), (1, 1)) == pytest.approx(math.sqrt(2), abs=1e-15)
+
+    def test_is_math_dist(self):
+        assert dist is math.dist
+
+    def test_rounds_as_hypot_of_the_differences(self):
+        # math.dist(a, b) == math.hypot(a[0] - b[0], a[1] - b[1]) bit for
+        # bit: the distance table, the minimizer's piece values and every
+        # dist call rely on it, on each supported Python.
+        big, tiny = 1.7976931348623157e308, 5e-324
+        coords = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308, 1.0, -1.0]
+        coords += [1e16, 1e16 + 2.0, -1e16, 1e308, -1e308, big, -big]
+        rng = random.Random(11)
+        coords += [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308) for _ in range(40)]
+        ys = [(0.0, 0.0), (-0.0, 1.0), (tiny, -tiny), (1e16, 1e16 + 1.0)]
+        cases = [((ax, ay), (bx, by)) for ax in coords for bx in coords for ay, by in [*ys, (ax, bx)]]
+        offset = [(1e16 + rng.random(), 1e16 + rng.random()) for _ in range(1000)]
+        cases += zip(offset[::2], offset[1::2])
+        for a, b in cases:
+            assert math.dist(a, b).hex() == math.hypot(a[0] - b[0], a[1] - b[1]).hex(), (a, b)
 
 
 class TestAngles:
@@ -234,12 +253,12 @@ class TestBisectorPoint:
         s = ((l[0] - x[0]) * dx + (l[1] - x[1]) * dy) / dd
         proj = (x[0] + s * dx, x[1] + s * dy)
         assert -1e-12 <= s <= 1 + 1e-12
-        assert dist(l, proj) <= 1e-12 * (1 + norm(x) + norm(y))
+        assert dist(l, proj) <= 1e-12 * (1 + math.hypot(*x) + math.hypot(*y))
 
     @given(vectors_apart(), vectors_apart())
     def test_bisects_the_angle(self, x, y):
         l = bisector_point(x, y)
-        if norm(l) <= 1e-6:
+        if math.hypot(*l) <= 1e-6:
             return  # antipodal-ish: no bisecting ray
         assert angle_undirected(x, l) == pytest.approx(angle_undirected(l, y), abs=1e-9)
 
@@ -278,7 +297,7 @@ class TestFRatio:
             return
         l = bisector_point(x, y)
         fx = f_ratio(x, y)
-        assert abs(fx - norm(x) / dist(x, l)) <= 1e-10 * fx
+        assert abs(fx - math.hypot(*x) / dist(x, l)) <= 1e-10 * fx
 
     def test_interior_point_monotonicity(self):
         rng = random.Random(7)
@@ -287,7 +306,7 @@ class TestFRatio:
             x = (rng.uniform(-3, 3), rng.uniform(-3, 3))
             y = (rng.uniform(-3, 3), rng.uniform(-3, 3))
             cross = x[0] * y[1] - x[1] * y[0]
-            if norm(x) < 1e-2 or norm(y) < 1e-2 or abs(cross) < 1e-3:
+            if math.hypot(*x) < 1e-2 or math.hypot(*y) < 1e-2 or abs(cross) < 1e-3:
                 continue
             t = rng.uniform(1e-3, 1.0 - 1e-3)
             z = (x[0] + t * (y[0] - x[0]), x[1] + t * (y[1] - x[1]))
@@ -328,6 +347,20 @@ class TestLensMembership:
 
     def test_right_angle_point_outside(self):
         assert not in_lens((-1, 0), (1, 0), 2 * math.pi / 3, (0, 1))
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.pi, 4.0])
+    def test_angle_outside_zero_to_pi_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            in_lens((-1, 0), (1, 0), alpha, (0, 0))
+
+    def test_coincident_endpoints_rejected(self):
+        with pytest.raises(DegenerateEdgeError):
+            in_lens((1, 1), (1, 1), 1.0, (0, 0))
+
+    def test_point_that_differs_from_an_endpoint_by_nothing_in_floats(self):
+        # 10**20 + 1 != 1e20, but their difference rounds to 0.0: z is not
+        # an endpoint, yet sits on one in floats, so it belongs to the lens.
+        assert in_lens((10**20 + 1, 0), (0, 1), 1.0, (1e20, 0))
 
     def test_tiny_scale_matches_unit_scale(self):
         rng = random.Random(8)

@@ -105,6 +105,20 @@ def _cases():
     yield pytest.param(lambda: minimize_h(far, m_far), id="offset 1e12")
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: minimax.minimize_max([], (0.0, 0.0)),
+        lambda: minimax.min_norm_point([], [], 1.0),
+        lambda: minimize_h_over_edges(PointSet.of(SQUARE), []),
+    ],
+    ids=["minimize_max", "min_norm_point", "minimize_h_over_edges"],
+)
+def test_nothing_to_minimize_is_a_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 @pytest.mark.parametrize("run", list(_cases()))
 def test_screen_changes_no_result(run):
     screened, full = _solves(run)
