@@ -6,6 +6,9 @@ non-convergence.  Identical command lines (same seeds) produce byte-identical
 JSON output, strict JSON written by :func:`report.dumps`.  The tolerance on
 the ratio bound is ``--tol``, checked here once per command and passed down
 as a float: no command reads the environment.
+
+Each command is one entry of ``_COMMANDS``, its help, options and run; a
+call builds the parser of the command it runs alone (:func:`build_parser`).
 """
 
 from __future__ import annotations
@@ -79,68 +82,21 @@ CHECK_NAMES = ("fingerhut", "theorem", "helly", "suri", "disks")
 _TOL = {"type": float, "default": DEFAULT_THEOREM_TOL, "help": "tolerance on the ratio bound"}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone, or of all seven commands when it is
+    None, which :func:`main` builds only when the first argument names no
+    command (``-h``, a typo, an option first or nothing)."""
     p = argparse.ArgumentParser(
         prog="ellimatch",
         description="Max-sum matchings of planar point sets, their minimax "
         "witness points, and ratio-bound verdicts.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("gen", help="generate a deterministic instance")
-    g.add_argument("--generator", choices=GENERATORS, default="uniform-square")
-    g.add_argument("--n", type=int, required=True, help="number of points (even)")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--out", required=True, help="point file, JSON if it ends in .json else CSV")
-
-    sv = sub.add_parser("solve", help="compute a max-sum matching")
-    sv.add_argument("--points", required=True)
-    mode = sv.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact solver (default)")
-    mode.add_argument("--local-search", action="store_true", help="2-opt local search")
-    sv.add_argument("--init-seed", type=int, help="seed for the local-search start")
-    sv.add_argument("--out")
-
-    w = sub.add_parser("witness", help="minimax witness of a matching")
-    w.add_argument("--points", required=True)
-    w.add_argument("--matching", help="matching JSON (default: solve exactly)")
-    w.add_argument("--out")
-
-    v = sub.add_parser("verify", help="run verdict checks")
-    v.add_argument("--points", required=True)
-    v.add_argument("--matching", help="matching JSON (default: solve exactly)")
-    for name in CHECK_NAMES:
-        v.add_argument(f"--{name}", action="store_true", help=f"run the {name} check")
-    v.add_argument("--tol", **_TOL)
-    v.add_argument("--out")
-
-    d = sub.add_parser("descend", help="alternating-cycle improvement loop")
-    d.add_argument("--points", required=True)
-    d.add_argument("--matching", help="initial matching JSON")
-    d.add_argument("--init-seed", type=int, help="seed for a random initial matching")
-    d.add_argument("--tol", **_TOL)
-    d.add_argument("--max-steps", type=int, default=500)
-    d.add_argument("--out")
-
-    r = sub.add_parser("render", help="render an SVG figure")
-    r.add_argument("--points", required=True)
-    r.add_argument("--matching", help="matching JSON, drawn with its witness")
-    r.add_argument("--out", required=True)
-
-    st = sub.add_parser("suite", help="batch experiment over seeded instances")
-    st.add_argument("--count", type=int, default=200)
-    st.add_argument("--sizes", default="4-12", help='even sizes, "4-12" or "4,6,8"')
-    st.add_argument("--seed", type=int, default=0)
-    st.add_argument("--checks", default="theorem", help="comma list of checks")
-    st.add_argument("--generator", choices=GENERATORS, default="uniform-square")
-    st.add_argument(
-        "--include-doubled",
-        action="store_true",
-        help="append the doubled-triangle extremal instance",
-    )
-    st.add_argument("--tol", **_TOL)
-    st.add_argument("--out")
-
+    # usage lines list all seven; the full parser's errors name "command"
+    names = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=names)
+    for name, (help_text, add_options, _) in _COMMANDS.items():
+        if command in (None, name):
+            add_options(sub.add_parser(name, help=help_text))
     return p
 
 
@@ -197,10 +153,26 @@ def _theorem_tol(value: float) -> float:
     return value
 
 
+def _gen_options(c: argparse.ArgumentParser) -> None:
+    c.add_argument("--generator", choices=GENERATORS, default="uniform-square")
+    c.add_argument("--n", type=int, required=True, help="number of points (even)")
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--out", required=True, help="point file, JSON if it ends in .json else CSV")
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     s = generate(InstanceSpec(args.generator, args.n, args.seed))
     save_points(s, args.out)
     return EXIT_OK
+
+
+def _solve_options(c: argparse.ArgumentParser) -> None:
+    c.add_argument("--points", required=True)
+    mode = c.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", help="exact solver (default)")
+    mode.add_argument("--local-search", action="store_true", help="2-opt local search")
+    c.add_argument("--init-seed", type=int, help="seed for the local-search start")
+    c.add_argument("--out")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -211,6 +183,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         m = exact_max_sum(s)
     _emit(dumps({"matching": m}), args.out)
     return EXIT_OK
+
+
+def _witness_options(c: argparse.ArgumentParser) -> None:
+    c.add_argument("--points", required=True)
+    c.add_argument("--matching", help="matching JSON (default: solve exactly)")
+    c.add_argument("--out")
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
@@ -252,6 +230,15 @@ def _run_checks(
     return verdicts, m, solver_trouble
 
 
+def _verify_options(c: argparse.ArgumentParser) -> None:
+    c.add_argument("--points", required=True)
+    c.add_argument("--matching", help="matching JSON (default: solve exactly)")
+    for name in CHECK_NAMES:
+        c.add_argument(f"--{name}", action="store_true", help=f"run the {name} check")
+    c.add_argument("--tol", **_TOL)
+    c.add_argument("--out")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     s = load_points(args.points)
     names = [n for n in CHECK_NAMES if getattr(args, n)]
@@ -264,6 +251,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if trouble:
         return EXIT_SOLVER
     return EXIT_OK if all(v.passed for v in verdicts.values()) else EXIT_VERDICT
+
+
+def _descend_options(c: argparse.ArgumentParser) -> None:
+    c.add_argument("--points", required=True)
+    c.add_argument("--matching", help="initial matching JSON")
+    c.add_argument("--init-seed", type=int, help="seed for a random initial matching")
+    c.add_argument("--tol", **_TOL)
+    c.add_argument("--max-steps", type=int, default=500)
+    c.add_argument("--out")
 
 
 def _cmd_descend(args: argparse.Namespace) -> int:
@@ -286,12 +282,33 @@ def _cmd_descend(args: argparse.Namespace) -> int:
     return EXIT_SOLVER if result.status == "solver_failure" else EXIT_VERDICT
 
 
+def _render_options(c: argparse.ArgumentParser) -> None:
+    c.add_argument("--points", required=True)
+    c.add_argument("--matching", help="matching JSON, drawn with its witness")
+    c.add_argument("--out", required=True)
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
     s = load_points(args.points)
     m = _load_matching(args.matching, s) if args.matching else None
     w = minimize_h(s, m) if m is not None else None
     svgfig.render_svg(s, m, w, args.out)
     return EXIT_OK
+
+
+def _suite_options(c: argparse.ArgumentParser) -> None:
+    c.add_argument("--count", type=int, default=200)
+    c.add_argument("--sizes", default="4-12", help='even sizes, "4-12" or "4,6,8"')
+    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--checks", default="theorem", help="comma list of checks")
+    c.add_argument("--generator", choices=GENERATORS, default="uniform-square")
+    c.add_argument(
+        "--include-doubled",
+        action="store_true",
+        help="append the doubled-triangle extremal instance",
+    )
+    c.add_argument("--tol", **_TOL)
+    c.add_argument("--out")
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
@@ -352,21 +369,21 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "gen": _cmd_gen,
-    "solve": _cmd_solve,
-    "witness": _cmd_witness,
-    "verify": _cmd_verify,
-    "descend": _cmd_descend,
-    "render": _cmd_render,
-    "suite": _cmd_suite,
+    "gen": ("generate a deterministic instance", _gen_options, _cmd_gen),
+    "solve": ("compute a max-sum matching", _solve_options, _cmd_solve),
+    "witness": ("minimax witness of a matching", _witness_options, _cmd_witness),
+    "verify": ("run verdict checks", _verify_options, _cmd_verify),
+    "descend": ("alternating-cycle improvement loop", _descend_options, _cmd_descend),
+    "render": ("render an SVG figure", _render_options, _cmd_render),
+    "suite": ("batch experiment over seeded instances", _suite_options, _cmd_suite),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     # the point-file, size-cap and JSON decode errors are all ValueErrors
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -8,7 +8,7 @@ import os
 import random
 from .geom import Record
 from .matching import PointSet
-from .report import dumps
+from .report import dumps, short_repr
 
 GENERATORS = ("uniform-square", "gaussian", "clustered", "doubled-polygon")
 
@@ -148,6 +148,8 @@ def _parse_json(text: str) -> list[tuple[float, float]]:
             or len(item) != 2
             or not all(_finite_number(c) for c in item)
         ):
-            raise PointParseError(f"points[{idx}]: expected a finite [x, y] pair, got {item!r}")
+            raise PointParseError(
+                f"points[{idx}]: expected a finite [x, y] pair, got {short_repr(item)}"
+            )
         pts.append((float(item[0]), float(item[1])))
     return pts

@@ -147,6 +147,12 @@ class Report(Record):
         return dumps(self.to_dict())
 
 
+def short_repr(item: object) -> str:
+    """``repr(item)`` cut after 50 characters, for an input error's line."""
+    text = repr(item)
+    return text if len(text) <= 50 else text[:50] + "..."
+
+
 def matching_from_dict(data: Any, s: PointSet) -> Matching:
     """Read ``{"pairs": [[i, j], ...]}`` as a matching of s.  Each index must
     be a JSON integer (not a bool) in range; any other shape or value raises
@@ -165,6 +171,6 @@ def matching_from_dict(data: Any, s: PointSet) -> Matching:
         ):
             raise ValueError(
                 f"pairs[{idx}]: expected [i, j] with integer indices "
-                f"in 0..{n - 1}, got {item!r}"
+                f"in 0..{n - 1}, got {short_repr(item)}"
             )
     return Matching.from_pairs(s, raw)

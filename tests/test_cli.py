@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import json
 import math
@@ -13,13 +14,35 @@ import pytest
 import ellimatch
 from conftest import count_calls
 from ellimatch import DEFAULT_THEOREM_TOL, exact_max_sum, minimize_h
-from ellimatch.cli import main
+from ellimatch.cli import build_parser, main
+
+COMMANDS = ("gen", "solve", "witness", "verify", "descend", "render", "suite")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def exits(capsys, call, argv):
+    """The exit code, stdout and stderr of a call that argparse ends."""
+    with pytest.raises(SystemExit) as e:
+        call(argv)
+    return (e.value.code, *capsys.readouterr())
+
+
+def added_parsers(monkeypatch):
+    """The name of every subparser added from now on, in order."""
+    names = []
+    add = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return add(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return names
 
 
 class TestGenSolveWitness:
@@ -578,6 +601,99 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: matching: {bad}: ") and message in err
+
+    # An item of 200,000 integers, and one nested 880 deep, each echoed as
+    # its first 50 characters.
+    @pytest.mark.parametrize(
+        "item, shown",
+        [
+            ("[" + ", ".join(map(str, range(200_000))) + "]", repr(list(range(20)))[:50]),
+            ("[" * 880 + "]" * 880, "[" * 50),
+        ],
+        ids=["wide", "deep"],
+    )
+    @pytest.mark.parametrize("file", ["points", "matching"])
+    def test_a_large_bad_item_is_echoed_in_short(self, tmp_path, capsys, item, shown, file):
+        bad = tmp_path / "bad.json"
+        if file == "points":
+            bad.write_text(f'{{"points": [{item}, [0, 0]]}}')
+            argv = ["solve", "--points", str(bad)]
+            line = f"error: points[0]: expected a finite [x, y] pair, got {shown}...\n"
+        else:
+            pts = tmp_path / "p.csv"
+            pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+            bad.write_text(f'{{"pairs": [{item}, [2, 3]]}}')
+            argv = ["witness", "--points", str(pts), "--matching", str(bad)]
+            line = (
+                f"error: matching: {bad}: pairs[0]: expected [i, j] with integer "
+                f"indices in 0..3, got {shown}...\n"
+            )
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", line)
+        assert len(line) <= 140 + len(str(bad))
+
+
+# Usage errors that argparse reports: missing required options, a bad type,
+# two exclusive modes, and unknown arguments, which the top-level parser
+# reports under its usage line of all seven commands.
+USAGE_ERRORS = [
+    ["gen"],
+    ["gen", "--n", "abc", "--out", "p.csv"],
+    ["solve", "--points", "p.csv", "--exact", "--local-search"],
+    *([c] for c in COMMANDS if c not in ("gen", "suite")),
+    *([c, "--bogus"] for c in COMMANDS),
+    ["witness", "--points", "p.csv", "--bogus"],
+    ["gen", "--n", "4", "--out", "p.csv", "stray"],
+]
+
+
+class TestParser:
+    """``main`` builds only the invoked command's parser; what argparse
+    prints is the full parser's, byte for byte."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help_is_the_full_parsers(self, capsys, command):
+        full = exits(capsys, build_parser().parse_args, [command, "-h"])
+        assert full[0] == 0 and full[1].startswith(f"usage: ellimatch {command} ")
+        assert exits(capsys, build_parser(command).parse_args, [command, "-h"]) == full
+        assert exits(capsys, main, [command, "-h"]) == full
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_error_is_the_full_parsers(self, capsys, argv):
+        full = exits(capsys, build_parser().parse_args, argv)
+        assert full[0] == 2 and full[1] == "" and "error: " in full[2]
+        assert exits(capsys, build_parser(argv[0]).parse_args, argv) == full
+        assert exits(capsys, main, argv) == full
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [([], 2), (["-h"], 0), (["nosuch"], 2), (["--points", "p.csv", "witness"], 2)],
+        ids=["nothing", "help", "typo", "option-first"],
+    )
+    def test_no_command_first_gets_the_full_parser(self, capsys, argv, code):
+        full = exits(capsys, build_parser().parse_args, argv)
+        assert full[0] == code
+        assert exits(capsys, main, argv) == full
+
+    def test_invalid_choice_lists_every_command(self, capsys):
+        code, _, err = exits(capsys, main, ["nosuch"])
+        (line,) = [line for line in err.splitlines() if "invalid choice" in line]
+        assert code == 2 and all(c in line.split("choose from")[1] for c in COMMANDS)
+
+    def test_only_the_invoked_command_is_built(self, capsys, monkeypatch):
+        sub = [a for a in build_parser("witness")._actions if isinstance(a, argparse._SubParsersAction)]
+        assert [list(a.choices) for a in sub] == [["witness"]]
+        names = added_parsers(monkeypatch)
+        for command in COMMANDS:
+            exits(capsys, main, [command, "-h"])
+        assert names == list(COMMANDS)
+
+    def test_main_reads_sys_argv_when_given_none(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "p.csv"
+        monkeypatch.setattr(sys, "argv", ["ellimatch", "gen", "--n", "4", "--out", str(out)])
+        names = added_parsers(monkeypatch)
+        assert main() == 0 and out.exists()
+        assert names == ["gen"]
 
 
 def test_no_module_reads_the_environment():
