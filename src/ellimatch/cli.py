@@ -7,20 +7,25 @@ JSON output, strict JSON written by :func:`report.dumps`.  The tolerance on
 the ratio bound is ``--tol``, checked here once per command and passed down
 as a float: no command reads the environment.
 
-Each command is one entry of ``_COMMANDS``, its help, options and run; a
-call builds the parser of the command it runs alone (:func:`build_parser`).
+Each command is one entry of ``_COMMANDS``: its help, its options as
+:class:`cmdline.Option` data (flag, kind, default, required, choices, help),
+the flags that exclude each other, and its run.  :func:`_parse` reads a
+command line against the invoked command's entry alone, with
+:func:`cmdline.read`, which takes what argparse would.  ``-h`` prints help
+built from the table; a usage error prints the usage line and an ``error:``
+line to stderr and exits 2.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
-import json
 import math
 import random
 import sys
+from types import SimpleNamespace
 
-from .geom import DEFAULT_THEOREM_TOL
+from .cmdline import Option, UsageError, help_text, read, usage
+from .geom import DEFAULT_THEOREM_TOL, Record
 from .instances import GENERATORS, InstanceSpec, generate, load_points, save_points
 from .matching import Matching, PointSet, SizeCapError, exact_max_sum, local_search
 from .report import Report, dumps, matching_from_dict
@@ -28,6 +33,7 @@ from .witness import minimize_h
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from types import ModuleType
     from typing import Any
 
@@ -79,27 +85,6 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 
 CHECK_NAMES = ("fingerhut", "theorem", "helly", "suri", "disks")
-_TOL = {"type": float, "default": DEFAULT_THEOREM_TOL, "help": "tolerance on the ratio bound"}
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``command`` alone, or of all seven commands when it is
-    None, which :func:`main` builds only when the first argument names no
-    command (``-h``, a typo, an option first or nothing)."""
-    p = argparse.ArgumentParser(
-        prog="ellimatch",
-        description="Max-sum matchings of planar point sets, their minimax "
-        "witness points, and ratio-bound verdicts.",
-    )
-    # usage lines list all seven; the full parser's errors name "command"
-    names = "{" + ",".join(_COMMANDS) + "}" if command else None
-    sub = p.add_subparsers(dest="command", required=True, metavar=names)
-    for name, (help_text, add_options, _) in _COMMANDS.items():
-        if command in (None, name):
-            add_options(sub.add_parser(name, help=help_text))
-    return p
-
-
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as f:
@@ -111,6 +96,8 @@ def _emit(text: str, out: str | None) -> None:
 def _load_matching(path: str, s: PointSet) -> Matching:
     """The matching of s in the JSON file at path, bare or under a report's
     "matching" key; every error names the file."""
+    import json  # only when a matching file is read
+
     try:
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
@@ -153,29 +140,13 @@ def _theorem_tol(value: float) -> float:
     return value
 
 
-def _gen_options(c: argparse.ArgumentParser) -> None:
-    c.add_argument("--generator", choices=GENERATORS, default="uniform-square")
-    c.add_argument("--n", type=int, required=True, help="number of points (even)")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--out", required=True, help="point file, JSON if it ends in .json else CSV")
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
+def _cmd_gen(args: SimpleNamespace) -> int:
     s = generate(InstanceSpec(args.generator, args.n, args.seed))
     save_points(s, args.out)
     return EXIT_OK
 
 
-def _solve_options(c: argparse.ArgumentParser) -> None:
-    c.add_argument("--points", required=True)
-    mode = c.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact solver (default)")
-    mode.add_argument("--local-search", action="store_true", help="2-opt local search")
-    c.add_argument("--init-seed", type=int, help="seed for the local-search start")
-    c.add_argument("--out")
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: SimpleNamespace) -> int:
     s = load_points(args.points)
     if args.local_search:
         m = local_search(s, _start_matching(s, args.init_seed))
@@ -185,15 +156,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _witness_options(c: argparse.ArgumentParser) -> None:
-    c.add_argument("--points", required=True)
-    c.add_argument("--matching", help="matching JSON (default: solve exactly)")
-    c.add_argument("--out")
-
-
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: SimpleNamespace) -> int:
     s = load_points(args.points)
-    m = _load_matching(args.matching, s) if args.matching else exact_max_sum(s)
+    m = _load_matching(args.matching, s) if args.matching is not None else exact_max_sum(s)
     w = minimize_h(s, m)
     _emit(Report(instance=s, matching=m, witness=w).to_json(), args.out)
     return EXIT_OK if w.converged else EXIT_SOLVER
@@ -230,21 +195,12 @@ def _run_checks(
     return verdicts, m, solver_trouble
 
 
-def _verify_options(c: argparse.ArgumentParser) -> None:
-    c.add_argument("--points", required=True)
-    c.add_argument("--matching", help="matching JSON (default: solve exactly)")
-    for name in CHECK_NAMES:
-        c.add_argument(f"--{name}", action="store_true", help=f"run the {name} check")
-    c.add_argument("--tol", **_TOL)
-    c.add_argument("--out")
-
-
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     s = load_points(args.points)
     names = [n for n in CHECK_NAMES if getattr(args, n)]
     if not names:
         names = list(CHECK_NAMES)
-    m = _load_matching(args.matching, s) if args.matching else None
+    m = _load_matching(args.matching, s) if args.matching is not None else None
     tol = _theorem_tol(args.tol)  # rejected even when no named check reads it
     verdicts, m_used, trouble = _run_checks(s, m, names, tol)
     _emit(Report(instance=s, matching=m_used, verdicts=verdicts).to_json(), args.out)
@@ -253,18 +209,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if all(v.passed for v in verdicts.values()) else EXIT_VERDICT
 
 
-def _descend_options(c: argparse.ArgumentParser) -> None:
-    c.add_argument("--points", required=True)
-    c.add_argument("--matching", help="initial matching JSON")
-    c.add_argument("--init-seed", type=int, help="seed for a random initial matching")
-    c.add_argument("--tol", **_TOL)
-    c.add_argument("--max-steps", type=int, default=500)
-    c.add_argument("--out")
-
-
-def _cmd_descend(args: argparse.Namespace) -> int:
+def _cmd_descend(args: SimpleNamespace) -> int:
     s = load_points(args.points)
-    if args.matching:
+    if args.matching is not None:
         init = _load_matching(args.matching, s)
     else:
         init = _start_matching(s, args.init_seed)
@@ -282,36 +229,15 @@ def _cmd_descend(args: argparse.Namespace) -> int:
     return EXIT_SOLVER if result.status == "solver_failure" else EXIT_VERDICT
 
 
-def _render_options(c: argparse.ArgumentParser) -> None:
-    c.add_argument("--points", required=True)
-    c.add_argument("--matching", help="matching JSON, drawn with its witness")
-    c.add_argument("--out", required=True)
-
-
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: SimpleNamespace) -> int:
     s = load_points(args.points)
-    m = _load_matching(args.matching, s) if args.matching else None
+    m = _load_matching(args.matching, s) if args.matching is not None else None
     w = minimize_h(s, m) if m is not None else None
     svgfig.render_svg(s, m, w, args.out)
     return EXIT_OK
 
 
-def _suite_options(c: argparse.ArgumentParser) -> None:
-    c.add_argument("--count", type=int, default=200)
-    c.add_argument("--sizes", default="4-12", help='even sizes, "4-12" or "4,6,8"')
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--checks", default="theorem", help="comma list of checks")
-    c.add_argument("--generator", choices=GENERATORS, default="uniform-square")
-    c.add_argument(
-        "--include-doubled",
-        action="store_true",
-        help="append the doubled-triangle extremal instance",
-    )
-    c.add_argument("--tol", **_TOL)
-    c.add_argument("--out")
-
-
-def _cmd_suite(args: argparse.Namespace) -> int:
+def _cmd_suite(args: SimpleNamespace) -> int:
     """Generate -> solve -> check over seeded instances; the aggregate keeps
     per-instance records ordered by index and the minimum margin seen.  An
     instance over the exact solver's cap is recorded as skipped; a suite
@@ -368,22 +294,145 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return EXIT_OK if all_pass else EXIT_VERDICT
 
 
+class _Command(Record):
+    """One command: its help line, its options, the function that runs it,
+    and the flags of which at most one may be given."""
+
+    help: str
+    options: tuple[Option, ...]
+    run: Callable[[SimpleNamespace], int]
+    exclusive: tuple[str, ...] = ()
+
+
+_POINTS = Option("--points", required=True)
+_OUT = Option("--out")
+_TOL = Option("--tol", float, DEFAULT_THEOREM_TOL, help="tolerance on the ratio bound")
+
 _COMMANDS = {
-    "gen": ("generate a deterministic instance", _gen_options, _cmd_gen),
-    "solve": ("compute a max-sum matching", _solve_options, _cmd_solve),
-    "witness": ("minimax witness of a matching", _witness_options, _cmd_witness),
-    "verify": ("run verdict checks", _verify_options, _cmd_verify),
-    "descend": ("alternating-cycle improvement loop", _descend_options, _cmd_descend),
-    "render": ("render an SVG figure", _render_options, _cmd_render),
-    "suite": ("batch experiment over seeded instances", _suite_options, _cmd_suite),
+    "gen": _Command(
+        "generate a deterministic instance",
+        (
+            Option("--generator", choices=GENERATORS, default="uniform-square"),
+            Option("--n", int, required=True, help="number of points (even)"),
+            Option("--seed", int, 0),
+            Option("--out", required=True, help="point file, JSON if it ends in .json else CSV"),
+        ),
+        _cmd_gen,
+    ),
+    "solve": _Command(
+        "compute a max-sum matching",
+        (
+            _POINTS,
+            Option("--exact", bool, help="exact solver (default)"),
+            Option("--local-search", bool, help="2-opt local search"),
+            Option("--init-seed", int, help="seed for the local-search start"),
+            _OUT,
+        ),
+        _cmd_solve,
+        exclusive=("--exact", "--local-search"),
+    ),
+    "witness": _Command(
+        "minimax witness of a matching",
+        (_POINTS, Option("--matching", help="matching JSON (default: solve exactly)"), _OUT),
+        _cmd_witness,
+    ),
+    "verify": _Command(
+        "run verdict checks",
+        (
+            _POINTS,
+            Option("--matching", help="matching JSON (default: solve exactly)"),
+            *(Option(f"--{name}", bool, help=f"run the {name} check") for name in CHECK_NAMES),
+            _TOL,
+            _OUT,
+        ),
+        _cmd_verify,
+    ),
+    "descend": _Command(
+        "alternating-cycle improvement loop",
+        (
+            _POINTS,
+            Option("--matching", help="initial matching JSON"),
+            Option("--init-seed", int, help="seed for a random initial matching"),
+            _TOL,
+            Option("--max-steps", int, 500),
+            _OUT,
+        ),
+        _cmd_descend,
+    ),
+    "render": _Command(
+        "render an SVG figure",
+        (
+            _POINTS,
+            Option("--matching", help="matching JSON, drawn with its witness"),
+            Option("--out", required=True),
+        ),
+        _cmd_render,
+    ),
+    "suite": _Command(
+        "batch experiment over seeded instances",
+        (
+            Option("--count", int, 200),
+            Option("--sizes", default="4-12", help='even sizes, "4-12" or "4,6,8"'),
+            Option("--seed", int, 0),
+            Option("--checks", default="theorem", help="comma list of checks"),
+            Option("--generator", choices=GENERATORS, default="uniform-square"),
+            Option(
+                "--include-doubled", bool, help="append the doubled-triangle extremal instance"
+            ),
+            _TOL,
+            _OUT,
+        ),
+        _cmd_suite,
+    ),
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+_ABOUT = (
+    "Max-sum matchings of planar point sets, their minimax witness points,\n"
+    "and ratio-bound verdicts."
+)
+
+
+def _parse(argv: list[str]) -> SimpleNamespace | int:
+    """The options of the command that ``argv`` names, as a namespace with
+    ``command`` set; or the exit code once help (0) or a usage error (2)
+    has been printed.  No command, an unknown one or an option before the
+    command is an error under the usage line of all seven."""
+    name = argv[0] if argv else ""
+    command = _COMMANDS.get(name)
+    if command is None:
+        prog, about, options = "ellimatch", _ABOUT, ()
+        positional = "{" + ",".join(_COMMANDS) + "} ..."
+        commands = {n: c.help for n, c in _COMMANDS.items()}
+    else:
+        prog, about, options = f"ellimatch {name}", command.help, command.options
+        positional, commands = "", {}
     try:
-        return _COMMANDS[args.command][2](args)
+        if command is not None:
+            values = read(options, argv[1:], command.exclusive)
+            if values is not None:
+                return SimpleNamespace(command=name, **values)
+        elif not (name == "-h" or len(name) > 2 and "--help".startswith(name)):
+            if not argv:
+                problem = "a command is required"
+            elif name.startswith("-"):
+                problem = f"a command must come before the option {name!r}"
+            else:
+                problem = f"unknown command {name!r}"
+            raise UsageError(f"{problem} (choose from {', '.join(_COMMANDS)})")
+    except UsageError as e:
+        print(usage(prog, options, positional), f"{prog}: error: {e}", sep="\n", file=sys.stderr)
+        return EXIT_INPUT
+    print(help_text(prog, about, options, positional, commands))
+    return EXIT_OK
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if isinstance(args, int):  # help or a usage error, already printed
+        return args
+    try:
+        return _COMMANDS[args.command].run(args)
     # the point-file, size-cap and JSON decode errors are all ValueErrors
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
@@ -128,6 +127,8 @@ def _finite_number(c: object) -> bool:
 
 
 def _parse_json(text: str) -> list[tuple[float, float]]:
+    import json  # here, so that a command on a CSV file starts without it
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

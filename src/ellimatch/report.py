@@ -14,7 +14,8 @@ default=_fields)``, which the tests use as the oracle, but json is not
 used to write them: on Python 3.10 to 3.13, any ``indent`` makes json
 skip its C encoder and run a chain of pure-Python generators, which took
 twice as long as this writer on a 200-point report.  Only json's C string
-escaper is borrowed.
+escaper is borrowed, from ``_json``, so that writing loads neither json nor
+the ``re`` and ``enum`` that json imports.
 
 A :class:`Report` holds the records of one run and writes the top-level
 keys instance, matching, witness, verdicts and trace.
@@ -22,7 +23,7 @@ keys instance, matching, witness, verdicts and trace.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _string
+from _json import encode_basestring_ascii as _string
 from math import isfinite
 
 from .geom import Record

@@ -16,8 +16,9 @@ the doubled polygons (tied matchings), six degenerate families, suites (one
 with every check) and the input errors whose message is the package's own.
 The benchmark's operations are read from ``perfbench/workloads.py``, so a
 change to its inputs or command lines is a change to the bank as well.
-Commands whose stderr is the interpreter's text (argparse usage, OS and
-JSON decoder messages) are left out: that text is not the package's.
+Commands whose stderr is usage text, or the interpreter's OS and JSON
+decoder messages, are left out: usage text is outside the byte contract,
+and the rest is not the package's.
 """
 
 from __future__ import annotations

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import io
 import json
 import math
 import sys
@@ -14,7 +16,8 @@ import pytest
 import ellimatch
 from conftest import count_calls
 from ellimatch import DEFAULT_THEOREM_TOL, exact_max_sum, minimize_h
-from ellimatch.cli import build_parser, main
+from ellimatch import cli
+from ellimatch.cli import main
 
 COMMANDS = ("gen", "solve", "witness", "verify", "descend", "render", "suite")
 
@@ -25,24 +28,52 @@ def run(capsys, *argv):
     return code, out
 
 
-def exits(capsys, call, argv):
-    """The exit code, stdout and stderr of a call that argparse ends."""
-    with pytest.raises(SystemExit) as e:
-        call(argv)
-    return (e.value.code, *capsys.readouterr())
+def exits(capsys, argv):
+    """The exit code, stdout and stderr of ``main(argv)``."""
+    return (main(argv), *capsys.readouterr())
 
 
-def added_parsers(monkeypatch):
-    """The name of every subparser added from now on, in order."""
-    names = []
-    add = argparse._SubParsersAction.add_parser
+def full_parser():
+    """argparse's parser of ``cli._COMMANDS``, all seven commands: the
+    oracle that the table parser is checked against."""
+    p = argparse.ArgumentParser(prog="ellimatch")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, command in cli._COMMANDS.items():
+        c = sub.add_parser(name, help=command.help)
+        group = c.add_mutually_exclusive_group() if command.exclusive else c
+        for o in command.options:
+            target = group if o.flag in command.exclusive else c
+            if o.kind is bool:
+                target.add_argument(o.flag, action="store_true", help=o.help)
+            else:
+                target.add_argument(
+                    o.flag, type=o.kind, default=o.default, required=o.required,
+                    choices=o.choices, help=o.help,
+                )
+    return p
 
-    def counted(self, name, **kwargs):
-        names.append(name)
-        return add(self, name, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    return names
+def by_argparse(argv):
+    """(namespace dict, None) when argparse accepts argv, else (None,
+    (its exit code, its stdout)); its error text is discarded."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(full_parser().parse_args(argv)), None
+        except SystemExit as e:
+            return None, (e.code, out.getvalue())
+
+
+def is_usage_error(err, argv):
+    """Whether stderr is a usage line and an ``error:`` line of argv's
+    command, or of the top level when argv names no command."""
+    prog = f"ellimatch {argv[0]}" if argv and argv[0] in COMMANDS else "ellimatch"
+    lines = err.splitlines()
+    return (
+        lines[0].startswith(f"usage: {prog} [-h]")
+        and lines[-1].startswith(f"{prog}: error: ")
+        and err.endswith("\n")
+    )
 
 
 class TestGenSolveWitness:
@@ -550,6 +581,16 @@ class TestExitCodes:
         assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: matching: {bad}: invalid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("command", ["witness", "verify", "descend", "render"])
+    def test_empty_matching_path_is_input_error(self, tmp_path, capsys, command):
+        # '' names no file: it is not the same as leaving --matching out
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        out = tmp_path / "out"
+        assert main([command, "--points", str(pts), "--matching", "", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: matching: : ")
+        assert not out.exists()
+
     def test_odd_count_is_input_error(self, tmp_path, capsys):
         odd = tmp_path / "odd.csv"
         odd.write_text("0,0\n1,0\n2,0\n")
@@ -633,9 +674,8 @@ class TestExitCodes:
         assert len(line) <= 140 + len(str(bad))
 
 
-# Usage errors that argparse reports: missing required options, a bad type,
-# two exclusive modes, and unknown arguments, which the top-level parser
-# reports under its usage line of all seven commands.
+# Usage errors: missing required options, a bad type, two exclusive modes,
+# unknown options and a stray argument.
 USAGE_ERRORS = [
     ["gen"],
     ["gen", "--n", "abc", "--out", "p.csv"],
@@ -646,24 +686,106 @@ USAGE_ERRORS = [
     ["gen", "--n", "4", "--out", "p.csv", "stray"],
 ]
 
+# Command lines on which the table parser must agree with argparse on the
+# same table: the namespace when argparse accepts one, else help or exit 2.
+PARSE_CASES = [
+    [],
+    ["nosuch"],
+    ["--points", "p.csv", "witness"],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-h", "witness"],
+    ["--", "witness", "--points", "p.csv"],
+    *([c, "-h"] for c in COMMANDS),
+    *USAGE_ERRORS,
+    ["suite"],
+    # help is taken where it stands: after a stray argument, not after a bad value
+    ["witness", "--he"],
+    ["witness", "--bogus", "-h"],
+    ["gen", "-h", "--n", "abc"],
+    ["gen", "--n", "abc", "-h"],
+    ["verify", "--points", "p.csv", "--hel"],
+    # types and choices
+    ["suite", "--count", "1.5"],
+    ["verify", "--points", "p.csv", "--tol", "x"],
+    ["descend", "--points", "p.csv", "--max-steps", ""],
+    ["gen", "--generator", "nosuch", "--n", "4", "--out", "p.csv"],
+    ["gen", "--generator", "gaussian", "--n", "4", "--out", "p.csv"],
+    ["suite", "--generator", "doubled", "--count", "2"],
+    # exclusive modes
+    ["solve", "--points", "p.csv", "--local-search", "--exact"],
+    ["solve", "--points", "p.csv", "--exact", "--exact"],
+    ["solve", "--points", "p.csv", "--local-search", "--init-seed", "3"],
+    # stray arguments
+    ["solve", "--points", "p.csv", "--exact", "stray"],
+    ["witness", "--points", "p.csv", "-x"],
+    # --opt=value
+    ["witness", "--points=p.csv", "--out=w.json"],
+    ["witness", "--points="],
+    ["gen", "--n=4", "--out=p.csv", "--seed=-7"],
+    ["solve", "--points", "p.csv", "--exact=1"],
+    ["verify", "--points", "p.csv", "--tol=-1e-3"],
+    ["witness", "--points=a=b"],
+    # unique and ambiguous prefixes
+    ["solve", "--poi", "p.csv", "--local", "--init", "0"],
+    ["suite", "--cou", "3", "--si", "4,6", "--inc"],
+    ["descend", "--points", "p.csv", "--max", "10"],
+    ["witness", "--p=p.csv"],
+    ["suite", "--s", "1"],
+    ["suite", "--c", "1"],
+    ["descend", "--points", "p.csv", "--ma", "m.json"],
+    ["suite", "--se=1"],
+    # repeated options: the last wins
+    ["witness", "--points", "a.csv", "--points", "b.csv"],
+    ["witness", "--points", "a.csv", "--poi", "b.csv"],
+    ["gen", "--n", "4", "--n", "6", "--out", "p.csv"],
+    ["verify", "--points", "p.csv", "--suri", "--suri", "--tol", "1", "--tol", "2"],
+    # --
+    ["witness", "--points", "p.csv", "--"],
+    ["witness", "--", "--points", "p.csv"],
+    ["witness", "--points", "--", "p.csv"],
+    ["solve", "--points", "p.csv", "--exact", "--", "--out", "x"],
+    # negative numbers, and other values that start with -
+    ["gen", "--n", "4", "--seed", "-1", "--out", "p.csv"],
+    ["gen", "--n", "-4", "--out", "p.csv"],
+    ["suite", "--seed", "-12", "--count", "-3"],
+    ["verify", "--points", "p.csv", "--tol", "-.5"],
+    ["verify", "--points", "p.csv", "--tol", "-0.5"],
+    ["verify", "--points", "p.csv", "--tol", "-1e-3"],
+    ["verify", "--points", "p.csv", "--tol", "-inf"],
+    ["gen", "--n", "4", "--seed", "-1.", "--out", "p.csv"],
+    ["witness", "--points", "-x"],
+    ["witness", "--points", "p.csv", "--out", "--x"],
+    ["witness", "--points", "-a b"],
+    ["witness", "--points", "-"],
+    ["witness", "--points", ""],
+    ["witness", "--points", "p.csv", "-1"],
+]
+
 
 class TestParser:
-    """``main`` builds only the invoked command's parser; what argparse
-    prints is the full parser's, byte for byte."""
+    """``main`` parses a command line from the command table alone, and
+    agrees with argparse's full parser of that table (built here, in the
+    tests only) on what it accepts and how it ends."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_command_help_is_the_full_parsers(self, capsys, command):
-        full = exits(capsys, build_parser().parse_args, [command, "-h"])
-        assert full[0] == 0 and full[1].startswith(f"usage: ellimatch {command} ")
-        assert exits(capsys, build_parser(command).parse_args, [command, "-h"]) == full
-        assert exits(capsys, main, [command, "-h"]) == full
+        # the same options, each once, in a help of the same usage shape
+        def options(text):
+            return sorted(w.strip("[],") for w in text.split() if w.lstrip("[").startswith("--"))
+
+        code, out, err = exits(capsys, [command, "-h"])
+        assert (code, err) == (0, "") and out.startswith(f"usage: ellimatch {command} [-h]")
+        full = by_argparse([command, "-h"])[1]
+        assert full[0] == 0
+        assert options(out) == options(full[1])
 
     @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
     def test_usage_error_is_the_full_parsers(self, capsys, argv):
-        full = exits(capsys, build_parser().parse_args, argv)
-        assert full[0] == 2 and full[1] == "" and "error: " in full[2]
-        assert exits(capsys, build_parser(argv[0]).parse_args, argv) == full
-        assert exits(capsys, main, argv) == full
+        assert by_argparse(argv)[1][0] == 2
+        code, out, err = exits(capsys, argv)
+        assert (code, out) == (2, "") and is_usage_error(err, argv)
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -671,29 +793,61 @@ class TestParser:
         ids=["nothing", "help", "typo", "option-first"],
     )
     def test_no_command_first_gets_the_full_parser(self, capsys, argv, code):
-        full = exits(capsys, build_parser().parse_args, argv)
-        assert full[0] == code
-        assert exits(capsys, main, argv) == full
+        assert by_argparse(argv)[1][0] == code
+        got, out, err = exits(capsys, argv)
+        assert got == code
+        usage = "usage: ellimatch [-h] {" + ",".join(COMMANDS) + "} ...\n"
+        if code == 0:
+            assert out.startswith(usage) and err == ""
+            assert all(f"\n  {c} " in out for c in COMMANDS)
+        else:
+            assert out == "" and err.startswith(usage) and is_usage_error(err, argv)
 
     def test_invalid_choice_lists_every_command(self, capsys):
-        code, _, err = exits(capsys, main, ["nosuch"])
-        (line,) = [line for line in err.splitlines() if "invalid choice" in line]
+        code, _, err = exits(capsys, ["nosuch"])
+        (line,) = [line for line in err.splitlines() if "unknown command 'nosuch'" in line]
         assert code == 2 and all(c in line.split("choose from")[1] for c in COMMANDS)
 
-    def test_only_the_invoked_command_is_built(self, capsys, monkeypatch):
-        sub = [a for a in build_parser("witness")._actions if isinstance(a, argparse._SubParsersAction)]
-        assert [list(a.choices) for a in sub] == [["witness"]]
-        names = added_parsers(monkeypatch)
+    def test_only_the_invoked_command_is_built(self, monkeypatch):
+        # no other command's entry is read, and the namespace holds the
+        # invoked command's options alone
+        class Unread:
+            def __getattr__(self, name):
+                raise AssertionError(f"read {name} of another command")
+
+        table = cli._COMMANDS
         for command in COMMANDS:
-            exits(capsys, main, [command, "-h"])
-        assert names == list(COMMANDS)
+            others = {n: c if n == command else Unread() for n, c in table.items()}
+            monkeypatch.setattr(cli, "_COMMANDS", others)
+            required = [a for o in table[command].options if o.required for a in (o.flag, "4")]
+            args = cli._parse([command, *required])
+            own = {o.dest for o in table[command].options}
+            assert set(vars(args)) == own | {"command"} and args.command == command
 
     def test_main_reads_sys_argv_when_given_none(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "p.csv"
         monkeypatch.setattr(sys, "argv", ["ellimatch", "gen", "--n", "4", "--out", str(out)])
-        names = added_parsers(monkeypatch)
         assert main() == 0 and out.exists()
-        assert names == ["gen"]
+
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda a: " ".join(a) or "nothing")
+    def test_parse_agrees_with_argparse(self, capsys, argv):
+        namespace, ended = by_argparse(argv)
+        got = cli._parse(list(argv))
+        out, err = capsys.readouterr()
+        if namespace is not None:
+            assert vars(got) == namespace and (out, err) == ("", "")
+        elif ended[0] == 0:
+            assert got == 0 and err == "" and out.startswith("usage: ellimatch")
+        else:
+            assert (got, out) == (2, "") and is_usage_error(err, argv)
+
+    def test_usage_error_is_printed_not_raised(self, capsys):
+        # no SystemExit: main returns the code, and the error line says what
+        code, out, err = exits(capsys, ["suite", "--s", "1"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == (
+            "ellimatch suite: error: ambiguous option: --s could match --sizes, --seed"
+        )
 
 
 def test_no_module_reads_the_environment():

@@ -173,6 +173,38 @@ def test_no_command_loads_a_slow_stdlib_module(tmp_path, command):
     assert not SLOW_STDLIB & set(out)
 
 
+# Modules that a command on a CSV file does not load: the command line is
+# parsed from the command table, and json is imported only to read a JSON
+# file (json would bring re and enum).
+NOT_AT_START = ("argparse", "json", "re", "enum", "gettext")
+
+_LOADED_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ellimatch.cli
+code = ellimatch.cli.main(sys.argv[3:])
+print(code, *[m for m in sys.argv[2].split(",") if m in sys.modules])
+"""
+
+
+@pytest.mark.parametrize("suffix, loaded", [(".csv", []), (".json", ["json", "re", "enum"])])
+def test_witness_starts_without_argparse_or_json(tmp_path, suffix, loaded):
+    pts = tmp_path / f"p{suffix}"
+    if suffix == ".json":
+        pts.write_text('{"points": [[0, 0], [1, 0], [2, 1], [1, 2], [0, 2], [-1, 1]]}')
+    else:
+        pts.write_text("0,0\n1,0\n2,1\n1,2\n0,2\n-1,1\n")
+    argv = ["witness", "--points", str(pts), "--out", str(tmp_path / "w.json")]
+    out = subprocess.run(
+        [sys.executable, "-B", "-I", "-S", "-c", _LOADED_PROBE, str(PACKAGE_DIR.parent),
+         ",".join(NOT_AT_START), *argv],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out == ["0", *loaded]
+
+
 def _is_type_checking_block(node: ast.AST) -> bool:
     return (
         isinstance(node, ast.If)
