@@ -86,7 +86,7 @@ EXIT_SOLVER = 3
 
 CHECK_NAMES = ("fingerhut", "theorem", "helly", "suri", "disks")
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w", encoding="utf-8") as f:
             f.write(text + "\n")
     else:

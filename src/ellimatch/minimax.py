@@ -17,12 +17,13 @@ One method: damped Newton on the log-sum-exp smoothing
 ``phi_tau(x) = max f + tau * log sum_i exp((f_i - max f) / tau)``, which
 overestimates ``max f`` by at most ``tau * log(#pieces)`` (Nesterov 2005;
 Polak, Royset and Womersley 2003).  ``tau`` starts at 0.1 of the value scale
-and is cut tenfold per stage down to 1e-14.  Each step is an Armijo
-backtracking line search along the Newton direction, or along the steepest
-descent direction where the smoothed Hessian is not positive definite.  The
-foci, where a piece has a kink, are handled exactly: a focus is stationary
-when the ball of subgradients it adds absorbs the gradient, and a step cut
-short next to a focus tries the focus itself.
+and is cut tenfold per stage: stage 8 runs at 1e-8 and stage 14 at 1e-14.
+Each step is an Armijo backtracking line search along the Newton direction,
+or along the steepest descent direction where the smoothed Hessian is not
+positive definite.  The foci, where a piece has a kink, are handled
+exactly: a focus is stationary when the ball of subgradients it adds
+absorbs the gradient, and a step cut short next to a focus tries the focus
+itself.
 
 Once ``tau`` is small, only the pieces within a few hundred ``tau`` of the
 max carry any softmax weight: ``exp`` of anything below -745.14 is exactly
@@ -55,6 +56,21 @@ disk pieces.  The point is certified when UB - LB is at most ``GAP_REL``
 times ``max(1, |UB|)``.  The rule reads no absolute scale of the
 gradients, and a point whose max exceeds the minimum by more than that is
 never certified, however many pieces lie near the max.
+
+Smoothing finds the support, and Newton's method on the support's
+optimality system finds the vertex (the two-stage scheme of Hald and
+Madsen, Math. Programming 20, 1981).  After stage 8 the finish reads the
+support off the certificate at x: the active pieces with positive weight.
+With three pieces it solves f_0 = f_1 = f_2 in (x, y); with two, it solves
+mu g_0 + (1 - mu) g_1 = 0 and f_0 = f_1 in (x, y, mu), from the
+certificate's weight mu.  ``_FINISH_STEPS`` Newton steps from x give an end
+point, and the solve ends there when the bracket certifies it and its max
+is no higher than at x; that certificate is the result's.  It lies on the
+vertex up to rounding, below the smoothing bias at which the last stage
+would stop.  Otherwise stages 9 to 14 go on from x and the screen anchor as
+the finish found them, and give the floats they gave before the finish was
+added, but for ``iterations``: no solve certifies less than the stages
+alone.
 
 At a vertex the gradients' hull may hold the origin in more than one way:
 with four active pieces, two triangles can lie equally near it up to
@@ -90,6 +106,12 @@ Piece = tuple[Point, Point, float, float]
 _TAU_START = 0.1
 _STAGES = 14
 
+# Stages after which the finish runs (module docstring): the last of them
+# has tau = 1e-8 of the value scale, and from its end point, near the
+# vertex, Newton's method reaches rounding level within three steps.
+_FINISH_STAGE = 8
+_FINISH_STEPS = 3
+
 # Relative rounding level of piece values.
 _ROUNDING = 1e-15
 
@@ -110,8 +132,11 @@ class MinimaxResult(Record):
     """Minimizer of the max of the pieces.
 
     ``iterations`` counts passes over the piece list, each at one point,
-    whether it evaluates every piece or screens out those without weight;
-    the start value and the certificate count one pass each.
+    whether it evaluates every piece or screens out those without weight.
+    The start value and every certificate count one pass each: the finish's
+    at x and at its end point, and the closing one after the last stage.
+    The finish's Newton steps, which evaluate only the support's 2 or 3
+    pieces, are not counted.
     """
 
     x: Point
@@ -308,6 +333,46 @@ def _direction(
     return sx, sy, gx * sx + gy * sy + ball * sn
 
 
+def _support_vertex(support: Sequence[Piece], mu: float, x: Point) -> Point | None:
+    """The end point of ``_FINISH_STEPS`` Newton steps from x on the
+    optimality system of the pieces ``support``, or None where the support
+    has neither 2 nor 3 pieces, the system is singular or the point leaves
+    the floats.  Three pieces: f_0 = f_1 = f_2, in (x, y).  Two pieces:
+    mu g_0 + (1 - mu) g_1 = 0 and f_0 = f_1, in (x, y, mu), from the weight
+    ``mu`` of piece 0."""
+    if len(support) not in (2, 3):
+        return None
+    for _ in range(_FINISH_STEPS):
+        _, _, _, terms = _derivatives(support, (1.0,) * len(support), 1.0, x)
+        (_, gx0, gy0, axx, axy, ayy), (_, gx1, gy1, bxx, bxy, byy), *third = terms
+        f0 = _value(support[0], x)
+        # The row of f_0 - f_1: its gradient (p, q) and its value w.
+        p, q, w = gx0 - gx1, gy0 - gy1, f0 - _value(support[1], x)
+        if third:
+            [(_, gx2, gy2, _, _, _)] = third
+            r, s, v = gx0 - gx2, gy0 - gy2, f0 - _value(support[2], x)
+            det = p * s - q * r
+            if det == 0.0:
+                return None
+            sx, sy = (q * v - s * w) / det, (r * w - p * v) / det
+        else:
+            # [[a, b, p], [b, c, q], [p, q, 0]] (sx, sy, smu) = -(u, v, w),
+            # with the mu-weighted Hessian and gradient, by Cramer's rule.
+            nu = 1.0 - mu
+            a, b, c = mu * axx + nu * bxx, mu * axy + nu * bxy, mu * ayy + nu * byy
+            u, v = mu * gx0 + nu * gx1, mu * gy0 + nu * gy1
+            det = 2.0 * b * p * q - a * q * q - c * p * p
+            if det == 0.0:
+                return None
+            sx = (u * q * q - b * q * w - p * q * v + c * p * w) / det
+            sy = (a * q * w - u * p * q - p * b * w + v * p * p) / det
+            mu += (a * (v * q - c * w) - b * (v * p - b * w) + u * (c * p - b * q)) / det
+        x = (x[0] + sx, x[1] + sy)
+        if not (math.isfinite(x[0]) and math.isfinite(x[1])):
+            return None
+    return x
+
+
 def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
     """Minimize max_i f_i over the plane; ``converged`` is the value
     bracket's verdict at the result (module docstring).
@@ -375,6 +440,18 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
     for stage in range(_STAGES):
         if f <= stop:
             break
+        if stage == _FINISH_STAGE:
+            f_x, active, coeffs, _, _, _ = _certificate(pieces, x)
+            support = [(pieces[i], c) for i, c in zip(active, coeffs) if c > 0.0]
+            end = _support_vertex([p for p, _ in support], support[0][1], x)
+            iterations += 1
+            if end is not None:
+                f_end, active, coeffs, residual, _, certified = _certificate(pieces, end)
+                iterations += 1
+                if certified and f_end <= f_x:
+                    return MinimaxResult(
+                        end, f_end, tuple(active), tuple(coeffs), residual, iterations, True
+                    )
         last = stage == _STAGES - 1
         tau = _TAU_START * unit * 0.1**stage
         phi, f, live, weights, total = smoothed(x, tau)

@@ -18,7 +18,9 @@ The benchmark's operations are read from ``perfbench/workloads.py``, so a
 change to its inputs or command lines is a change to the bank as well.
 Commands whose stderr is usage text, or the interpreter's OS and JSON
 decoder messages, are left out: usage text is outside the byte contract,
-and the rest is not the package's.
+and the rest is not the package's.  One command, ``--out ''``, is kept:
+its message, that no file has the empty name, is the same on every
+supported version.
 """
 
 from __future__ import annotations
@@ -235,6 +237,7 @@ def commands() -> list[list[str]]:
         ["descend", "--points", "square.csv", "--max-steps", "0"],
         ["descend", "--points", "square.csv", "--init-seed", "3", "--max-steps", "1", "--tol", "0.5"],
         ["verify", "--points", "square.csv", "--matching", "m-report.json", "--helly"],
+        ["witness", "--points", "square.csv", "--out", ""],
     ]
     return cmds
 

@@ -406,6 +406,28 @@ class TestOutFiles:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == shown.encode("utf-8")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "4"],
+            ["solve"],
+            ["witness"],
+            ["verify"],
+            ["descend"],
+            ["render"],
+            ["suite", "--count", "1", "--sizes", "4"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_empty_out_path_is_input_error(self, tmp_path, capsys, argv):
+        # '' names no file: it is not the same as leaving --out out
+        if argv[0] not in ("gen", "suite"):
+            pts = tmp_path / "p.csv"
+            pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+            argv = [*argv, "--points", str(pts)]
+        assert main([*argv, "--out", ""]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+
     def test_solve_out_feeds_witness(self, tmp_path, capsys):
         # The README flow: a solve report is a matching file.
         pts = tmp_path / "pts.csv"

@@ -1,4 +1,5 @@
 """The minimizer: a golden bank of results recorded bit for bit, the
+Newton finish on the support and the stages that follow a declined one, the
 underflow screen, which gives the same results as evaluating every piece on
 every pass from a fraction of the evaluations, and the benchmark operations
 whose solves it once failed to certify."""
@@ -184,17 +185,17 @@ def _evaluations(run) -> list[int]:
 
 def test_screen_skips_most_evaluations(monkeypatch):
     s, m = _two_opt(200, 3)
-    k = len(m.pairs)
     w = minimize_h(s, m)
     [screened] = _evaluations(lambda: minimize_h(s, m))
-    # Every piece on every pass would be k * iterations evaluations.
-    assert screened <= 0.4 * k * w.iterations, (screened, w.iterations)
-    # Without the screen the same bound fails, so the count sees the
-    # evaluations that the screen saves.
+    # The same solve with every piece evaluated on every pass.
     monkeypatch.setattr(minimax, "_UNDERFLOW_MARGIN", math.inf)
-    w_full = minimize_h(s, m)
+    assert minimize_h(s, m) == w
     [full] = _evaluations(lambda: minimize_h(s, m))
-    assert full > 0.4 * k * w_full.iterations, (full, w_full.iterations)
+    # Passes are full until half of the weights underflow, a few stages in,
+    # and the finish follows stage 8, so about half of the passes are
+    # screened: the ratio reads 0.42 to 0.60 on seeds 3 to 5.  The screen
+    # must save at least a quarter of the evaluations.
+    assert screened <= 0.75 * full, (screened, full)
 
 
 def test_a_slope_that_underflows_to_zero_ends_the_stage():
@@ -282,9 +283,69 @@ def _golden_bank() -> dict[str, list]:
     return {name: _results(run) for name, run in _golden_runs()}
 
 
+def _golden(part: str) -> dict[str, list]:
+    """The bank's "results", or its "fallback": the results of the solver
+    before the finish was added, without ``iterations``."""
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))[part]
+
+
 def test_golden_bank():
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert _golden_bank() == expected
+    assert _golden_bank() == _golden("results")
+
+
+@pytest.mark.parametrize(
+    "decline",
+    [lambda support, mu, x: None, lambda support, mu, x: (x[0] + 1.0, x[1])],
+    ids=["no end point", "an end point above x"],
+)
+def test_a_declined_finish_leaves_the_stages_as_they_were(monkeypatch, decline):
+    # The remaining stages go on from the point and screen anchor that the
+    # finish left untouched; only ``iterations`` counts its passes.
+    monkeypatch.setattr(minimax, "_support_vertex", decline)
+    staged = {name: [r[:5] + r[6:] for r in results] for name, results in _golden_bank().items()}
+    assert staged == _golden("fallback")
+
+
+def _calls(run) -> list:
+    """(pieces, x0) of every minimize_max call made by run()."""
+    calls: list = []
+    minimize_max = minimax.minimize_max
+
+    def recorded_solve(pieces, x0):
+        calls.append((pieces, x0))
+        return minimize_max(pieces, x0)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax, "minimize_max", recorded_solve)
+        mp.setattr(witness, "minimize_max", recorded_solve)
+        run()
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [("descend n=20 seed 1", 2), ("uniform-square n=12 seed 0", 3), ("disks", 2)],
+)
+def test_finish_ends_on_the_vertex_of_its_support(monkeypatch, name, size):
+    # Newton's method on the support's optimality system closes the bracket
+    # to rounding, at a max no higher than the remaining stages reach.  The
+    # disks check's pieces (c, c, 2, -r) take the same finish.
+    [(pieces, x0)] = _calls(dict(_golden_runs())[name])
+    ends = []
+    support_vertex = minimax._support_vertex
+
+    def recorded(support, mu, x):
+        ends.append(support_vertex(support, mu, x))
+        return ends[-1]
+
+    monkeypatch.setattr(minimax, "_support_vertex", recorded)
+    r = minimax.minimize_max(pieces, x0)
+    assert ends == [r.x]
+    _, _, coeffs, _, gap, certified = minimax._certificate(pieces, r.x)
+    assert certified and gap <= 1e-15
+    assert len([c for c in coeffs if c > 0.0]) == size
+    monkeypatch.setattr(minimax, "_support_vertex", lambda support, mu, x: None)
+    assert r.value <= minimax.minimize_max(pieces, x0).value
 
 
 def test_full_pass_values_are_the_piece_formula_bit_for_bit():
@@ -324,8 +385,7 @@ def test_golden_bank_under_compensated_sum(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "ellimatch":
             monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
-    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    assert _golden_bank() == expected
+    assert _golden_bank() == _golden("results")
 
 
 # ------------------------------------------------------ benchmark operations
@@ -385,12 +445,9 @@ def test_certificate_takes_the_tied_triangle_with_the_higher_lower_end():
     assert certified and gap <= minimax.GAP_REL * f
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the first witness solve ends within 3.1e-14 of the "
-    "minimum, but its 2-edge residual of 9.7e-7 leaves the bracket 3.5e-8 wide",
-)
 def test_descend_benchmark_operation_converges():
-    # descend-n20, seed 27, operation 30.
+    # descend-n20, seed 27, operation 30.  Its first witness solve has a
+    # 2-edge support; the stages alone end within 3.1e-14 of the minimum but
+    # with a residual of 9.7e-7, which left the bracket 3.5e-8 wide.
     s = _benchmark_points(20, "2785274337.30")
     assert descend(s, cli._start_matching(s, 30)).ok
