@@ -1,11 +1,13 @@
 """Command line: generate instances, solve matchings, extract witnesses, run
 verdict checks, descend, render figures, and batch suites.
 
-Exit codes: 0 success, 1 verdict/descent failure, 2 input error, 3 solver
-non-convergence.  Identical command lines (same seeds) produce byte-identical
-JSON output, strict JSON written by :func:`report.dumps`.  The tolerance on
-the ratio bound is ``--tol``, checked here once per command and passed down
-as a float: no command reads the environment.
+This module only dispatches: :mod:`instances` reads every input file, point
+files and matching files alike, and :func:`report.dumps` writes every JSON
+byte, as strict JSON.  Exit codes: 0 success, 1 verdict/descent failure, 2
+input error, 3 solver non-convergence.  Identical command lines (same seeds)
+produce byte-identical JSON output.  The tolerance on the ratio bound is
+``--tol``, checked here once per command and passed down as a float: no
+command reads the environment.
 
 Each command is one entry of ``_COMMANDS``: its help, its options as
 :class:`cmdline.Option` data (flag, kind, default, required, choices, help),
@@ -26,9 +28,10 @@ from types import SimpleNamespace
 
 from .cmdline import Option, UsageError, help_text, read, usage
 from .geom import DEFAULT_THEOREM_TOL, Record
-from .instances import GENERATORS, InstanceSpec, generate, load_points, save_points
+from .instances import GENERATORS, InstanceSpec, generate, save_points
+from .instances import load_matching, load_points
 from .matching import Matching, PointSet, SizeCapError, exact_max_sum, local_search
-from .report import Report, dumps, matching_from_dict
+from .report import Report, dumps
 from .witness import minimize_h
 
 TYPE_CHECKING = False
@@ -93,24 +96,6 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _load_matching(path: str, s: PointSet) -> Matching:
-    """The matching of s in the JSON file at path, bare or under a report's
-    "matching" key; every error names the file."""
-    import json  # only when a matching file is read
-
-    try:
-        with open(path, encoding="utf-8") as f:
-            data = json.load(f)
-        if isinstance(data, dict) and "matching" in data:
-            data = data["matching"]
-        return matching_from_dict(data, s)
-    # unreadable, not JSON, an integer past the digit limit, or no matching of s
-    except (OSError, ValueError) as e:
-        raise ValueError(f"matching: {path}: {e}") from None
-    except RecursionError:  # arrays or objects nested past the decoder's limit
-        raise ValueError(f"matching: {path}: invalid JSON: nested too deeply") from None
-
-
 def _start_matching(s: PointSet, seed: int | None) -> Matching:
     """Pair consecutive indices, shuffled first when a seed is given."""
     idx = list(range(len(s)))
@@ -158,7 +143,7 @@ def _cmd_solve(args: SimpleNamespace) -> int:
 
 def _cmd_witness(args: SimpleNamespace) -> int:
     s = load_points(args.points)
-    m = _load_matching(args.matching, s) if args.matching is not None else exact_max_sum(s)
+    m = load_matching(args.matching, s) if args.matching is not None else exact_max_sum(s)
     w = minimize_h(s, m)
     _emit(Report(instance=s, matching=m, witness=w).to_json(), args.out)
     return EXIT_OK if w.converged else EXIT_SOLVER
@@ -200,7 +185,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
     names = [n for n in CHECK_NAMES if getattr(args, n)]
     if not names:
         names = list(CHECK_NAMES)
-    m = _load_matching(args.matching, s) if args.matching is not None else None
+    m = load_matching(args.matching, s) if args.matching is not None else None
     tol = _theorem_tol(args.tol)  # rejected even when no named check reads it
     verdicts, m_used, trouble = _run_checks(s, m, names, tol)
     _emit(Report(instance=s, matching=m_used, verdicts=verdicts).to_json(), args.out)
@@ -212,7 +197,7 @@ def _cmd_verify(args: SimpleNamespace) -> int:
 def _cmd_descend(args: SimpleNamespace) -> int:
     s = load_points(args.points)
     if args.matching is not None:
-        init = _load_matching(args.matching, s)
+        init = load_matching(args.matching, s)
     else:
         init = _start_matching(s, args.init_seed)
     result = descent.descend(s, init, max_steps=args.max_steps, tol=_theorem_tol(args.tol))
@@ -231,7 +216,7 @@ def _cmd_descend(args: SimpleNamespace) -> int:
 
 def _cmd_render(args: SimpleNamespace) -> int:
     s = load_points(args.points)
-    m = _load_matching(args.matching, s) if args.matching is not None else None
+    m = load_matching(args.matching, s) if args.matching is not None else None
     w = minimize_h(s, m) if m is not None else None
     svgfig.render_svg(s, m, w, args.out)
     return EXIT_OK

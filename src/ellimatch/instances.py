@@ -1,4 +1,8 @@
-"""Deterministic instance generation and point-file round-tripping."""
+"""Deterministic instances, and the one reader of input files.
+
+Point files and matching files are read here.  One helper,
+:func:`_json_pairs`, decodes and checks a JSON file of either kind, and a
+UTF-8 byte-order mark at the start of a file is dropped."""
 
 from __future__ import annotations
 
@@ -6,8 +10,12 @@ import math
 import os
 import random
 from .geom import Record
-from .matching import PointSet
-from .report import dumps, short_repr
+from .matching import Matching, PointSet
+from .report import dumps
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from collections.abc import Callable
 
 GENERATORS = ("uniform-square", "gaussian", "clustered", "doubled-polygon")
 
@@ -86,17 +94,43 @@ def save_points(s: PointSet, path: str | os.PathLike[str]) -> None:
         f.write(body)
 
 
+def _read(path: str | os.PathLike[str]) -> str:
+    with open(path, encoding="utf-8-sig") as f:
+        return f.read()
+
+
 def load_points(path: str | os.PathLike[str]) -> PointSet:
     """Read a point file written by :func:`save_points`, JSON when the suffix
     is ``.json`` and CSV otherwise; the count must be even."""
-    with open(path, encoding="utf-8") as f:
-        text = f.read()
-    pts = _parse_json(text) if _is_json(path) else _parse_csv(text)
+    text = _read(path)
+    if _is_json(path):
+        raw = _json_pairs(text, "points", "[x, y]", _finite_pair, "a finite [x, y] pair")
+        pts = [(float(x), float(y)) for x, y in raw]
+    else:
+        pts = _parse_csv(text)
     if not pts:
         raise PointParseError(f"{path}: no points found")
     if len(pts) % 2:
         raise OddCountError(f"{path}: odd number of points ({len(pts)})")
     return PointSet.of(pts)
+
+
+def load_matching(path: str | os.PathLike[str], s: PointSet) -> Matching:
+    """Read ``{"pairs": [[i, j], ...]}``, bare or a report's "matching", as a
+    matching of s; each index is a JSON integer (not a bool) in range.  Any
+    other file, or one that cannot be read, raises ValueError naming it."""
+    n = len(s)
+    try:
+        pairs = _json_pairs(
+            _read(path),
+            "pairs",
+            "[i, j] index",
+            lambda i, j: type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < n,
+            f"[i, j] with integer indices in 0..{n - 1}",
+        )
+        return Matching.from_pairs(s, pairs)
+    except (OSError, ValueError) as e:
+        raise ValueError(f"matching: {path}: {e}") from None
 
 
 def _parse_csv(text: str) -> list[tuple[float, float]]:
@@ -118,15 +152,27 @@ def _parse_csv(text: str) -> list[tuple[float, float]]:
     return pts
 
 
-def _finite_number(c: object) -> bool:
-    """Whether a JSON value is a number, not a boolean, in float range."""
+def _finite_pair(x: object, y: object) -> bool:
+    """Whether two JSON values are numbers, not booleans, in float range."""
     try:
-        return type(c) in (int, float) and math.isfinite(c)
+        return {type(x), type(y)} <= {int, float} and math.isfinite(x) and math.isfinite(y)
     except OverflowError:  # an integer beyond float range
         return False
 
 
-def _parse_json(text: str) -> list[tuple[float, float]]:
+def short_repr(item: object) -> str:
+    """``repr(item)`` cut after 50 characters, for an input error's line."""
+    text = repr(item)
+    return text if len(text) <= 50 else text[:50] + "..."
+
+
+def _json_pairs(
+    text: str, key: str, shape: str, check: Callable[[object, object], bool], expected: str
+) -> list[list[object]]:
+    """The list under ``key`` of the JSON object in text (a report's
+    "matching" for the key "pairs"), each item a list [a, b] with ``check(a,
+    b)``.  Anything else raises PointParseError: the syntax error's place,
+    or the bad item in short."""
     import json  # here, so that a command on a CSV file starts without it
 
     try:
@@ -137,20 +183,14 @@ def _parse_json(text: str) -> list[tuple[float, float]]:
         raise PointParseError(f"invalid JSON: {e}") from None
     except RecursionError:  # arrays or objects nested past the decoder's limit
         raise PointParseError("invalid JSON: nested too deeply") from None
-    if not isinstance(data, dict) or "points" not in data:
-        raise PointParseError('expected a JSON object with a "points" key')
-    raw = data["points"]
+    if key == "pairs" and isinstance(data, dict) and "matching" in data:
+        data = data["matching"]
+    if not isinstance(data, dict) or key not in data:
+        raise PointParseError(f'expected a JSON object with a "{key}" key')
+    raw = data[key]
     if not isinstance(raw, list):
-        raise PointParseError('"points" must be a list of [x, y] pairs')
-    pts = []
+        raise PointParseError(f'"{key}" must be a list of {shape} pairs')
     for idx, item in enumerate(raw):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(_finite_number(c) for c in item)
-        ):
-            raise PointParseError(
-                f"points[{idx}]: expected a finite [x, y] pair, got {short_repr(item)}"
-            )
-        pts.append((float(item[0]), float(item[1])))
-    return pts
+        if not isinstance(item, list) or len(item) != 2 or not check(*item):
+            raise PointParseError(f"{key}[{idx}]: expected {expected}, got {short_repr(item)}")
+    return raw

@@ -1,4 +1,4 @@
-"""The package's JSON format, and its one writer.
+"""The package's one JSON writer; :mod:`instances` reads input files back.
 
 :func:`dumps` writes every JSON byte the package emits: reports, ``solve``
 and ``suite`` output, and point files.  A :class:`~geom.Record` is written
@@ -27,7 +27,6 @@ from _json import encode_basestring_ascii as _string
 from math import isfinite
 
 from .geom import Record
-from .matching import Matching, PointSet
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -35,6 +34,7 @@ if TYPE_CHECKING:
     from typing import Any
 
     from .descent import DescentStep
+    from .matching import Matching, PointSet
     from .witness import WitnessResult
 
 
@@ -146,32 +146,3 @@ class Report(Record):
 
     def to_json(self) -> str:
         return dumps(self.to_dict())
-
-
-def short_repr(item: object) -> str:
-    """``repr(item)`` cut after 50 characters, for an input error's line."""
-    text = repr(item)
-    return text if len(text) <= 50 else text[:50] + "..."
-
-
-def matching_from_dict(data: Any, s: PointSet) -> Matching:
-    """Read ``{"pairs": [[i, j], ...]}`` as a matching of s.  Each index must
-    be a JSON integer (not a bool) in range; any other shape or value raises
-    ValueError, so a malformed file is an input error."""
-    if not isinstance(data, dict) or "pairs" not in data:
-        raise ValueError('expected a JSON object with a "pairs" key')
-    raw = data["pairs"]
-    if not isinstance(raw, list):
-        raise ValueError('"pairs" must be a list of [i, j] index pairs')
-    n = len(s)
-    for idx, item in enumerate(raw):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(type(k) is int and 0 <= k < n for k in item)
-        ):
-            raise ValueError(
-                f"pairs[{idx}]: expected [i, j] with integer indices "
-                f"in 0..{n - 1}, got {short_repr(item)}"
-            )
-    return Matching.from_pairs(s, raw)

@@ -589,6 +589,20 @@ class TestExitCodes:
         assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: matching: {bad}: ")
 
+    def test_truncated_points_and_matching_read_alike(self, tmp_path, capsys):
+        # one JSON reader: a syntax error gives the same line in both files
+        truncated = '{"pairs": [[0, 1], [2, 3]'
+        pts_json, bad = tmp_path / "p.json", tmp_path / "m.json"
+        pts_json.write_text(truncated)
+        bad.write_text(truncated)
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        message = "invalid JSON at line 1 column 26: Expecting ',' delimiter\n"
+        assert main(["witness", "--points", str(pts_json)]) == 2
+        assert capsys.readouterr().err == f"error: {message}"
+        assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: matching: {bad}: {message}"
+
     def test_points_nested_past_the_decoder_limit_is_input_error(self, tmp_path, capsys):
         pts = tmp_path / "p.json"
         pts.write_text("[" * 100_000)

@@ -213,15 +213,22 @@ def _is_type_checking_block(node: ast.AST) -> bool:
     )
 
 
-def slow_imports(node: ast.AST) -> list[str]:
-    """Modules of SLOW_STDLIB imported anywhere in node but in the body of an
-    ``if TYPE_CHECKING:`` block, which runs only under a type checker."""
+def runtime_imports(node: ast.AST) -> list[str]:
+    """Modules imported anywhere in node but in the body of an ``if
+    TYPE_CHECKING:`` block, which runs only under a type checker; a relative
+    import is named with its leading dots, ``from . import m`` as ``.m``."""
     if isinstance(node, ast.Import):
-        return [a.name for a in node.names if a.name.split(".")[0] in SLOW_STDLIB]
+        return [a.name for a in node.names]
     if isinstance(node, ast.ImportFrom):
-        return [node.module] if not node.level and node.module.split(".")[0] in SLOW_STDLIB else []
+        base = "." * node.level + (node.module or "")
+        return [base] if node.module else [base + a.name for a in node.names]
     children = node.orelse if _is_type_checking_block(node) else ast.iter_child_nodes(node)
-    return [m for child in children for m in slow_imports(child)]
+    return [m for child in children for m in runtime_imports(child)]
+
+
+def slow_imports(node: ast.AST) -> list[str]:
+    """Modules of SLOW_STDLIB that node imports at run time."""
+    return [m for m in runtime_imports(node) if m.split(".")[0] in SLOW_STDLIB]
 
 
 def test_slow_stdlib_modules_are_imported_for_type_checkers_only():
@@ -238,3 +245,35 @@ def test_slow_stdlib_modules_are_imported_for_type_checkers_only():
         "if TYPE_CHECKING or True:\n    from typing import Any",
     ):
         assert slow_imports(ast.parse(source)), source
+
+
+def json_decodes(tree: ast.AST) -> list[int]:
+    """Lines of tree that name ``json.load`` or ``json.loads``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("load", "loads")
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "json"
+    ]
+
+
+def test_instances_alone_reads_input_files():
+    # report only writes and cli only dispatches; report needs the matching
+    # module's records for annotations alone
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+    }
+    assert ".matching" not in runtime_imports(trees["report.py"])
+    assert "json" not in runtime_imports(trees["cli.py"])
+    decodes = {name: lines for name, tree in trees.items() if (lines := json_decodes(tree))}
+    assert list(decodes) == ["instances.py"] and len(decodes["instances.py"]) == 1
+    guarded = "TYPE_CHECKING = False\nif TYPE_CHECKING:\n    from .matching import Matching\n"
+    assert runtime_imports(ast.parse(guarded)) == []
+    assert runtime_imports(ast.parse("def f():\n    from . import json, matching")) == [
+        ".json",
+        ".matching",
+    ]
+    assert json_decodes(ast.parse("import json\njson.load(f)\njson.loads(s)")) == [2, 3]

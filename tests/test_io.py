@@ -28,7 +28,8 @@ from ellimatch import (
 from ellimatch import report
 from ellimatch.cli import main
 from ellimatch.geom import Record
-from ellimatch.report import dumps, matching_from_dict
+from ellimatch.instances import load_matching
+from ellimatch.report import dumps
 from ellimatch.verify import check_theorem
 
 
@@ -162,6 +163,26 @@ class TestPointFiles:
         path.write_text("0,0\n\n  \n1,0\n")
         assert load_points(path).points == ((0.0, 0.0), (1.0, 0.0))
 
+    # Spreadsheet CSV exports and Windows editors start a file with one.
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("p.csv", "0,0\n1,0\n1,1\n0,1\n"),
+            ("p.json", '{"points": [[0, 0], [1, 0], [1, 1], [0, 1]]}\n'),
+            ("m.json", '{"pairs": [[0, 2], [1, 3]]}\n'),
+        ],
+        ids=["points-csv", "points-json", "matching"],
+    )
+    def test_a_utf8_byte_order_mark_is_dropped(self, tmp_path, name, content):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(content, encoding="utf-8")
+        marked.write_text(content, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        if name.startswith("m"):
+            assert load_matching(marked, SQUARE) == load_matching(plain, SQUARE)
+        else:
+            assert load_points(marked) == load_points(plain)
+
 
 def assert_same(parsed, value):
     """parsed, read back from JSON, is value bit for bit: a record as the
@@ -214,9 +235,11 @@ class TestReport:
         r = Report(instance=SQUARE)
         assert "trace" not in r.to_dict()
 
-    def test_matching_round_trip(self):
+    def test_matching_round_trip(self, tmp_path):
         m = exact_max_sum(SQUARE)
-        again = matching_from_dict(json.loads(dumps(m)), SQUARE)
+        path = tmp_path / "m.json"
+        path.write_text(dumps(m) + "\n", encoding="utf-8")
+        again = load_matching(path, SQUARE)
         assert again.pairs == m.pairs
         assert again.cost == m.cost
 
