@@ -101,13 +101,17 @@ def _read(path: str | os.PathLike[str]) -> str:
 
 def load_points(path: str | os.PathLike[str]) -> PointSet:
     """Read a point file written by :func:`save_points`, JSON when the suffix
-    is ``.json`` and CSV otherwise; the count must be even."""
-    text = _read(path)
-    if _is_json(path):
-        raw = _json_pairs(text, "points", "[x, y]", _finite_pair, "a finite [x, y] pair")
-        pts = [(float(x), float(y)) for x, y in raw]
-    else:
-        pts = _parse_csv(text)
+    is ``.json`` and CSV otherwise; the count must be even.  Every parse
+    error names the file first, as the matching reader's do."""
+    try:
+        text = _read(path)
+        if _is_json(path):
+            raw = _json_pairs(text, "points", "[x, y]", _finite_pair, "a finite [x, y] pair")
+            pts = [(float(x), float(y)) for x, y in raw]
+        else:
+            pts = _parse_csv(text)
+    except (PointParseError, UnicodeDecodeError) as e:
+        raise PointParseError(f"{path}: {e}") from None
     if not pts:
         raise PointParseError(f"{path}: no points found")
     if len(pts) % 2:

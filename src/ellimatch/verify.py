@@ -5,8 +5,10 @@ and the edge-diameter disk intersection check.
 The checks judge the matching and witness they are handed and solve neither;
 the caller picks the matching.  The Helly check needs no sweep over edge
 triples: Helly's theorem puts the global minimax value on some triple, the
-witness's certificate names it, and one solve of those edges bounds the
+witness's certificate names it, and the value of those edges bounds the
 global value from below while the witness's own value bounds it from above.
+That value comes from one certificate of the edges at the witness, and from
+a solve of them only when that certificate declines.
 Every verdict reports a signed margin (positive = satisfied) so tightness
 can be analyzed, not just pass/fail.  ``tol`` is the slack on the ratio
 bound, ``DEFAULT_THEOREM_TOL`` unless the caller passes one.
@@ -27,7 +29,13 @@ from .geom import (
 )
 from .matching import Matching, PointSet, validate_pairs
 from .minimax import Piece
-from .witness import WitnessResult, minimize_h_over_edges, solve_in_frame, steiner_star
+from .witness import (
+    WitnessResult,
+    certificate_over_edges,
+    minimize_h_over_edges,
+    solve_in_frame,
+    steiner_star,
+)
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -107,19 +115,32 @@ def check_helly_triples(
     carries the witness's optimality certificate attains it: the gradients
     of its edges have 0 in their convex hull at o*, so o* also minimizes
     their maximum.  lambda* = max_i f_i(o*) is a genuine value, an upper
-    bound on every subset's value; one solve of the certificate edges T
-    (at most 3, those with positive weight) gives lambda*(T), a lower bound
-    on the global value.  Both must fall on the same side of the threshold,
-    so one sub-solve decides what a sweep over all triples would.  Margin is
-    the distance of the nearer value to the threshold, negated on
+    bound on every subset's value; lambda*(T) of the certificate edges T
+    (at most 3, those with positive weight) is a lower bound on the global
+    value.  Both must fall on the same side of the threshold, so T alone
+    decides what a sweep over all triples would.
+
+    lambda*(T) is read off the value bracket of T's own pieces, in their
+    own frame, at o* (:func:`~ellimatch.witness.certificate_over_edges`):
+    when it certifies o*, its max is lambda*(T), within the bracket's width
+    as a solve's value is.  The bracket recomputes
+    T's values and gradients, so this proves the value rather than trusting
+    the witness.  Only when it declines are T's edges solved from scratch.
+    Margin is the distance of the nearer value to the threshold, negated on
     discordance.
     """
     validate_pairs(s, m.pairs)
     threshold = RATIO_BOUND + tol
     support = [e for e, mu in w.certificate if mu > 0.0]
-    sub = minimize_h_over_edges(s, [m.pairs[e] for e in support])
-    consistent = within_bound(w.lambda_star, tol) == within_bound(sub.lambda_star, tol)
-    margin = min(abs(threshold - w.lambda_star), abs(threshold - sub.lambda_star))
+    pairs = [m.pairs[e] for e in support]
+    cert = certificate_over_edges(s, pairs, w.o_star)
+    if cert.ok:
+        sub_lambda, sub_converged = cert.lambda_at, True
+    else:
+        sub = minimize_h_over_edges(s, pairs)
+        sub_lambda, sub_converged = sub.lambda_star, sub.converged
+    consistent = within_bound(w.lambda_star, tol) == within_bound(sub_lambda, tol)
+    margin = min(abs(threshold - w.lambda_star), abs(threshold - sub_lambda))
     return Verdict(
         name="helly",
         passed=consistent,
@@ -128,8 +149,8 @@ def check_helly_triples(
         details={
             "lambda_star": w.lambda_star,
             "support": support,
-            "support_lambda": sub.lambda_star,
-            "converged": w.converged and sub.converged,
+            "support_lambda": sub_lambda,
+            "converged": w.converged and sub_converged,
         },
     )
 

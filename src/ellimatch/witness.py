@@ -2,11 +2,12 @@
 
 Minimizes the maximum per-edge distance-sum ratio over the plane and
 computes the Steiner-star (geometric median) objective.
-:func:`optimality_certificate` is the one query at a given point: it
-evaluates every edge there, brackets the minimum of the max ratio through
-the convex hull of the active edges' gradients, by the same rule a witness
-solve ends on, and reads the 2- or 3-edge support off the certificate's
-positive weights.
+:func:`certificate_over_edges` is the one query at a given point: it
+evaluates every edge of a list there, brackets the minimum of the max ratio
+through the convex hull of the active edges' gradients, by the same rule a
+witness solve ends on, and reads the 2- or 3-edge support off the
+certificate's positive weights.  :func:`optimality_certificate` asks it
+for a matching's edges, and the Helly check for the witness's support.
 
 All solvers map the instance into its unit-square :class:`~ellimatch.geom.Frame`
 first; the ratios are similarity-invariant, so nothing is lost and the
@@ -53,8 +54,8 @@ class WitnessResult(Record):
 
 
 class CertificateResult(Record):
-    """Optimality check of a matching at a given point; failure is a
-    verdict, not an exception.
+    """Optimality check of an edge list, a matching's or any other, at a
+    given point; failure is a verdict, not an exception.
 
     ``lambda_at`` is the max ratio at the point and ``coefficients`` pairs
     each active edge (ratio within ``ACT_REL * max(1, lambda_at)`` of it)
@@ -125,7 +126,8 @@ def minimize_h(s: PointSet, m: Matching) -> WitnessResult:
 
 def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessResult:
     """Like :func:`minimize_h` but for an arbitrary edge list (used by the
-    Helly check on the witness's certificate edges)."""
+    Helly check on the witness's certificate edges when their certificate
+    at the witness declines)."""
     res, frame = solve_in_frame(s, pairs, _ratio_piece)
     certificate = tuple(zip(res.active, res.coefficients))
     return WitnessResult(
@@ -140,12 +142,16 @@ def minimize_h_over_edges(s: PointSet, pairs: Sequence[IndexPair]) -> WitnessRes
     )
 
 
-def optimality_certificate(s: PointSet, m: Matching, o: Point) -> CertificateResult:
-    """Check whether o minimizes the max ratio of m: the value bracket,
-    taken in the unit-square frame of m, must put the max ratio at o within
-    ``GAP_REL * max(1, lambda_at)`` of the minimum."""
-    validate_pairs(s, m.pairs)
-    pieces, _, frame = _frame_pieces(s, m.pairs, _ratio_piece)
+def certificate_over_edges(
+    s: PointSet, pairs: Sequence[IndexPair], o: Point
+) -> CertificateResult:
+    """Check whether o minimizes the max ratio over an arbitrary edge list:
+    the value bracket, taken in the unit-square frame of the edges'
+    endpoints, must put the max ratio at o within
+    ``GAP_REL * max(1, lambda_at)`` of the minimum.  The sibling of
+    :func:`minimize_h_over_edges` (used by the Helly check on the witness's
+    certificate edges)."""
+    pieces, _, frame = _frame_pieces(s, pairs, _ratio_piece)
     lam, active, coeffs, residual, gap, ok = _certificate(pieces, frame.to(o))
     coefficients = tuple(zip(active, coeffs))
     return CertificateResult(
@@ -156,6 +162,12 @@ def optimality_certificate(s: PointSet, m: Matching, o: Point) -> CertificateRes
         coefficients=coefficients,
         support=_support(lam, ok, coefficients),
     )
+
+
+def optimality_certificate(s: PointSet, m: Matching, o: Point) -> CertificateResult:
+    """:func:`certificate_over_edges` for all of m's edges, in m's frame."""
+    validate_pairs(s, m.pairs)
+    return certificate_over_edges(s, m.pairs, o)
 
 
 def caratheodory_support(s: PointSet, m: Matching, o: Point) -> tuple[int, ...] | None:

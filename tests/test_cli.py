@@ -197,9 +197,16 @@ class TestVerifyAndDescend:
         assert code == 0  # absurd tolerance turns the failure into a pass
 
     def test_helly_non_convergence_exits_three(self, tmp_path, capsys, monkeypatch):
+        # The bracket at o* declines, so the support is solved, and that
+        # solve is not certified either.
         from ellimatch import verify
 
-        solve = verify.minimize_h_over_edges
+        certify, solve = verify.certificate_over_edges, verify.minimize_h_over_edges
+        monkeypatch.setattr(
+            verify,
+            "certificate_over_edges",
+            lambda s, pairs, o: certify(s, pairs, o).replace(ok=False),
+        )
         monkeypatch.setattr(
             verify,
             "minimize_h_over_edges",
@@ -565,13 +572,13 @@ class TestExitCodes:
         pts = tmp_path / "p.json"
         pts.write_text(f'{{"points": [[{coord}, 0], [1, 1]]}}')
         assert main(["solve", "--points", str(pts)]) == 2
-        assert capsys.readouterr().err.startswith("error: points[0]: ")
+        assert capsys.readouterr().err.startswith(f"error: {pts}: points[0]: ")
 
     def test_points_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys):
         pts = tmp_path / "p.json"
         pts.write_text(f'{{"points": [[{"1" * 5000}, 0], [1, 1]]}}')
         assert main(["solve", "--points", str(pts)]) == 2
-        assert capsys.readouterr().err.startswith("error: invalid JSON: ")
+        assert capsys.readouterr().err.startswith(f"error: {pts}: invalid JSON: ")
 
     def test_matching_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
@@ -590,7 +597,8 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: matching: {bad}: ")
 
     def test_truncated_points_and_matching_read_alike(self, tmp_path, capsys):
-        # one JSON reader: a syntax error gives the same line in both files
+        # one JSON reader: a syntax error gives the same line in both
+        # files, each after the file's name
         truncated = '{"pairs": [[0, 1], [2, 3]'
         pts_json, bad = tmp_path / "p.json", tmp_path / "m.json"
         pts_json.write_text(truncated)
@@ -599,15 +607,23 @@ class TestExitCodes:
         pts.write_text("0,0\n1,0\n1,1\n0,1\n")
         message = "invalid JSON at line 1 column 26: Expecting ',' delimiter\n"
         assert main(["witness", "--points", str(pts_json)]) == 2
-        assert capsys.readouterr().err == f"error: {message}"
+        assert capsys.readouterr().err == f"error: {pts_json}: {message}"
         assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: matching: {bad}: {message}"
+
+    def test_points_file_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_bytes(b"\xff0,0\n1,1\n")
+        assert main(["witness", "--points", str(pts)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pts}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+        )
 
     def test_points_nested_past_the_decoder_limit_is_input_error(self, tmp_path, capsys):
         pts = tmp_path / "p.json"
         pts.write_text("[" * 100_000)
         assert main(["witness", "--points", str(pts)]) == 2
-        assert capsys.readouterr().err == "error: invalid JSON: nested too deeply\n"
+        assert capsys.readouterr().err == f"error: {pts}: invalid JSON: nested too deeply\n"
 
     def test_matching_nested_past_the_decoder_limit_is_input_error(self, tmp_path, capsys):
         pts = tmp_path / "p.csv"
@@ -695,7 +711,7 @@ class TestExitCodes:
         if file == "points":
             bad.write_text(f'{{"points": [{item}, [0, 0]]}}')
             argv = ["solve", "--points", str(bad)]
-            line = f"error: points[0]: expected a finite [x, y] pair, got {shown}...\n"
+            line = f"error: {bad}: points[0]: expected a finite [x, y] pair, got {shown}...\n"
         else:
             pts = tmp_path / "p.csv"
             pts.write_text("0,0\n1,0\n1,1\n0,1\n")

@@ -156,7 +156,7 @@ class TestPointFiles:
         with pytest.raises(PointParseError, match=match):
             load_points(path)
         assert main(["solve", "--points", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")  # names the file
 
     def test_csv_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"

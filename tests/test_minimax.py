@@ -445,6 +445,30 @@ def test_certificate_takes_the_tied_triangle_with_the_higher_lower_end():
     assert certified and gap <= minimax.GAP_REL * f
 
 
+def test_the_bracket_never_rises_above_the_minimum():
+    # The lower end f - gap of the bracket is a bound on the minimum of the
+    # max at every point, the Helly verdict's sub-value among them.  The
+    # minimum is bounded above by the value of a solve certified to
+    # rounding; points are drawn around its end point at distances 1e-6 to
+    # 1 of the frame, on exact and on random matchings.  With the ellipse
+    # axis of the bound halved, 18 of these points rise above it.
+    for generator in ("uniform-square", "gaussian", "clustered"):
+        for n in range(6, 17, 2):
+            for seed in range(10):
+                s = generate(InstanceSpec(generator, n, seed))
+                rng = random.Random(f"{generator}/{n}/{seed}")
+                for m in (exact_max_sum(s), random_perfect_matching(s, rng)):
+                    res, _ = witness.solve_in_frame(s, m.pairs, witness._ratio_piece)
+                    pieces, _, _ = witness._frame_pieces(s, m.pairs, witness._ratio_piece)
+                    f_min, _, _, _, gap, _ = minimax._certificate(pieces, res.x)
+                    assert gap <= 1e-12 * max(1.0, f_min)
+                    for _ in range(30):
+                        r, angle = 10.0 ** -rng.uniform(0.0, 6.0), rng.uniform(0.0, 2.0 * math.pi)
+                        x = (res.x[0] + r * math.cos(angle), res.x[1] + r * math.sin(angle))
+                        f, _, _, _, gap, _ = minimax._certificate(pieces, x)
+                        assert f - gap <= f_min + 1e-15 * max(1.0, f_min), (generator, n, seed, x)
+
+
 def test_descend_benchmark_operation_converges():
     # descend-n20, seed 27, operation 30.  Its first witness solve has a
     # 2-edge support; the stages alone end within 3.1e-14 of the minimum but

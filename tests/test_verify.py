@@ -16,11 +16,13 @@ from conftest import (
 )
 from ellimatch import (
     DEFAULT_THEOREM_TOL,
+    EPS_GEO,
     RATIO_BOUND,
     DegenerateEdgeError,
     InstanceSpec,
     Matching,
     PointSet,
+    Verdict,
     check_fingerhut,
     check_helly_triples,
     check_suri,
@@ -32,6 +34,7 @@ from ellimatch import (
     minimize_h,
     minimize_h_over_edges,
 )
+from ellimatch.witness import certificate_over_edges
 
 
 def theorem_verdict(s):
@@ -209,13 +212,51 @@ class TestCheckHellyTriples:
         assert v.passed
         assert len(v.details["support"]) <= 2
 
-    def test_one_sub_solve(self, monkeypatch):
+    def test_a_certified_witness_runs_no_sub_solve(self, monkeypatch):
+        # o* minimizes the certificate edges' max too, so their bracket at
+        # o* certifies it and gives lambda*(T) without a solve.
         s = generate(InstanceSpec("uniform-square", 12, 0))
         m = exact_max_sum(s)
         w = minimize_h(s, m)
+        counts = count_calls(monkeypatch, minimize_h_over_edges, certificate_over_edges)
+        v = check_helly_triples(s, m, w)
+        assert v.passed
+        assert v.details["converged"] is True
+        assert counts == {"minimize_h_over_edges": 0, "certificate_over_edges": 1}
+
+    def test_a_witness_off_its_vertex_runs_one_sub_solve(self, monkeypatch):
+        # Moved off the vertex, o* is no longer certified for the support:
+        # the edges are solved from scratch, and the verdict is the one
+        # that solve gives.
+        s = generate(InstanceSpec("uniform-square", 12, 0))
+        m = exact_max_sum(s)
+        w = minimize_h(s, m)
+        moved = w.replace(o_star=(w.o_star[0] + 0.01, w.o_star[1] - 0.02))
+        support = [e for e, mu in w.certificate if mu > 0.0]
+        pairs = [m.pairs[e] for e in support]
+        assert not certificate_over_edges(s, pairs, moved.o_star).ok
+        sub = minimize_h_over_edges(s, pairs)
         counts = count_calls(monkeypatch, minimize_h_over_edges)
-        assert check_helly_triples(s, m, w).passed
+        v = check_helly_triples(s, m, moved)
         assert counts == {"minimize_h_over_edges": 1}
+        threshold = RATIO_BOUND + DEFAULT_THEOREM_TOL
+        margin = min(abs(threshold - w.lambda_star), abs(threshold - sub.lambda_star))
+        assert v == Verdict(
+            name="helly",
+            passed=True,
+            margin=margin,
+            tolerance=0.0,
+            details={
+                "lambda_star": w.lambda_star,
+                "support": support,
+                "support_lambda": sub.lambda_star,
+                "converged": True,
+            },
+        )
+        # the certified witness gives the same verdict up to rounding
+        at_vertex = check_helly_triples(s, m, w)
+        assert at_vertex.passed
+        assert at_vertex.details["support_lambda"] == pytest.approx(sub.lambda_star, rel=1e-12)
 
     def test_over_reported_lambda_caught(self):
         s = generate(InstanceSpec("uniform-square", 12, 0))
@@ -278,6 +319,22 @@ class TestCheckTverbergDisks:
         v = check_tverberg_disks(s, m)
         assert not v.passed
         assert v.margin < -1.0
+
+    @pytest.mark.parametrize("factor, passed", [(0.95, True), (1.05, False)])
+    def test_threshold_is_eps_geo_in_the_frame(self, factor, passed):
+        # Two unit diameters on a line, g apart: the least worst slack is
+        # g / 2, at the middle of the gap, and the frame's scale is 2 + g.
+        # The verdict passes just inside EPS_GEO = 1e-9 of the frame and
+        # fails just outside it; the threshold is written out, so that moving
+        # it fails this test.
+        v = factor * 1e-9
+        g = 4.0 * v / (1.0 - 2.0 * v)
+        s = PointSet.of([(0, 0), (1, 0), (1 + g, 0), (2 + g, 0)])
+        d = check_tverberg_disks(s, Matching.from_pairs(s, [(0, 1), (2, 3)]))
+        assert d.details["converged"] is True
+        assert d.details["worst_slack"] == pytest.approx(g / 2.0, rel=1e-6)
+        assert d.passed is passed
+        assert d.tolerance == EPS_GEO * (2 + g)
 
     def test_independent_of_ellipse_verdict(self):
         # side-paired square: ratio bound fails but the disks still meet

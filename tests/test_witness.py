@@ -245,6 +245,25 @@ class TestCaratheodorySupport:
         for _, mu in t.certificate:
             assert mu == pytest.approx(1 / 3, abs=1e-12)
 
+    @pytest.mark.parametrize("factor, has_support", [(0.95, False), (1.05, True)])
+    def test_segment_regime_ends_at_lambda_segment(self, factor, has_support):
+        # Two parallel edges of length 2 at height h apart have lambda* =
+        # sqrt(1 + h^2 / 4), midway between them.  Just below LAMBDA_SEGMENT
+        # the witness counts as on a segment and has no support; just above
+        # it has both edges, at the point and in the certificate alike.  The
+        # threshold is written out, so that moving it fails this test.
+        e = factor * 1e-9
+        h = 2.0 * math.sqrt(2.0 * e + e * e)
+        s = PointSet.of([(-1, 0), (1, 0), (-1, h), (1, h)])
+        m = Matching.from_pairs(s, [(0, 1), (2, 3)])
+        w = minimize_h(s, m)
+        assert w.converged
+        assert w.lambda_star - 1.0 == pytest.approx(e, rel=1e-6)
+        assert (w.lambda_star > LAMBDA_SEGMENT) is has_support
+        support = (0, 1) if has_support else None
+        assert w.support == support
+        assert optimality_certificate(s, m, w.o_star).support == support
+
     def test_unconverged_witness_has_no_support(self, monkeypatch):
         def stalled(*args, **kwargs):
             res = minimize_max(*args, **kwargs)
