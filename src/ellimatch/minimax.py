@@ -25,23 +25,6 @@ exactly: a focus is stationary when the ball of subgradients it adds
 absorbs the gradient, and a step cut short next to a focus tries the focus
 itself.
 
-Once ``tau`` is small, only the pieces within a few hundred ``tau`` of the
-max carry any softmax weight: ``exp`` of anything below -745.14 is exactly
-0.0.  So most passes screen pieces out instead of evaluating them.  Every
-piece is Lipschitz with constant ``2 / s`` (a disk piece with 1), so with
-``L`` the largest of these, a piece worth ``v`` at a point z is worth at most
-``v + L |y - z|`` at y.  Passes evaluate every piece until one finds at least
-half of the weights underflowed; its point becomes the anchor z, with the
-pieces ranked by their values there.  The passes after it are screened: a
-pass at y evaluates pieces in that order and stops at the first one whose
-bound falls more than ``_UNDERFLOW_MARGIN * tau`` below the largest value
-seen, since that piece and every later one would get a weight of exactly
-0.0.  The max, the weight sum, the smoothed value, the Newton direction and
-the focus test are thus the same floats as with every piece evaluated, and
-so is the result.  A screened pass that evaluates more than half of the
-pieces makes the next pass a full one again.  A smaller ``tau`` only
-tightens the screen, so the anchor carries across stages.
-
 The result is certified by a bracket on the minimum value.  The upper end
 UB is max f at the point x.  ``min_norm_point`` gives the convex weights mu
 over the gradients g_i of the active pieces, those near the max, that bring
@@ -59,18 +42,25 @@ never certified, however many pieces lie near the max.
 
 Smoothing finds the support, and Newton's method on the support's
 optimality system finds the vertex (the two-stage scheme of Hald and
-Madsen, Math. Programming 20, 1981).  After stage 8 the finish reads the
-support off the certificate at x: the active pieces with positive weight.
-With three pieces it solves f_0 = f_1 = f_2 in (x, y); with two, it solves
-mu g_0 + (1 - mu) g_1 = 0 and f_0 = f_1 in (x, y, mu), from the
-certificate's weight mu.  ``_FINISH_STEPS`` Newton steps from x give an end
+Madsen, Math. Programming 20, 1981).  With three pieces ``_support_vertex``
+solves f_0 = f_1 = f_2 in (x, y); with two, mu g_0 + (1 - mu) g_1 = 0 and
+f_0 = f_1 in (x, y, mu).  ``_FINISH_STEPS`` Newton steps from x give an end
 point, and the solve ends there when the bracket certifies it and its max
-is no higher than at x; that certificate is the result's.  It lies on the
-vertex up to rounding, below the smoothing bias at which the last stage
-would stop.  Otherwise stages 9 to 14 go on from x and the screen anchor as
-the finish found them, and give the floats they gave before the finish was
-added, but for ``iterations``: no solve certifies less than the stages
-alone.
+is at most ``_ROUNDING`` of the value scale above x's; that certificate is
+the result's.  It lies on the vertex up to rounding, below the smoothing
+bias at which the last stage would stop.  Two finishes try this.  The early
+one follows stage 4 (tau = 1e-4 of the value scale) and switches supports,
+as Elzinga and Hearn's covering circle does (Management Science 19, 1972):
+of the pieces within ``_NEAR_TAU`` tau of the max at x, the
+``_NEAR_MAX`` highest, it tries the positive-weight support of their
+min-norm certificate, with its weight mu, then each other triple, then each
+other pair, with the pair's own min-norm weight.  A switched support may
+be wrong, so it ends the solve only at a gap of rounding level,
+``2 * _ROUNDING * max(1, |f|)``.  The second follows stage 8 and tries only
+the support of the certificate at x, the active pieces with positive
+weight.  Where both decline, the stages go on from x as the finishes found
+it, and give the floats they gave without them, but for ``iterations``: no
+solve certifies less than the stages alone.
 
 At a vertex the gradients' hull may hold the origin in more than one way:
 with four active pieces, two triangles can lie equally near it up to
@@ -106,11 +96,15 @@ Piece = tuple[Point, Point, float, float]
 _TAU_START = 0.1
 _STAGES = 14
 
-# Stages after which the finish runs (module docstring): the last of them
-# has tau = 1e-8 of the value scale, and from its end point, near the
-# vertex, Newton's method reaches rounding level within three steps.
+# Stages after which the early and the second finish run (module
+# docstring), and the band and count of the pieces the early one searches.
+# From the end point of stage 8, near the vertex, Newton's method reaches
+# rounding level within three steps.
+_EARLY_STAGE = 4
 _FINISH_STAGE = 8
 _FINISH_STEPS = 3
+_NEAR_TAU = 50.0
+_NEAR_MAX = 5
 
 # Relative rounding level of piece values.
 _ROUNDING = 1e-15
@@ -121,22 +115,15 @@ _ARMIJO = 1e-4
 _LEAP = 3.0
 _NEGLIGIBLE = 1e-30  # softmax weight below which a piece is skipped
 
-# Distance below the max, in units of tau, past which a piece's softmax
-# weight exp((f_i - max f) / tau) is exactly 0.0.  exp underflows to zero
-# below -745.14; the 14.8 tau to spare cover the rounding of piece values at
-# unit scale, down to the last stage's tau of 1e-14.
-_UNDERFLOW_MARGIN = 760.0
-
 
 class MinimaxResult(Record):
     """Minimizer of the max of the pieces.
 
-    ``iterations`` counts passes over the piece list, each at one point,
-    whether it evaluates every piece or screens out those without weight.
-    The start value and every certificate count one pass each: the finish's
-    at x and at its end point, and the closing one after the last stage.
-    The finish's Newton steps, which evaluate only the support's 2 or 3
-    pieces, are not counted.
+    ``iterations`` counts passes over the piece list, each at one point.
+    The start value and every certificate count one pass each: a finish's
+    at x and at each end point it tries, and the closing one after the last
+    stage.  The finishes' Newton steps, which evaluate only the support's 2
+    or 3 pieces, are not counted.
     """
 
     x: Point
@@ -250,7 +237,9 @@ def min_norm_point(
     highest lower end, then the nearer.  So on a symmetric tie a triangle
     with a weight at rounding level does not displace the exact segment,
     and of two triangles equally near the origin the one that puts less
-    weight on a piece below the max wins.
+    weight on a piece below the max wins.  Two exact segments through one
+    vertex, as on a regular polygon, tie up to the rounding of the values,
+    which then decides, and the first in index order only where that ties.
     """
     if not vectors:
         raise ValueError("min_norm_point needs at least one vector")
@@ -278,6 +267,17 @@ def _floor(pieces: Iterable[Piece]) -> float:
     return max(dist(a, b) / s + beta for a, b, s, beta in pieces)
 
 
+def _min_norm(
+    pieces: Sequence[Piece], subset: Sequence[int], vals: Sequence[float], f: float, x: Point
+) -> tuple[tuple[float, ...], float, float]:
+    """``min_norm_point`` over the gradients at x of the pieces of index in
+    ``subset``, worth ``vals`` there, with the ellipse axis at level f."""
+    _, _, _, terms = _derivatives([pieces[i] for i in subset], [1.0] * len(subset), 1.0, x)
+    grads = [(gx, gy) for _, gx, gy, _, _, _ in terms]
+    axis = min(s * (f - beta) for _, _, s, beta in pieces)
+    return min_norm_point(grads, [vals[i] for i in subset], axis)
+
+
 def _certificate(
     pieces: Sequence[Piece], x: Point
 ) -> tuple[float, list[int], tuple[float, ...], float, float, bool]:
@@ -290,12 +290,30 @@ def _certificate(
     f = max(vals)
     tol = ACT_REL * max(1.0, abs(f))
     active = [i for i, v in enumerate(vals) if v >= f - tol]
-    _, _, _, terms = _derivatives([pieces[i] for i in active], [1.0] * len(active), 1.0, x)
-    grads = [(gx, gy) for _, gx, gy, _, _, _ in terms]
-    axis = min(s * (f - beta) for _, _, s, beta in pieces)
-    coeffs, residual, lower = min_norm_point(grads, [vals[i] for i in active], axis)
+    coeffs, residual, lower = _min_norm(pieces, active, vals, f, x)
     gap = f - max(_floor(pieces), lower)
     return f, active, coeffs, residual, gap, gap <= GAP_REL * max(1.0, abs(f))
+
+
+def _early_supports(
+    pieces: Sequence[Piece], x: Point, band: float
+) -> Iterator[tuple[list[Piece], float]]:
+    """The supports the early finish tries at x, in order (module
+    docstring), each as (pieces, mu) for :func:`_support_vertex`; the
+    ``_NEAR_MAX`` highest pieces within ``band`` of the max, of equal
+    values the first, are those it searches."""
+    vals = _values(pieces, x)
+    f = max(vals)
+    ranked = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
+    near = [i for i in ranked[:_NEAR_MAX] if vals[i] >= f - band]
+    coeffs, _, _ = _min_norm(pieces, near, vals, f, x)
+    first = [(i, c) for i, c in zip(near, coeffs) if c > 0.0]
+    support = tuple(i for i, _ in first)
+    yield [pieces[i] for i in support], first[0][1]
+    for sub in itertools.chain(itertools.combinations(near, 3), itertools.combinations(near, 2)):
+        if sub != support:
+            coeffs, _, _ = _min_norm(pieces, sub, vals, f, x)
+            yield [pieces[i] for i in sub], coeffs[0]
 
 
 def _direction(
@@ -381,55 +399,20 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
     search: no point is lower.  The bracket's lower end is at least the
     floor, so that covers minima pinned at piece singularities, such as a
     duplicated point, where no gradient combination cancels.
-
-    Passes after the first few stages skip the pieces whose softmax weight
-    would underflow to 0.0, found by the Lipschitz screen of the module
-    docstring; the result is the same, bit for bit, as with every piece
-    evaluated on every pass.
     """
     if not pieces:
         raise ValueError("minimize_max needs at least one piece")
-    n = len(pieces)
-    lipschitz = max(2.0 / p[2] for p in pieces)
-    # The anchor: the point and piece values of the last full pass at which
-    # at least half of the weights underflowed, and the piece indices by
-    # value there, highest first.  While ranked is None, passes are full.
-    anchor, anchor_vals, ranked = x0, [], None
 
-    def smoothed(y: Point, tau: float) -> tuple[float, float, Sequence[Piece], list[float], float]:
-        """(phi_tau, max f, pieces, their unnormalized softmax weights, the
-        weights' sum) at y.  The pieces are those evaluated, in index order:
-        every piece of positive weight is among them."""
-        nonlocal iterations, anchor, anchor_vals, ranked
+    def smoothed(y: Point, tau: float) -> tuple[float, float, list[float], float]:
+        """(phi_tau, max f, the pieces' unnormalized softmax weights, the
+        weights' sum) at y."""
+        nonlocal iterations
         iterations += 1
-        if ranked is None:  # a full pass
-            live = pieces
-            vals = _values(pieces, y)
-            top = max(vals)
-            weights = [math.exp((v - top) / tau) for v in vals]
-            if 2 * weights.count(0.0) >= n:
-                anchor, anchor_vals = y, vals
-                ranked = sorted(range(n), key=vals.__getitem__, reverse=True)
-        else:  # a screened pass
-            reach = (
-                lipschitz * math.hypot(y[0] - anchor[0], y[1] - anchor[1])
-                + _UNDERFLOW_MARGIN * tau
-            )
-            vals = {}
-            top = -math.inf
-            for i in ranked:
-                if anchor_vals[i] + reach < top:
-                    break  # this piece and every later one end below top - margin
-                v = vals[i] = _value(pieces[i], y)
-                if v > top:
-                    top = v
-            if 2 * len(vals) > n:
-                ranked = None
-            order = sorted(vals)
-            live = [pieces[i] for i in order]
-            weights = [math.exp((vals[i] - top) / tau) for i in order]
+        vals = _values(pieces, y)
+        top = max(vals)
+        weights = [math.exp((v - top) / tau) for v in vals]
         total = left_sum(weights)
-        return top + tau * math.log(total), top, live, weights, total
+        return top + tau * math.log(total), top, weights, total
 
     x = x0
     f = max(_values(pieces, x))
@@ -440,23 +423,34 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
     for stage in range(_STAGES):
         if f <= stop:
             break
-        if stage == _FINISH_STAGE:
-            f_x, active, coeffs, _, _, _ = _certificate(pieces, x)
-            support = [(pieces[i], c) for i, c in zip(active, coeffs) if c > 0.0]
-            end = _support_vertex([p for p, _ in support], support[0][1], x)
+        if stage in (_EARLY_STAGE, _FINISH_STAGE):
+            if stage == _EARLY_STAGE:
+                # tau is still the last stage's.
+                supports = _early_supports(pieces, x, _NEAR_TAU * tau)
+            else:
+                _, active, coeffs, _, _, _ = _certificate(pieces, x)
+                support = [(pieces[i], c) for i, c in zip(active, coeffs) if c > 0.0]
+                supports = [([p for p, _ in support], support[0][1])]
             iterations += 1
-            if end is not None:
-                f_end, active, coeffs, residual, _, certified = _certificate(pieces, end)
+            for support, mu in supports:
+                end = _support_vertex(support, mu, x)
+                if end is None:
+                    continue
+                f_end, active, coeffs, residual, gap, certified = _certificate(pieces, end)
                 iterations += 1
-                if certified and f_end <= f_x:
+                if (
+                    certified
+                    and f_end <= f + _ROUNDING * unit
+                    and (stage == _FINISH_STAGE or gap <= 2 * _ROUNDING * max(1.0, abs(f_end)))
+                ):
                     return MinimaxResult(
                         end, f_end, tuple(active), tuple(coeffs), residual, iterations, True
                     )
         last = stage == _STAGES - 1
         tau = _TAU_START * unit * 0.1**stage
-        phi, f, live, weights, total = smoothed(x, tau)
+        phi, f, weights, total = smoothed(x, tau)
         for _ in range(_NEWTON_STEPS):
-            direction = _direction(live, weights, total, x, tau)
+            direction = _direction(pieces, weights, total, x, tau)
             if direction is None:
                 break
             sx, sy, slope = direction
@@ -470,7 +464,7 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
             t = t0 = min(1.0, _LEAP * tau / -slope)
             for _ in range(_HALVINGS):
                 y = (x[0] + t * sx, x[1] + t * sy)
-                phi_y, f_y, live_y, w_y, total_y = smoothed(y, tau)
+                phi_y, f_y, w_y, total_y = smoothed(y, tau)
                 if rounding or phi_y <= phi + _ARMIJO * t * slope:
                     break
                 t *= 0.5
@@ -482,7 +476,7 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
                 # The nearest focus of a piece with weight; of foci equally
                 # near, the least.
                 near = None
-                for p, w in zip(live, weights):
+                for p, w in zip(pieces, weights):
                     if w > _NEGLIGIBLE:
                         for c in p[:2]:
                             gap_c = (math.hypot(c[0] - y[0], c[1] - y[1]), c)
@@ -490,12 +484,12 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
                                 near = gap_c
                 gap, c = near
                 if gap < t * math.hypot(sx, sy):
-                    phi_c, f_c, live_c, w_c, total_c = smoothed(c, tau)
+                    phi_c, f_c, w_c, total_c = smoothed(c, tau)
                     if phi_c <= phi_y:
-                        y, phi_y, f_y, live_y, w_y, total_y = c, phi_c, f_c, live_c, w_c, total_c
+                        y, phi_y, f_y, w_y, total_y = c, phi_c, f_c, w_c, total_c
             # Middle stages only seed the next one; the last runs to rounding.
             done = math.hypot(y[0] - x[0], y[1] - x[1]) <= 1e-14 if last else -slope <= 0.1 * tau
-            x, phi, f, live, weights, total = y, phi_y, f_y, live_y, w_y, total_y
+            x, phi, f, weights, total = y, phi_y, f_y, w_y, total_y
             if done or f <= stop:
                 break
 

@@ -59,6 +59,18 @@ class TestBuildGraph:
         # diagonals beat the ratio strictly; vertical pairs are equality cases
         assert red == {(0, 2), (1, 3)}
 
+    @pytest.mark.parametrize("factor, red", [(0.9, False), (1.1, True)])
+    def test_red_margin_boundary(self, factor, red):
+        # At the centre the vertical pairs tie the sides' ratio sqrt(2).  At
+        # lambda = sqrt(2) (1 + e) they beat it by sqrt(2) e, against the red
+        # margin EPS_RED_REL * lambda * sqrt(2) (the diagonal is the scale):
+        # red just past e = sqrt(2) * 1e-9, uncolored just short of it.  The
+        # margin is written out, so that moving EPS_RED_REL fails this test.
+        e = factor * math.sqrt(2) * 1e-9
+        g = build_graph(SQUARE, list(square_sides().pairs), (0.5, 0.5), math.sqrt(2) * (1 + e))
+        reds = {tuple(sorted((g.point_ids[a], g.point_ids[b]))) for a, b in g.red_edges}
+        assert reds == ({(0, 2), (1, 3), (0, 3), (1, 2)} if red else {(0, 2), (1, 3)})
+
     def test_doubled_triangle_has_no_red(self):
         m = triangle_sides()
         w = minimize_h(DOUBLED_TRIANGLE, m)

@@ -612,6 +612,18 @@ class TestLocalSearch:
             assert _improving_swap(s, out) is None, label
             assert local_search(s, out).pairs == out.pairs, label
 
+    @pytest.mark.parametrize("factor, swaps", [(0.9, False), (1.1, True)])
+    def test_improvement_threshold_boundary(self, factor, swaps):
+        # Pairs (a, c) and (b, d) with a = (0, 0), b = (2, 0) and c, d =
+        # (1, -+t) cost 2 hypot(1, t), which is 2.0 for t this small.  The
+        # exchange to (a, b), (c, d) gains 2 t against the threshold
+        # 1e-12 * 2: made just past t = 1e-12, not just short of it.  The
+        # threshold is written out, so that moving it fails this test.
+        t = factor * 1e-12
+        s = PointSet.of([(0.0, 0.0), (1.0, -t), (2.0, 0.0), (1.0, t)])
+        out = local_search(s, Matching.from_pairs(s, [(0, 1), (2, 3)]))
+        assert out.pairs == (((0, 2), (1, 3)) if swaps else ((0, 1), (2, 3)))
+
     def test_threshold_follows_the_total(self):
         # The side-to-diagonal swap of the big square raises the threshold
         # from 2.004e-9 to 2.832e-9 within the first pass.  The nested
