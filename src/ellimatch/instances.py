@@ -2,13 +2,17 @@
 
 Point files and matching files are read here.  One helper,
 :func:`_json_pairs`, decodes and checks a JSON file of either kind, and a
-UTF-8 byte-order mark at the start of a file is dropped."""
+UTF-8 byte-order mark at the start of a file is dropped.  Nesting deeper
+than ``_JSON_MAX_DEPTH`` is refused before the file is decoded, so the
+verdict on a deep file does not depend on the interpreter or on the
+caller's stack."""
 
 from __future__ import annotations
 
 import math
 import os
 import random
+from itertools import accumulate
 from .geom import Record
 from .matching import Matching, PointSet
 from .report import dumps
@@ -20,6 +24,14 @@ if TYPE_CHECKING:
 GENERATORS = ("uniform-square", "gaussian", "clustered", "doubled-polygon")
 
 _CLUSTER_SIGMA = 0.05
+
+# The deepest JSON nesting an input file may use: a report's matching needs
+# 4 levels, and every supported interpreter decodes well past this from any
+# reasonable stack depth.
+_JSON_MAX_DEPTH = 500
+# Every byte but the four brackets, and each bracket's step in depth.
+_NOT_BRACKETS = bytes(sorted(set(range(256)) - set(b"[]{}")))
+_BRACKET_STEP = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 
 
 class PointParseError(ValueError):
@@ -179,13 +191,15 @@ def _json_pairs(
     or the bad item in short."""
     import json  # here, so that a command on a CSV file starts without it
 
+    if _nested_too_deeply(text):
+        raise PointParseError("invalid JSON: nested too deeply")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise PointParseError(f"invalid JSON at line {e.lineno} column {e.colno}: {e.msg}") from None
     except ValueError as e:  # an integer past the interpreter's digit limit
         raise PointParseError(f"invalid JSON: {e}") from None
-    except RecursionError:  # arrays or objects nested past the decoder's limit
+    except RecursionError:  # a caller's stack that leaves no room for the decoder
         raise PointParseError("invalid JSON: nested too deeply") from None
     if key == "pairs" and isinstance(data, dict) and "matching" in data:
         data = data["matching"]
@@ -198,3 +212,19 @@ def _json_pairs(
         if not isinstance(item, list) or len(item) != 2 or not check(*item):
             raise PointParseError(f"{key}[{idx}]: expected {expected}, got {short_repr(item)}")
     return raw
+
+
+def _nested_too_deeply(text: str) -> bool:
+    """Whether brackets outside JSON strings open deeper than
+    ``_JSON_MAX_DEPTH`` anywhere in text.  Each step is a C-level string
+    operation, and a text with no more opening brackets than the limit (a
+    matching of up to about 500 pairs) needs only the two counts."""
+    if text.count("[") + text.count("{") <= _JSON_MAX_DEPTH:
+        return False
+    if "\\" in text:
+        # Drop escaped backslashes, then escaped quotes: every '"' left
+        # bounds a string.
+        text = text.replace("\\\\", "").replace('\\"', "")
+    outside = "".join(text.split('"')[::2])  # the text between strings
+    brackets = outside.encode("utf-8", "surrogatepass").translate(None, _NOT_BRACKETS)
+    return max(accumulate(map(_BRACKET_STEP.__getitem__, brackets)), default=0) > _JSON_MAX_DEPTH

@@ -1,7 +1,8 @@
 """Witness-point extraction for matchings.
 
-Minimizes the maximum per-edge distance-sum ratio over the plane and
-computes the Steiner-star (geometric median) objective.
+Minimizes the maximum per-edge distance-sum ratio over the plane, and
+computes the Steiner-star (geometric median) objective by a safeguarded
+Newton iteration with a vertex-optimality test (:func:`steiner_star`).
 :func:`certificate_over_edges` is the one query at a given point: it
 evaluates every edge of a list there, brackets the minimum of the max ratio
 through the convex hull of the active edges' gradients, by the same rule a
@@ -176,44 +177,56 @@ def caratheodory_support(s: PointSet, m: Matching, o: Point) -> tuple[int, ...] 
     return optimality_certificate(s, m, o).support
 
 
-# Steiner star: the pull norm below which a Weiszfeld iterate off every data
-# point is a certified median, and the most Weiszfeld steps taken.
+# Steiner star: the pull norm below which an iterate off every data point is
+# a certified median, and the most passes over the points.
 STAR_GRAD_TOL = 1e-6
 STAR_MAX_ITERS = 50000
 
 
-def _pull(
+def _visit(
     pts: Sequence[Point], y: Point
-) -> tuple[int, float, float, float, float, float, Point]:
-    """(at, rx, ry, wx, wy, winv, near) at y: the number of points within
-    1e-13 of y, the pull (rx, ry) of the others (the sum of unit vectors
-    towards them), the Weiszfeld sums of p / |p - y| and 1 / |p - y| over
-    them, and the point nearest y, the first one on a tie."""
+) -> tuple[int, float, float, float, float, float, float, float, Point]:
+    """One pass over pts at y: (at, rx, ry, winv, hxx, hxy, hyy, t, near).
+    ``at`` counts the points within 1e-13 of y.  Over the others, (rx, ry)
+    is the pull (the sum of unit vectors u towards them), winv the
+    Weiszfeld weight, the sum of 1 / |p - y|, and (hxx, hxy, hyy) the
+    Hessian of t, the sum of (I - u u^T) / |p - y|.  ``t`` is t(y), the sum
+    of |p - y| over all of pts added left to right, and ``near`` the point
+    nearest y, the first one on a tie."""
+    hypot = math.hypot
+    yx, yy = y
     at = 0
-    rx = ry = 0.0
-    wx = wy = winv = 0.0
+    rx = ry = winv = hxx = hxy = hyy = t = 0.0
     near = pts[0]
     dmin = math.inf
     for p in pts:
-        d = math.hypot(y[0] - p[0], y[1] - p[1])
+        dx = p[0] - yx
+        dy = p[1] - yy
+        d = hypot(dx, dy)
+        t += d
         if d < dmin:
             near, dmin = p, d
         if d <= 1e-13:
             at += 1
             continue
-        rx += (p[0] - y[0]) / d
-        ry += (p[1] - y[1]) / d
-        winv += 1.0 / d
-        wx += p[0] / d
-        wy += p[1] / d
-    return at, rx, ry, wx, wy, winv, near
+        inv = 1.0 / d
+        ux = dx * inv
+        uy = dy * inv
+        rx += ux
+        ry += uy
+        winv += inv
+        uyi = uy * inv
+        hxx += uy * uyi
+        hxy -= ux * uyi
+        hyy += ux * ux * inv
+    return at, rx, ry, winv, hxx, hxy, hyy, t, near
 
 
 def _vertex_optimal(pts: Sequence[Point], c: Point) -> bool:
     """Whether the data point c is a geometric median of pts: the pull of
     the points elsewhere must not exceed the number of points at c (Vardi
     and Zhang 2000)."""
-    at, rx, ry = _pull(pts, c)[:3]
+    at, rx, ry = _visit(pts, c)[:3]
     return math.hypot(rx, ry) <= at + 1e-12
 
 
@@ -221,13 +234,18 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
     """Geometric-median center, its total-distance objective, and whether a
     certificate ended the iteration.
 
-    Weiszfeld iteration from the centroid, at most ``STAR_MAX_ITERS`` steps.
-    Towards a data point that is itself the median, Weiszfeld crawls at a
-    rate close to 1, so every step tests the data point nearest the iterate
-    for vertex optimality (each point once) and stops there when it passes.
-    An iterate that lands on any other data point steps along the pull of
-    the remaining points.  The sum of unit vectors is scale-free, so ``STAR_GRAD_TOL``
-    certifies the center in any frame.
+    Safeguarded Newton iteration on t(y) = sum |p - y| in the unit frame,
+    from the centroid, at most ``STAR_MAX_ITERS`` passes over the points
+    (Overton 1983; Vardi and Zhang 2000).  At an iterate off every data
+    point whose Hessian H is positive definite, the Newton point
+    y + H^-1 pull is tried and kept only if t falls there; otherwise, as on
+    a collinear set where H is singular, the iterate takes the Weiszfeld
+    step, which never raises t.  A pull below ``STAR_GRAD_TOL`` certifies
+    the iterate (the sum of unit vectors is scale-free, so in any frame),
+    and one more Newton step, kept by the same rule, brings t to rounding.
+    Each data point nearest an iterate is tested once for vertex
+    optimality, and the iteration stops there when it passes; an iterate on
+    any other data point steps along the pull of the remaining points.
     """
     frame = Frame.of(s.points)
     pts = [frame.to(p) for p in s]
@@ -235,8 +253,15 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
     y = (left_sum(p[0] for p in pts) / n, left_sum(p[1] for p in pts) / n)
     converged = False
     vertex_optimal: dict[Point, bool] = {}  # the test reads only the point
+    fallback = None  # (t, point): where to go if the Newton point y is no lower
     for _ in range(STAR_MAX_ITERS):
-        at, rx, ry, wx, wy, winv, near = _pull(pts, y)
+        at, rx, ry, winv, hxx, hxy, hyy, t, near = _visit(pts, y)
+        if fallback is not None:
+            t0, y0 = fallback
+            fallback = None
+            if not t < t0:
+                y = y0
+                continue
         if near not in vertex_optimal:
             vertex_optimal[near] = _vertex_optimal(pts, near)
         if vertex_optimal[near]:
@@ -246,14 +271,29 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
         if at:
             step = (rn - at) / winv
             y = (y[0] + step * rx / rn, y[1] + step * ry / rn)
+            continue
+        if rn <= STAR_GRAD_TOL:
+            converged = True  # subgradient certificate; one Newton step polishes y
+            y2 = y
         else:
-            if rn <= STAR_GRAD_TOL:
-                converged = True
-                break  # subgradient certificate
-            y2 = (wx / winv, wy / winv)
+            y2 = (y[0] + rx / winv, y[1] + ry / winv)  # the Weiszfeld point
             if dist(y, y2) <= 1e-16 * (1.0 + math.hypot(*y)):
                 y = y2
                 break
-            y = y2
-    total = left_sum(math.hypot(y[0] - p[0], y[1] - p[1]) for p in pts)
+        det = hxx * hyy - hxy * hxy
+        if det > 0.0:
+            fallback = (t, y2)
+            y2 = (y[0] + (hyy * rx - hxy * ry) / det, y[1] + (hxx * ry - hxy * rx) / det)
+        y = y2
+        if converged:
+            break
+    total = _total(pts, y)
+    if fallback is not None and not total < fallback[0]:
+        y = fallback[1]
+        total = _total(pts, y)
     return frame.back(y), frame.scale * total, converged
+
+
+def _total(pts: Sequence[Point], y: Point) -> float:
+    """t(y), added left to right: the bits of :func:`_visit`'s ``t``."""
+    return left_sum(math.hypot(y[0] - p[0], y[1] - p[1]) for p in pts)

@@ -633,6 +633,31 @@ class TestExitCodes:
         assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: matching: {bad}: invalid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("depth", [300, 900, 990])
+    @pytest.mark.parametrize("file", ["points", "matching"])
+    def test_nesting_verdict_does_not_depend_on_the_stack(self, tmp_path, capsys, file, depth):
+        # The reader refuses nesting past its own limit before decoding, so
+        # a deep file gets the same bytes from a shallow stack and from one
+        # 150 frames deeper, on every interpreter.
+        item = "[" * depth + "]" * depth
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        bad = tmp_path / "bad.json"
+        if file == "points":
+            bad.write_text(f'{{"points": [{item}, [0, 0]]}}')
+            argv = ["solve", "--points", str(bad)]
+        else:
+            bad.write_text(f'{{"pairs": [{item}, [2, 3]]}}')
+            argv = ["witness", "--points", str(pts), "--matching", str(bad)]
+
+        def deeper(frames):
+            return deeper(frames - 1) if frames else main(argv)
+
+        shallow = (main(argv), capsys.readouterr())
+        assert (deeper(150), capsys.readouterr()) == shallow
+        assert shallow[0] == 2
+        assert shallow[1].err.endswith("nested too deeply\n") == (depth > 500)
+
     @pytest.mark.parametrize("command", ["witness", "verify", "descend", "render"])
     def test_empty_matching_path_is_input_error(self, tmp_path, capsys, command):
         # '' names no file: it is not the same as leaving --matching out
@@ -695,13 +720,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: matching: {bad}: ") and message in err
 
-    # An item of 200,000 integers, and one nested 880 deep, each echoed as
-    # its first 50 characters.
+    # An item of 200,000 integers, and one nested 400 deep (within the
+    # reader's depth limit), each echoed as its first 50 characters.
     @pytest.mark.parametrize(
         "item, shown",
         [
             ("[" + ", ".join(map(str, range(200_000))) + "]", repr(list(range(20)))[:50]),
-            ("[" * 880 + "]" * 880, "[" * 50),
+            ("[" * 400 + "]" * 400, "[" * 50),
         ],
         ids=["wide", "deep"],
     )

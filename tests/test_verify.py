@@ -280,14 +280,14 @@ class TestCheckSuri:
     def test_doubled_triangle_equality(self):
         v = suri_verdict(DOUBLED_TRIANGLE)
         assert v.passed
-        assert abs(v.margin) <= 1e-7
-        assert v.details["steiner_total"] == pytest.approx(2 * math.sqrt(3), abs=1e-7)
+        assert abs(v.margin) <= 1e-12
+        assert v.details["steiner_total"] == pytest.approx(2 * math.sqrt(3), rel=1e-12)
         assert v.details["matching_cost"] == pytest.approx(3.0, abs=1e-12)
 
     def test_unit_square(self):
         v = suri_verdict(SQUARE)
         assert v.passed
-        assert v.details["steiner_total"] == pytest.approx(2 * math.sqrt(2), abs=1e-7)
+        assert v.details["steiner_total"] == pytest.approx(2 * math.sqrt(2), rel=1e-12)
 
     def test_two_points(self):
         v = suri_verdict(PointSet.of([(0, 0), (5, 0)]))
