@@ -48,19 +48,18 @@ f_0 = f_1 in (x, y, mu).  ``_FINISH_STEPS`` Newton steps from x give an end
 point, and the solve ends there when the bracket certifies it and its max
 is at most ``_ROUNDING`` of the value scale above x's; that certificate is
 the result's.  It lies on the vertex up to rounding, below the smoothing
-bias at which the last stage would stop.  Two finishes try this.  The early
-one follows stage 4 (tau = 1e-4 of the value scale) and switches supports,
-as Elzinga and Hearn's covering circle does (Management Science 19, 1972):
-of the pieces within ``_NEAR_TAU`` tau of the max at x, the
-``_NEAR_MAX`` highest, it tries the positive-weight support of their
-min-norm certificate, with its weight mu, then each other triple, then each
-other pair, with the pair's own min-norm weight.  A switched support may
-be wrong, so it ends the solve only at a gap of rounding level,
-``2 * _ROUNDING * max(1, |f|)``.  The second follows stage 8 and tries only
-the support of the certificate at x, the active pieces with positive
-weight.  Where both decline, the stages go on from x as the finishes found
-it, and give the floats they gave without them, but for ``iterations``: no
-solve certifies less than the stages alone.
+bias at which the last stage would stop.  One finish tries this, after
+stage 4 (tau = 1e-4 of the value scale) and again after stage 8, and
+switches supports as Elzinga and Hearn's covering circle does (Management
+Science 19, 1972): of the pieces within ``_NEAR_TAU`` tau of the max at x,
+the ``_NEAR_MAX`` highest, it tries the positive-weight support of their
+min-norm certificate, with its weight mu, then each other pair, with the
+pair's own min-norm weight.  After stage 4 x may still lie far from the
+vertex, so there an end point ends the solve only at a gap of rounding
+level, ``2 * _ROUNDING * max(1, |f|)``; after stage 8 the bracket's
+``GAP_REL`` is enough.  Where both tries decline, the stages go on from x
+as the finish found it, and give the floats they gave without it, but for
+``iterations``: no solve certifies less than the stages alone.
 
 At a vertex the gradients' hull may hold the origin in more than one way:
 with four active pieces, two triangles can lie equally near it up to
@@ -96,8 +95,8 @@ Piece = tuple[Point, Point, float, float]
 _TAU_START = 0.1
 _STAGES = 14
 
-# Stages after which the early and the second finish run (module
-# docstring), and the band and count of the pieces the early one searches.
+# Stages after which the finish runs (module docstring), and the band and
+# count of the pieces it searches.
 # From the end point of stage 8, near the vertex, Newton's method reaches
 # rounding level within three steps.
 _EARLY_STAGE = 4
@@ -119,11 +118,11 @@ _NEGLIGIBLE = 1e-30  # softmax weight below which a piece is skipped
 class MinimaxResult(Record):
     """Minimizer of the max of the pieces.
 
-    ``iterations`` counts passes over the piece list, each at one point.
-    The start value and every certificate count one pass each: a finish's
-    at x and at each end point it tries, and the closing one after the last
-    stage.  The finishes' Newton steps, which evaluate only the support's 2
-    or 3 pieces, are not counted.
+    ``iterations`` counts passes over the piece list, each at one point:
+    the start value, each finish's values at x, the certificate at each end
+    point it tries and the closing one after the last stage count one pass
+    each.  The finish's Newton steps, which evaluate only the support's 2 or
+    3 pieces, are not counted.
     """
 
     x: Point
@@ -135,16 +134,8 @@ class MinimaxResult(Record):
     converged: bool  # the value bracket certifies x
 
 
-def _value(p: Piece, x: Point) -> float:
-    """The value of piece p at x: the piece formula, which :func:`_values`
-    repeats for a whole pass."""
-    a, b, s, beta = p
-    return (math.dist(x, a) + math.dist(x, b)) / s + beta
-
-
 def _values(pieces: Iterable[Piece], x: Point) -> list[float]:
-    """The values of all pieces at x, the floats :func:`_value` gives, from
-    one comprehension rather than a call per piece."""
+    """The values of all pieces at x: the one copy of the piece formula."""
     dist = math.dist
     return [(dist(x, a) + dist(x, b)) / s + beta for a, b, s, beta in pieces]
 
@@ -295,13 +286,13 @@ def _certificate(
     return f, active, coeffs, residual, gap, gap <= GAP_REL * max(1.0, abs(f))
 
 
-def _early_supports(
+def _finish_supports(
     pieces: Sequence[Piece], x: Point, band: float
 ) -> Iterator[tuple[list[Piece], float]]:
-    """The supports the early finish tries at x, in order (module
-    docstring), each as (pieces, mu) for :func:`_support_vertex`; the
-    ``_NEAR_MAX`` highest pieces within ``band`` of the max, of equal
-    values the first, are those it searches."""
+    """The supports a finish tries at x, in order (module docstring), each
+    as (pieces, mu) for :func:`_support_vertex`; the ``_NEAR_MAX`` highest
+    pieces within ``band`` of the max, of equal values the first, are those
+    it searches."""
     vals = _values(pieces, x)
     f = max(vals)
     ranked = sorted(range(len(vals)), key=vals.__getitem__, reverse=True)
@@ -310,7 +301,7 @@ def _early_supports(
     first = [(i, c) for i, c in zip(near, coeffs) if c > 0.0]
     support = tuple(i for i, _ in first)
     yield [pieces[i] for i in support], first[0][1]
-    for sub in itertools.chain(itertools.combinations(near, 3), itertools.combinations(near, 2)):
+    for sub in itertools.combinations(near, 2):
         if sub != support:
             coeffs, _, _ = _min_norm(pieces, sub, vals, f, x)
             yield [pieces[i] for i in sub], coeffs[0]
@@ -363,12 +354,12 @@ def _support_vertex(support: Sequence[Piece], mu: float, x: Point) -> Point | No
     for _ in range(_FINISH_STEPS):
         _, _, _, terms = _derivatives(support, (1.0,) * len(support), 1.0, x)
         (_, gx0, gy0, axx, axy, ayy), (_, gx1, gy1, bxx, bxy, byy), *third = terms
-        f0 = _value(support[0], x)
+        vals = _values(support, x)
         # The row of f_0 - f_1: its gradient (p, q) and its value w.
-        p, q, w = gx0 - gx1, gy0 - gy1, f0 - _value(support[1], x)
+        p, q, w = gx0 - gx1, gy0 - gy1, vals[0] - vals[1]
         if third:
             [(_, gx2, gy2, _, _, _)] = third
-            r, s, v = gx0 - gx2, gy0 - gy2, f0 - _value(support[2], x)
+            r, s, v = gx0 - gx2, gy0 - gy2, vals[0] - vals[2]
             det = p * s - q * r
             if det == 0.0:
                 return None
@@ -424,15 +415,9 @@ def minimize_max(pieces: Sequence[Piece], x0: Point) -> MinimaxResult:
         if f <= stop:
             break
         if stage in (_EARLY_STAGE, _FINISH_STAGE):
-            if stage == _EARLY_STAGE:
-                # tau is still the last stage's.
-                supports = _early_supports(pieces, x, _NEAR_TAU * tau)
-            else:
-                _, active, coeffs, _, _, _ = _certificate(pieces, x)
-                support = [(pieces[i], c) for i, c in zip(active, coeffs) if c > 0.0]
-                supports = [([p for p, _ in support], support[0][1])]
             iterations += 1
-            for support, mu in supports:
+            # tau is still the last stage's.
+            for support, mu in _finish_supports(pieces, x, _NEAR_TAU * tau):
                 end = _support_vertex(support, mu, x)
                 if end is None:
                     continue

@@ -289,8 +289,10 @@ def steiner_star(s: PointSet) -> tuple[Point, float, bool]:
             break
     total = _total(pts, y)
     if fallback is not None and not total < fallback[0]:
+        # A certified iterate's t is the one _visit returned there; an
+        # unconverged end falls back to the Weiszfeld point, not yet summed.
         y = fallback[1]
-        total = _total(pts, y)
+        total = fallback[0] if converged else _total(pts, y)
     return frame.back(y), frame.scale * total, converged
 
 

@@ -37,7 +37,7 @@ from ellimatch import (
     minimize_h,
     steiner_star,
 )
-from ellimatch.minimax import _value
+from ellimatch.minimax import _values
 
 SIZES = (4, 6, 8, 10, 12)
 
@@ -109,7 +109,7 @@ def test_criterion_4_gradient_correctness():
         piece = (a, b, s, 0.0)
         g, (hxx, hxy, hyy), ball = piece_derivatives(piece, x)
         assert ball == 0.0
-        (fx,), (fy,) = _central_differences(lambda y: (_value(piece, y),), x, step)
+        (fx,), (fy,) = _central_differences(lambda y: _values([piece], y), x, step)
         rel = math.hypot(g[0] - fx, g[1] - fy) / max(1e-12, math.hypot(*g))
         assert rel <= 1e-6, (a, b, x, rel)
         # The gradient's differences along x and along y are the Hessian's rows.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 import random
@@ -361,18 +362,22 @@ def _degenerate_family(name: str, n: int, seed: int) -> PointSet:
     return PointSet.of(pts)
 
 
+DEGENERATE_FAMILIES = [
+    "regular-polygon",
+    "on-circle",
+    "grid-4x4",
+    "near-duplicate-pairs",
+    "offset-1e12",
+    "strip-1x1e-7",
+]
+
+# The solver_failure counts of ROADMAP item 1's census, per family, of 180
+# descents each; a family not named has none.
+CENSUS_SOLVER_FAILURES = {"near-duplicate-pairs": 60, "strip-1x1e-7": 4}
+
+
 class TestDescendDegenerateFamilies:
-    @pytest.mark.parametrize(
-        "family",
-        [
-            "regular-polygon",
-            "on-circle",
-            "grid-4x4",
-            "near-duplicate-pairs",
-            "offset-1e12",
-            "strip-1x1e-7",
-        ],
-    )
+    @pytest.mark.parametrize("family", DEGENERATE_FAMILIES)
     def test_support_descent_never_loses_the_cycle(self, family):
         for n in (8, 12):
             for seed in range(3):
@@ -392,6 +397,26 @@ class TestDescendDegenerateFamilies:
                     assert after > before
                 if result.ok:
                     assert result.witness.lambda_star <= RATIO_BOUND + 1e-6
+
+    def test_census_of_roadmap_item_1(self):
+        # 1,080 descents: each family at n = 8, 12 and 16, seeds 0-59, from
+        # a shuffled start.  None may lose its cycle, and no family may end
+        # in solver_failure more often than the census counted.
+        failures = collections.Counter()
+        for family in DEGENERATE_FAMILIES:
+            for n in (8, 12, 16):
+                for seed in range(60):
+                    s = _degenerate_family(family, n, seed)
+                    status = descend(s, random_perfect_matching(s, random.Random(seed))).status
+                    assert status not in ("cycle_not_found", "improvement_violation"), (
+                        family,
+                        n,
+                        seed,
+                        status,
+                    )
+                    failures[family] += status == "solver_failure"
+        for family in DEGENERATE_FAMILIES:
+            assert failures[family] <= CENSUS_SOLVER_FAILURES.get(family, 0), failures
 
     def test_twin_edges_matched_together_certify(self):
         # Two 1e-9 edges matched across each other put lambda* near 8.9e8.

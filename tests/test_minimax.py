@@ -1,6 +1,6 @@
-"""The minimizer: a golden bank of results recorded bit for bit, the two
-Newton finishes on a support and the stages that follow declined ones, the
-early finish against the stages alone, and the benchmark operations and
+"""The minimizer: a golden bank of results recorded bit for bit, the
+Newton finish on a support, its search and the stages that follow declined
+tries, the finish against the stages alone, and the benchmark operations and
 sub-solves whose solves it once failed to certify."""
 
 from __future__ import annotations
@@ -91,20 +91,21 @@ def test_nothing_to_minimize_is_a_value_error(call):
         call()
 
 
-def _no_early_finish(pieces, x, band):
-    """A stand-in for ``minimax._early_supports`` with nothing to try."""
+def _nothing_to_try(pieces, x, band):
+    """A stand-in for ``minimax._finish_supports`` with no support, so that
+    neither finish tries one."""
     return iter(())
 
 
 @pytest.mark.parametrize("run", list(_cases()))
 def test_early_finish_keeps_the_stages_verdict(run, monkeypatch):
-    # Every solve certified without the early finish is certified with it,
-    # at a value no more than rounding above.
-    early = _results(run)
-    monkeypatch.setattr(minimax, "_early_supports", _no_early_finish)
+    # Every solve certified without the finishes is certified with them, at
+    # a value no more than rounding above.
+    finished = _results(run)
+    monkeypatch.setattr(minimax, "_finish_supports", _nothing_to_try)
     staged = _results(run)
-    assert len(early) == len(staged) > 0
-    for e, s in zip(early, staged):
+    assert len(finished) == len(staged) > 0
+    for e, s in zip(finished, staged):
         value, staged_value = float.fromhex(e[1]), float.fromhex(s[1])
         assert e[6] or not s[6]
         assert value <= staged_value + 2e-15 * max(1.0, abs(staged_value))
@@ -206,8 +207,8 @@ def test_golden_bank():
 
 
 def test_golden_bank_mean_passes():
-    # The early finish ends most solves after stage 4: the bank's solves
-    # take 21.6 passes on average, 38.9 with the stage-8 finish alone.  A
+    # The finish ends most solves after stage 4: the bank's solves take
+    # 20.9 passes on average, 38.9 with a stage-8 finish alone.  A
     # re-recorded bank that gives most of that back fails here.
     passes = [r[5] for results in _golden("results").values() for r in results]
     assert sum(passes) / len(passes) <= 30
@@ -249,9 +250,9 @@ def _calls(run) -> list:
 def test_finish_ends_on_the_vertex_of_its_support(monkeypatch, name, size):
     # Newton's method on the support's optimality system closes the bracket
     # to rounding, at a max no higher than the stages alone reach.  Each
-    # finish is taken here on its first try: the early one, and the second
-    # where the early one has nothing to try.  The disks check's pieces
-    # (c, c, 2, -r) take the same finishes.
+    # finish is taken here on its first try: the one after stage 4, and the
+    # one after stage 8 where the first finish's stage is never reached.
+    # The disks check's pieces (c, c, 2, -r) take the same finishes.
     [(pieces, x0)] = _calls(dict(_golden_runs())[name])
     support_vertex = minimax._support_vertex
     monkeypatch.setattr(minimax, "_support_vertex", lambda support, mu, x: None)
@@ -263,9 +264,9 @@ def test_finish_ends_on_the_vertex_of_its_support(monkeypatch, name, size):
         return ends[-1]
 
     monkeypatch.setattr(minimax, "_support_vertex", recorded)
-    for finish in ("early", "second"):
-        if finish == "second":
-            monkeypatch.setattr(minimax, "_early_supports", _no_early_finish)
+    for finish in ("stage 4", "stage 8"):
+        if finish == "stage 8":
+            monkeypatch.setattr(minimax, "_EARLY_STAGE", minimax._STAGES)
         ends.clear()
         r = minimax.minimize_max(pieces, x0)
         assert ends == [r.x], finish
@@ -301,9 +302,9 @@ def test_finish_takes_an_end_point_at_rounding_above_x(monkeypatch):
 
 
 def test_full_pass_values_are_the_piece_formula_bit_for_bit():
-    # A full pass evaluates its pieces in one comprehension, _values; it
-    # must give _value's floats, and those of the two hypots of coordinate
-    # differences that math.dist stands for.
+    # A full pass, and a finish's Newton step on its support, evaluate the
+    # pieces in one comprehension, _values; it must give the floats of the
+    # two hypots of coordinate differences that math.dist stands for.
     solves: list = []
     minimize_max = minimax.minimize_max
 
@@ -323,12 +324,32 @@ def test_full_pass_values_are_the_piece_formula_bit_for_bit():
         points += [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(20)]
         for y in points:
             by_pass = [v.hex() for v in minimax._values(pieces, y)]
-            by_piece = [minimax._value(p, y).hex() for p in pieces]
             by_hypot = [
                 ((math.hypot(y[0] - a[0], y[1] - a[1]) + math.hypot(y[0] - b[0], y[1] - b[1])) / s + beta).hex()
                 for a, b, s, beta in pieces
             ]
-            assert by_pass == by_piece == by_hypot, (pieces, y)
+            assert by_pass == by_hypot, (pieces, y)
+
+
+def test_the_search_tries_only_pairs_after_the_first_support():
+    # Every support the finish could try at the points where the golden
+    # bank's solves call it: the certificate's first, of 2 or 3 pieces,
+    # then pairs only, never another triple.
+    calls: list = []
+    finish_supports = minimax._finish_supports
+
+    def recorded(pieces, x, band):
+        calls.append((pieces, x, band))
+        return finish_supports(pieces, x, band)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax, "_finish_supports", recorded)
+        for _, run in _golden_runs():
+            run()
+    sizes = [[len(support) for support, _ in finish_supports(*call)] for call in calls]
+    assert any(len(s) >= 4 and s[0] == 3 for s in sizes), sizes
+    for s in sizes:
+        assert s[0] in (2, 3) and set(s[1:]) <= {2}, s
 
 
 def test_golden_bank_under_compensated_sum(monkeypatch):
@@ -419,6 +440,30 @@ def test_the_bracket_never_rises_above_the_minimum():
                         x = (res.x[0] + r * math.cos(angle), res.x[1] + r * math.sin(angle))
                         f, _, _, _, gap, _ = minimax._certificate(pieces, x)
                         assert f - gap <= f_min + 1e-15 * max(1.0, f_min), (generator, n, seed, x)
+
+
+def test_a_solve_closes_on_a_later_pair():
+    # The exact-dp benchmark operation on instance uniform-square/16/1:
+    # the finish after stage 4 tries the certificate's three-piece support,
+    # which the bracket declines, then the first other pair, which closes
+    # the solve.  Three pieces make three pairs, so a search that stops
+    # after the first of them stopped on an end point it accepted.
+    s = _benchmark_points(16, "1")
+    pairs = exact_max_sum(s).pairs
+    tries: list = []
+    finish_supports = minimax._finish_supports
+
+    def recorded(pieces, x, band):
+        for support, mu in finish_supports(pieces, x, band):
+            tries.append(len(support))
+            yield support, mu
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimax, "_finish_supports", recorded)
+        r, _ = witness.solve_in_frame(s, pairs, witness._ratio_piece)
+    assert tries == [3, 2]
+    assert r.converged
+    assert r.value.hex() == "0x1.01f4d118e0b50p+0"
 
 
 def test_descend_benchmark_operation_converges():

@@ -573,6 +573,22 @@ class TestSteinerStar:
             counts.append(passes[0])
         assert statistics.median(counts) <= 10, counts
 
+    def test_total_is_summed_at_most_once_per_star(self, monkeypatch):
+        # Where the polishing Newton step of a certified star does not lower
+        # t, the star keeps the t that _visit returned at the certified
+        # iterate instead of summing it again.
+        total, calls = witness._total, [0]
+
+        def counted_total(pts, y):
+            calls[0] += 1
+            return total(pts, y)
+
+        monkeypatch.setattr(witness, "_total", counted_total)
+        for spec in STAR_BANK:
+            calls[0] = 0
+            steiner_star(generate(InstanceSpec(*spec)))
+            assert calls[0] <= 1, spec
+
     def test_collinear_set_falls_back_to_weiszfeld(self):
         # On a line H is singular (det 0 at the centroid), so the iteration
         # takes Weiszfeld's step, as the oracle does, and ends on the data
