@@ -18,7 +18,9 @@ BRUTE_CAP = 12
 # edges stands when it comes within _GAP_REL of it.  _GAP_REL < _TIGHT_REL
 # is what makes the restriction exact.  So raising _TIGHT_REL (to 1e-9, say)
 # changes no result, only the work: an equivalent mutant, which no test can
-# kill.
+# kill.  Breaking the order, by _GAP_REL raised to 2e-12 or _TIGHT_REL
+# lowered to 0.25e-12, lets a matching whose every edge is tight stand
+# although a better one has an edge that is not.
 _TIGHT_REL = 1e-12
 _GAP_REL = 0.5e-12
 
@@ -144,62 +146,82 @@ def _distance_table(pts: Sequence[Point]) -> list[list[float]]:
     return rows
 
 
-def _potentials(d: Sequence[Sequence[float]]) -> list[float]:
+def _potentials(pts: Sequence[Point], d: Sequence[Sequence[float]]) -> list[float]:
     """Vertex potentials y with y_i + y_j >= d[i][j] for every i != j, and
     sum(y) half the optimum of the assignment relaxation, so at least the
     cost of every perfect matching.  Both hold up to rounding: pairs fell
-    short by at most 1.3e-16 of sum(y) on the benchmark's 349 reference
+    short by at most 6.7e-17 of sum(y) on the benchmark's 349 reference
     sets, as given, scaled by 2^-40 and offset by 1e12.
 
-    Kuhn-Munkres in potentials form (shortest augmenting paths, O(n^3)) on
-    the costs -d[i][j], with the diagonal excluded, gives duals u, v with
-    u_i + v_j <= -d[i][j]; y_i = -(u_i + v_i) / 2 then bounds both orders
-    of each pair.
+    The relaxation is the assignment that maximizes the total d[i][j] over
+    permutations with no fixed point.  Its dual holds row and column
+    potentials a, b whose slacks a_i + b_j - d[i][j] are all >= 0, and
+    y_i = (a_i + b_i) / 2 then bounds both orders of each pair.  The solve
+    starts from a_i = b_i = |p_i - c|, which the triangle inequality makes
+    feasible for any c.  c is the coordinate-wise median: on a line it
+    makes exactly the pairs that straddle it tight, and those are the
+    optimal ones.  Each row then joins along a shortest augmenting path in
+    the slacks (Jonker and Volgenant, Computing 38, 1987): a column's
+    distance label is fixed when it joins the path tree, and a and b are
+    settled once per augmentation, O(n^3) in all.
     """
     n = len(d)
-    # rows and columns are 1-based: column 0 is the root of each row's
-    # augmenting path, and way[j] the column before j on that path
-    cost = [[]]
+    xs = sorted([p[0] for p in pts])
+    ys = sorted([p[1] for p in pts])
+    lo, hi = (n - 1) // 2, n // 2
+    # halfway from the lower middle value, as a sum of the two could overflow
+    c = (xs[lo] + (xs[hi] - xs[lo]) / 2, ys[lo] + (ys[hi] - ys[lo]) / 2)
+    a = [math.dist(p, c) for p in pts]
+    b = a[:]
+    gain = []  # d with the diagonal excluded
     for i, row in enumerate(d):
-        c = [0.0, *(-x for x in row)]
-        c[i + 1] = math.inf
-        cost.append(c)
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    row_of = [0] * (n + 1)  # the row assigned to each column, 0 if none
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        row_of[0] = i
-        j0 = 0
-        minv = [math.inf] * (n + 1)
-        free = list(range(1, n + 1))  # columns not yet on the path tree
-        done = [0]
-        while row_of[j0]:
-            i0 = row_of[j0]
-            ci, ui = cost[i0], u[i0]
-            delta = math.inf
-            j1 = 0
-            for j in free:
-                cur = ci[j] - ui - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in done:
-                u[row_of[j]] += delta
-                v[j] -= delta
-            for j in free:
-                minv[j] -= delta
-            free.remove(j1)
-            done.append(j1)
-            j0 = j1
-        while j0:
-            j1 = way[j0]
-            row_of[j0] = row_of[j1]
-            j0 = j1
-    return [-(u[i] + v[i]) / 2 for i in range(1, n + 1)]
+        g = row[:]
+        g[i] = -math.inf
+        gain.append(g)
+    row_of = [-1] * n  # the row assigned to each column, -1 if none
+    col_of = [-1] * n
+    for r in range(n):
+        # label[j]: the shortest path length from row r to column j found so
+        # far, final once j leaves todo; pred[j]: the row before j on it
+        label = [math.inf] * n
+        pred = [r] * n
+        todo = list(range(n))
+        done = []  # assigned columns on the path tree
+        i = r
+        mu = 0.0
+        while True:
+            gi = gain[i]
+            h = mu + a[i]
+            best = math.inf
+            for j in todo:
+                t = h + b[j] - gi[j]
+                if t < label[j]:
+                    label[j] = t
+                    pred[j] = i
+                else:
+                    t = label[j]
+                if t < best:
+                    best = t
+                    sink = j
+            mu = best
+            todo.remove(sink)
+            i = row_of[sink]
+            if i < 0:
+                break
+            done.append(sink)
+        a[r] -= mu
+        for j in done:
+            t = mu - label[j]
+            a[row_of[j]] -= t
+            b[j] += t
+        j = sink
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == r:
+                break
+    return [(s + t) / 2 for s, t in zip(a, b)]
 
 
 def _max_sum_pairs(
@@ -276,10 +298,11 @@ def exact_max_sum(s: PointSet) -> Matching:
     subsets, run on the edges that assignment potentials make tight.
 
     Potentials: :func:`_potentials` solves the assignment relaxation
-    (Kuhn-Munkres, O(n^3)) and returns y with y_i + y_j >= |p_i p_j| on
-    every pair, up to rounding; every y_i is then raised by half the
-    largest shortfall, so that this holds whatever y came back, and a
-    wrong y can cost time but not the answer.  A perfect matching's edge
+    (shortest augmenting paths from the feasible dual |p_i - c|, c the
+    coordinate-wise median, O(n^3)) and returns y with y_i + y_j >=
+    |p_i p_j| on every pair, up to rounding; every y_i is then raised by
+    half the largest shortfall, so that this holds whatever y came back,
+    and a wrong y can cost time but not the answer.  A perfect matching's edge
     slacks y_i + y_j - |p_i p_j| sum to sum(y) - cost, so sum(y) bounds
     every cost.  An edge is tight when its slack is at most
     ``_TIGHT_REL`` * sum(y) (1e-12).
@@ -318,7 +341,7 @@ def exact_max_sum(s: PointSet) -> Matching:
     if n > EXACT_CAP:
         raise SizeCapError(f"{n} points exceeds the exact-solver cap of {EXACT_CAP}")
     d = _distance_table(s.points)
-    y = _potentials(d)
+    y = _potentials(s.points, d)
     short = max(d[i][j] - y[i] - y[j] for i in range(n) for j in range(i + 1, n))
     if short > 0.0:
         y = [t + short / 2 for t in y]

@@ -62,6 +62,67 @@ def _reference_local_search(s: PointSet, init: Matching) -> Matching:
     return Matching.from_pairs(s, pairs)
 
 
+def _reference_potentials(d) -> list[float]:
+    """Reference for matching._potentials: cold Kuhn-Munkres on the costs
+    -d[i][j], diagonal excluded, from u = v = 0, with every label updated
+    at each step of the path search; y_i = -(u_i + v_i) / 2."""
+    n = len(d)
+    # rows and columns are 1-based: column 0 is the root of each row's
+    # augmenting path, and way[j] the column before j on that path
+    cost = [[]]
+    for i, row in enumerate(d):
+        c = [0.0, *(-x for x in row)]
+        c[i + 1] = math.inf
+        cost.append(c)
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    row_of = [0] * (n + 1)  # the row assigned to each column, 0 if none
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        free = list(range(1, n + 1))  # columns not yet on the path tree
+        done = [0]
+        while row_of[j0]:
+            i0 = row_of[j0]
+            ci, ui = cost[i0], u[i0]
+            delta = math.inf
+            j1 = 0
+            for j in free:
+                cur = ci[j] - ui - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in done:
+                u[row_of[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
+            free.remove(j1)
+            done.append(j1)
+            j0 = j1
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return [-(u[i] + v[i]) / 2 for i in range(1, n + 1)]
+
+
+def _tight_count(d, y) -> int:
+    """The edges exact_max_sum runs its DP on first, given potentials y:
+    raised to feasibility, then slack at most _TIGHT_REL * sum(y)."""
+    n = len(d)
+    short = max(d[i][j] - y[i] - y[j] for i in range(n) for j in range(i + 1, n))
+    if short > 0.0:
+        y = [t + short / 2 for t in y]
+    tol = matching._TIGHT_REL * sum(y)
+    return sum(y[i] + y[j] - d[i][j] <= tol for i in range(n) for j in range(i + 1, n))
+
+
 def _local_search_starts():
     """(label, point set, start) triples: the three random generators at
     n = 2-50 and 200 from random starts, clustered and gaussian n = 200
@@ -413,7 +474,7 @@ class TestExactMaxSum:
         # tight edges never stands and reruns on all edges
         potentials = matching._potentials
         monkeypatch.setattr(
-            matching, "_potentials", lambda d: [t * (1 + 1e-6) for t in potentials(d)]
+            matching, "_potentials", lambda pts, d: [t * (1 + 1e-6) for t in potentials(pts, d)]
         )
         runs = _count_dp_runs(monkeypatch)
         got, want = exact_max_sum(s), _full_mask_dp(s)
@@ -426,10 +487,62 @@ class TestExactMaxSum:
         # and leave the diagonal (0, 2) slack, so the DP on the tight edges
         # alone would return the sides.  Raised to feasibility, sum(y)
         # exceeds every cost, and the DP reruns on all edges.
-        monkeypatch.setattr(matching, "_potentials", lambda d: [0.75, 0.25, 0.75, 0.25])
+        monkeypatch.setattr(matching, "_potentials", lambda pts, d: [0.75, 0.25, 0.75, 0.25])
         runs = _count_dp_runs(monkeypatch)
         assert exact_max_sum(SQUARE).pairs == ((0, 2), (1, 3))
         assert runs[0] == 2
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda k: st.lists(
+                st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=2 * k, max_size=2 * k
+            )
+        ),
+        st.sampled_from(["free", "grid", "line", "slope"]),
+    )
+    def test_same_answer_and_dp_runs_as_the_cold_potentials(self, coords, snap):
+        # on a coarse grid or a line many duals are optimal, and the warm
+        # and the cold solve may end on different ones
+        if snap == "grid":
+            coords = [(round(4 * x) / 4, round(4 * y) / 4) for x, y in coords]
+        elif snap == "line":
+            coords = [(x, 0.0) for x, _ in coords]
+        elif snap == "slope":
+            coords = [(x, x / 3) for x, _ in coords]
+        s = PointSet.of(coords)
+        with pytest.MonkeyPatch.context() as mp:
+            runs = _count_dp_runs(mp)
+            got = exact_max_sum(s)
+            warm_runs = runs[0]
+            mp.setattr(matching, "_potentials", lambda pts, d: _reference_potentials(d))
+            want = exact_max_sum(s)
+        assert got.pairs == want.pairs
+        assert got.cost == want.cost
+        assert runs[0] == 2 * warm_runs
+
+    @pytest.mark.parametrize(
+        "slack_a, slack_b, runs",
+        [(1.2e-12, 0.8e-12, 2), (0.35e-12, 0.2e-12, 1)],
+        ids=["optimal-edge-above-tight", "optimal-edge-below-gap"],
+    )
+    def test_tolerances_keep_the_restriction_exact(self, monkeypatch, slack_a, slack_b, runs):
+        # Near a line, {02, 13} beats {03, 12} by about h^2 / 12.  The
+        # crafted potentials, with sum(y) about 4, leave edge 13 no slack,
+        # edge 02 slack_a and edges 03 and 12 about slack_b each, relative
+        # to sum(y); so {02, 13} falls short of sum(y) by slack_a and
+        # {03, 12} by 2 * slack_b, more.  In the first case edge 02 is not
+        # tight, and {03, 12} must fail the gap check (_GAP_REL < 1.6e-12);
+        # in the second {03, 12} passes it, and edge 02 must be tight
+        # (_TIGHT_REL >= 0.35e-12).
+        h = math.sqrt(48 * (2 * slack_b - slack_a))
+        s = PointSet.of([(0, 0), (1, 0), (2, 0), (3, h)])
+        d = matching._distance_table(s.points)
+        a, b = 4 * slack_a, 4 * slack_b
+        y = [1.5, d[1][3] - d[0][3] - b + 1.5, d[0][2] + a - 1.5, d[0][3] + b - 1.5]
+        monkeypatch.setattr(matching, "_potentials", lambda pts, d: y)
+        dp_runs = _count_dp_runs(monkeypatch)
+        assert exact_max_sum(s).pairs == ((0, 2), (1, 3))
+        assert dp_runs[0] == runs
 
     @pytest.mark.parametrize(
         "move",
@@ -437,25 +550,53 @@ class TestExactMaxSum:
         ids=["plain", "scaled-2^-40", "offset-1e12"],
     )
     def test_potentials_bound_every_pair_and_close_the_gap(self, move):
-        # the benchmark's n = 16-20 sets: y is dual feasible, sum(y) bounds
-        # the optimum, and the gap is below the tight-edge tolerance, all
-        # relative to sum(y)
+        # y is dual feasible and sum(y) is the cold solve's, both relative
+        # to sum(y).  On the benchmark's reference sets, the generators and
+        # near-duplicate pairs, sum(y) bounds the optimum with a gap below
+        # the tight-edge tolerance; on the families full of exact ties, the
+        # warm start leaves as many edges tight as the cold one.
         workloads = load_perfbench("workloads")
-        keys = [k for k in workloads.load_reference() if 16 <= int(k.split("/")[1]) <= 20]
-        assert len(keys) == 48
-        for key in keys:
+        reference = workloads.load_reference()
+        assert len(reference) == 349
+        sets = []
+        for key in reference:
             generator, n, iseed = key.split("/")
-            inst = workloads.make_instance(generator, int(n), iseed)
-            s = PointSet.of([(move(x), move(y)) for x, y in inst.points])
+            sets.append((key, workloads.make_instance(generator, int(n), iseed).points, "gap"))
+        for generator in ("gaussian", "clustered"):
+            for n in range(4, 25, 4):
+                points = generate(InstanceSpec(generator, n, n)).points
+                sets.append((f"{generator}/{n}", points, "gap"))
+        for n in (12, 18, 24):
+            rng = random.Random(n)
+            base = [(rng.random(), rng.random()) for _ in range(n // 2)]
+            near = [q for p in base for q in (p, (p[0] + 1e-9, p[1]))]
+            sets += [
+                (f"near-duplicate/{n}", near, "gap"),
+                (f"strip/{n}", [(rng.random(), 1e-7 * rng.random()) for _ in range(n)], "ties"),
+                (f"integer-collinear/{n}", [(rng.randrange(2 * n), 0) for _ in range(n)], "ties"),
+                (f"doubled-polygon/{n}", _doubled_regular_polygon(n // 2), "ties"),
+            ]
+        for w, h in ((3, 4), (4, 4), (4, 6)):
+            lattice = [(x, y) for x in range(w) for y in range(h)]
+            random.Random(w * h).shuffle(lattice)
+            sets.append((f"grid/{w}x{h}", lattice, "ties"))
+        sets.append(("coincident/24", [(3.5, -1.25)] * 24, "ties"))
+        for key, coords, check in sets:
+            s = PointSet.of([(move(x), move(y)) for x, y in coords])
             d = matching._distance_table(s.points)
-            y = matching._potentials(d)
+            y = matching._potentials(s.points, d)
+            cold = _reference_potentials(d)
             total = sum(y)
+            assert abs(total - sum(cold)) <= 1e-13 * total, key
             for i in range(len(s)):
                 for j in range(i + 1, len(s)):
                     assert y[i] + y[j] >= d[i][j] - 1e-14 * total, (key, i, j)
-            best = exact_max_sum(s).cost
-            assert total >= best - 1e-14 * total, key
-            assert total - best <= 1e-12 * total, key
+            if check == "gap":
+                best = exact_max_sum(s).cost
+                assert total >= best - 1e-14 * total, key
+                assert total - best <= 1e-12 * total, key
+            else:
+                assert _tight_count(d, y) == _tight_count(d, cold), key
 
     @pytest.mark.parametrize(
         "family, n",
