@@ -26,6 +26,7 @@ import random
 import sys
 from types import SimpleNamespace
 
+from . import _MODULE_EXPORTS
 from .cmdline import Option, UsageError, help_text, read, usage
 from .geom import DEFAULT_THEOREM_TOL, Record
 from .instances import GENERATORS, InstanceSpec, generate, save_points
@@ -58,26 +59,14 @@ def _run_on_first_use(name: str) -> ModuleType:
     return module
 
 
-descent = _run_on_first_use("descent")
-svgfig = _run_on_first_use("svgfig")
-verify = _run_on_first_use("verify")
-
-# Names this module bound from those three before they ran on first use.
-_DEFERRED = frozenset(
-    {
-        "descend",
-        "render_svg",
-        "check_fingerhut",
-        "check_helly_triples",
-        "check_suri",
-        "check_theorem",
-        "check_tverberg_disks",
-    }
-)
+# The modules run on first use.  Each name they export still resolves
+# here, as when this module imported those names from them.
+_ON_USE = ("descent", "svgfig", "verify")
+descent, svgfig, verify = map(_run_on_first_use, _ON_USE)
 
 
 def __getattr__(name: str) -> Any:
-    if name not in _DEFERRED:
+    if not any(name in _MODULE_EXPORTS[module] for module in _ON_USE):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(sys.modules[__package__], name)
 

@@ -1,14 +1,15 @@
 """Theorem-level verdicts: per-edge witness bound, max-matching minimax bound,
-Helly consistency on the witness's certificate edges, the Steiner-star bound,
-and the edge-diameter disk intersection check.
+Helly consistency on the witness's support, the Steiner-star bound, and the
+edge-diameter disk intersection check.
 
 The checks judge the matching and witness they are handed and solve neither;
 the caller picks the matching.  The Helly check needs no sweep over edge
 triples: Helly's theorem puts the global minimax value on some triple, the
-witness's certificate names it, and the value of those edges bounds the
-global value from below while the witness's own value bounds it from above.
-That value comes from one certificate of the edges at the witness, and from
-a solve of them only when that certificate declines.
+witness's support (:attr:`~ellimatch.witness.WitnessResult.support`) names
+it, and the value of those edges bounds the global value from below while
+the witness's own value bounds it from above.  That value comes from one
+certificate of the edges at the witness, and from a solve of them only when
+that certificate declines.
 Every verdict reports a signed margin (positive = satisfied) so tightness
 can be analyzed, not just pass/fail.  ``tol`` is the slack on the ratio
 bound, ``DEFAULT_THEOREM_TOL`` unless the caller passes one.
@@ -115,10 +116,10 @@ def check_helly_triples(
     carries the witness's optimality certificate attains it: the gradients
     of its edges have 0 in their convex hull at o*, so o* also minimizes
     their maximum.  lambda* = max_i f_i(o*) is a genuine value, an upper
-    bound on every subset's value; lambda*(T) of the certificate edges T
-    (at most 3, those with positive weight) is a lower bound on the global
-    value.  Both must fall on the same side of the threshold, so T alone
-    decides what a sweep over all triples would.
+    bound on every subset's value; lambda*(T) of the witness's support T
+    (``w.support``, at most 3 edges) is a lower bound on the global value.
+    Both must fall on the same side of the threshold, so T alone decides
+    what a sweep over all triples would.
 
     lambda*(T) is read off the value bracket of T's own pieces, in their
     own frame, at o* (:func:`~ellimatch.witness.certificate_over_edges`):
@@ -126,19 +127,24 @@ def check_helly_triples(
     as a solve's value is.  The bracket recomputes
     T's values and gradients, so this proves the value rather than trusting
     the witness.  Only when it declines are T's edges solved from scratch.
+    A witness with no support (on a segment, or not certified) leaves no
+    subset to judge: ``support`` is None, ``support_lambda`` is lambda*,
+    ``converged`` is the witness's, and nothing is solved.
     Margin is the distance of the nearer value to the threshold, negated on
     discordance.
     """
     validate_pairs(s, m.pairs)
     threshold = RATIO_BOUND + tol
-    support = [e for e, mu in w.certificate if mu > 0.0]
-    pairs = [m.pairs[e] for e in support]
-    cert = certificate_over_edges(s, pairs, w.o_star)
-    if cert.ok:
-        sub_lambda, sub_converged = cert.lambda_at, True
+    if w.support is None:
+        sub_lambda, sub_converged = w.lambda_star, w.converged
     else:
-        sub = minimize_h_over_edges(s, pairs)
-        sub_lambda, sub_converged = sub.lambda_star, sub.converged
+        pairs = [m.pairs[e] for e in w.support]
+        cert = certificate_over_edges(s, pairs, w.o_star)
+        if cert.ok:
+            sub_lambda, sub_converged = cert.lambda_at, True
+        else:
+            sub = minimize_h_over_edges(s, pairs)
+            sub_lambda, sub_converged = sub.lambda_star, sub.converged
     consistent = within_bound(w.lambda_star, tol) == within_bound(sub_lambda, tol)
     margin = min(abs(threshold - w.lambda_star), abs(threshold - sub_lambda))
     return Verdict(
@@ -148,7 +154,7 @@ def check_helly_triples(
         tolerance=0.0,
         details={
             "lambda_star": w.lambda_star,
-            "support": support,
+            "support": None if w.support is None else list(w.support),
             "support_lambda": sub_lambda,
             "converged": w.converged and sub_converged,
         },

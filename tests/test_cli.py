@@ -197,8 +197,8 @@ class TestVerifyAndDescend:
         assert code == 0  # absurd tolerance turns the failure into a pass
 
     def test_helly_non_convergence_exits_three(self, tmp_path, capsys, monkeypatch):
-        # The bracket at o* declines, so the support is solved, and that
-        # solve is not certified either.
+        # The witness has a support here.  The bracket at o* declines, so
+        # the support is solved, and that solve is not certified either.
         from ellimatch import verify
 
         certify, solve = verify.certificate_over_edges, verify.minimize_h_over_edges
@@ -212,10 +212,13 @@ class TestVerifyAndDescend:
             "minimize_h_over_edges",
             lambda s, pairs: solve(s, pairs).replace(converged=False),
         )
-        pts = self.write_square(tmp_path)
+        pts = tmp_path / "p.csv"
+        assert main(["gen", "--n", "12", "--seed", "0", "--out", str(pts)]) == 0
         code, out = run(capsys, "verify", "--points", str(pts), "--helly")
         assert code == 3
-        assert json.loads(out)["verdicts"]["helly"]["details"]["converged"] is False
+        details = json.loads(out)["verdicts"]["helly"]["details"]
+        assert details["support"] is not None
+        assert details["converged"] is False
 
     def test_helly_converges_where_a_triple_sweep_stalled(self, tmp_path, capsys):
         # Two triples outside the certificate stall unconverged near lambda
@@ -630,6 +633,23 @@ class TestExitCodes:
         pts.write_text("0,0\n1,0\n1,1\n0,1\n")
         bad = tmp_path / "m.json"
         bad.write_text("[" * 100_000)
+        assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: matching: {bad}: invalid JSON: nested too deeply\n"
+
+    def test_brackets_and_escapes_inside_strings_do_not_nest(self, tmp_path, capsys):
+        # 600 brackets in a string, next to an escaped quote and an escaped
+        # backslash: the reader finds where each string ends, and reads on.
+        pts = tmp_path / "p.json"
+        pts.write_text(r'{"note": "\\" , "points": [[0, 0], [1, 1]], "more": "\"' + "[" * 600 + '"}')
+        assert main(["solve", "--points", str(pts)]) == 0
+        assert json.loads(capsys.readouterr().out)["matching"]["pairs"] == [[0, 1]]
+
+    def test_matching_nested_past_the_limit_among_escapes_is_input_error(self, tmp_path, capsys):
+        pts = tmp_path / "p.csv"
+        pts.write_text("0,0\n1,0\n1,1\n0,1\n")
+        bad = tmp_path / "m.json"
+        item = "[" * 500 + "]" * 500  # 501 deep inside the object
+        bad.write_text(r'{"note": "\\", "pairs": [[0, 1], [2, 3]], "x": "\"[]", "deep": ' + item + "}")
         assert main(["witness", "--points", str(pts), "--matching", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: matching: {bad}: invalid JSON: nested too deeply\n"
 

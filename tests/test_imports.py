@@ -91,6 +91,17 @@ def test_cli_keeps_its_names_for_modules_run_on_use():
     assert cli.CHECK_NAMES == ("fingerhut", "theorem", "helly", "suri", "disks")
 
 
+def test_cli_answers_for_the_exports_of_those_modules_alone():
+    # The package's export table decides: every export of descent, svgfig
+    # and verify resolves, and neither another module's export nor a dunder.
+    from ellimatch import cli, descent
+
+    assert cli.build_graph is descent.build_graph
+    for name in ("h_ratio", "__path__"):
+        with pytest.raises(AttributeError, match=f"'ellimatch.cli' has no attribute '{name}'"):
+            getattr(cli, name)
+
+
 def test_importing_the_cli_runs_no_module_it_defers():
     code, ran = modules_run()
     assert code == 0

@@ -301,6 +301,28 @@ def test_finish_takes_an_end_point_at_rounding_above_x(monkeypatch):
     assert taken == [True, True]
 
 
+def test_support_vertex_declines_a_singular_system():
+    # Two identical pieces make the row of f_0 - f_1 zero, so the 3-piece
+    # system's determinant is exactly 0.
+    bottom = ((0.0, 0.0), (1.0, 0.0), 1.0, 0.0)
+    top = ((0.0, 1.0), (1.0, 1.0), 1.0, 0.0)
+    assert minimax._support_vertex([bottom, bottom, top], 0.5, (0.5, 0.5)) is None
+
+
+@pytest.mark.parametrize("pieces", [3, 2])
+def test_support_vertex_declines_a_step_out_of_the_floats(pieces):
+    # Foci 8e307 away: every value at x is finite, but the step that levels
+    # them leaves the floats.
+    x = (0.5, 0.5)
+    support = [
+        ((0.0, 0.0), (1.0, 0.0), 1.0, 0.0),
+        ((-8e307, 1.0), (-8e307, 2.0), 1.0, 0.0),
+        ((3.0, 2.0), (1.0, 3.0), 1.0, 0.0),
+    ][:pieces]
+    assert all(map(math.isfinite, minimax._values(support, x)))
+    assert minimax._support_vertex(support, 0.5, x) is None
+
+
 def test_full_pass_values_are_the_piece_formula_bit_for_bit():
     # A full pass, and a finish's Newton step on its support, evaluate the
     # pieces in one comprehension, _values; it must give the floats of the

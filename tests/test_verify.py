@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from cli_bank import _family
 from conftest import (
     DOUBLED_TRIANGLE,
     SQUARE,
@@ -206,11 +207,40 @@ class TestCheckHellyTriples:
         assert helly_verdict(s, exact_max_sum(s)).details["converged"] is True
 
     def test_pair_matching_degenerates_to_pairs(self):
+        # The square's witness lies on both diagonals (ratio 1), so it has
+        # no support, and the check reports the witness's own value.
         s = SQUARE
         m = exact_max_sum(s)
-        v = helly_verdict(s, m)
+        w = minimize_h(s, m)
+        v = check_helly_triples(s, m, w)
         assert v.passed
-        assert len(v.details["support"]) <= 2
+        assert w.support is None
+        assert v.details["support"] is None
+        assert v.details["support_lambda"] == w.lambda_star
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            _family("regular-polygon", 8, 0),
+            _family("strip-1x1e-7", 8, 0),
+            _family("near-duplicate-pairs", 8, 0),
+            generate(InstanceSpec("doubled-polygon", 12, 0)).points,
+        ],
+        ids=["regular-polygon-8", "strip-1x1e-7-8", "near-duplicate-pairs-8", "doubled-12"],
+    )
+    def test_a_witness_without_support_is_judged_by_its_own_value(self, points, monkeypatch):
+        # The bank's sets whose witness lies on a segment: no subset is
+        # judged, so nothing is certified or solved again.
+        s = PointSet.of(points)
+        m = exact_max_sum(s)
+        w = minimize_h(s, m)
+        counts = count_calls(monkeypatch, certificate_over_edges, minimize_h_over_edges)
+        v = check_helly_triples(s, m, w)
+        assert counts == {"certificate_over_edges": 0, "minimize_h_over_edges": 0}
+        assert v.details["support"] is w.support is None
+        assert v.details["support_lambda"] == w.lambda_star
+        assert v.details["converged"] is w.converged
+        assert v.passed
 
     def test_a_certified_witness_runs_no_sub_solve(self, monkeypatch):
         # o* minimizes the certificate edges' max too, so their bracket at
@@ -232,7 +262,7 @@ class TestCheckHellyTriples:
         m = exact_max_sum(s)
         w = minimize_h(s, m)
         moved = w.replace(o_star=(w.o_star[0] + 0.01, w.o_star[1] - 0.02))
-        support = [e for e, mu in w.certificate if mu > 0.0]
+        support = list(w.support)
         pairs = [m.pairs[e] for e in support]
         assert not certificate_over_edges(s, pairs, moved.o_star).ok
         sub = minimize_h_over_edges(s, pairs)
